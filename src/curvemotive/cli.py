@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -47,19 +46,9 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
-WORKERS_ENV = "CURVEMOTIVE_WORKERS"
-
 
 class _UsageError(Exception):
     pass
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop strata with non-integral valuation vectors",
     )
-    p_compute.add_argument("--workers", type=int, default=None)
+    p_compute.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_check = sub.add_parser("check", help="run all cross-form identities")
     add_common(p_check, bound=True)
-    p_check.add_argument("--workers", type=int, default=None)
+    p_check.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force validator directly")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_name", required=True)
@@ -285,7 +274,6 @@ def _specialized_payload(series, spec):
 def _cmd_compute(args) -> int:
     g = _load_graph(args.input)
     _emit_graph_warnings(g)
-    workers = args.workers if args.workers is not None else _default_workers()
     strictness = "integral" if args.strict_integral else "literal"
 
     if args.series == "phatd-closed":
@@ -300,20 +288,14 @@ def _cmd_compute(args) -> int:
 
     if args.series == "pg":
         bound = _parse_bound(args.bound, g.r, "the branch series")
-        series = poincare_generalised(
-            g, bound, strictness=strictness, workers=workers
-        )
+        series = poincare_generalised(g, bound, strictness=strictness)
     elif args.series == "pdg":
         bound = _parse_bound(args.bound, g.s, "the divisorial series")
-        series = poincare_divisorial(
-            g, bound, strictness=strictness, workers=workers
-        )
+        series = poincare_divisorial(g, bound, strictness=strictness)
     else:  # phatd: expansion, cross-checked against the stratum sum
         bound = _parse_bound(args.bound, g.s, "the extended-semigroup series")
         series = expand(divisorial_closed_form(g), bound)
-        direct = divisorial_semigroup_stratum_sum(
-            g, bound, strictness="literal", workers=workers
-        )
+        direct = divisorial_semigroup_stratum_sum(g, bound, strictness="literal")
         if series != direct:
             print(
                 "cross-check failure: closed form and stratum sum disagree",
@@ -363,13 +345,9 @@ def _drop_nonintegral(series):
 def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     _emit_graph_warnings(g)
-    workers = args.workers if args.workers is not None else _default_workers()
-    scalar = 8
-    if args.bound:
-        parts = [int(p) for p in args.bound.split(",") if p.strip()]
-        if len(parts) != 1:
-            raise _UsageError("check takes a single scalar --bound")
-        scalar = parts[0]
+    if "," in (args.bound or "").strip(", "):
+        raise _UsageError("check takes a single scalar --bound")
+    (scalar,) = _parse_bound(args.bound or "8", 1, "check")
 
     failures = []
 
@@ -396,13 +374,13 @@ def _cmd_check(args) -> int:
 
     div_bound = (scalar,) * g.s
     try:
-        poincare_divisorial(g, div_bound, workers=workers)
+        poincare_divisorial(g, div_bound)
         report("divisorial series: stratum sum vs factored display", True)
     except SeriesCrossCheckError as exc:
         report("divisorial series: stratum sum vs factored display", False, str(exc))
 
     closed = expand(divisorial_closed_form(g), div_bound)
-    direct = divisorial_semigroup_stratum_sum(g, div_bound, workers=workers)
+    direct = divisorial_semigroup_stratum_sum(g, div_bound)
     report(
         "extended-semigroup series: closed form vs stratum sum",
         closed == direct,
@@ -411,7 +389,7 @@ def _cmd_check(args) -> int:
     if g.r >= 1:
         branch_bound = (scalar,) * g.r
         try:
-            pg = poincare_generalised(g, branch_bound, workers=workers)
+            pg = poincare_generalised(g, branch_bound)
             report("branch series: stratum sum vs factored display", True)
         except SeriesCrossCheckError as exc:
             pg = None
@@ -443,9 +421,7 @@ def _cmd_check(args) -> int:
         tr = expand_totally_rational(g, div_bound)
         report("totally rational: extended-semigroup reduction", closed == tr)
         if pg is not None:
-            tr_pg = poincare_generalised_totally_rational(
-                g, (scalar,) * g.r, workers=workers
-            )
+            tr_pg = poincare_generalised_totally_rational(g, (scalar,) * g.r)
             report("totally rational: branch-series reduction", pg == tr_pg)
         if g.r == 1 and pg is not None:
             report(
@@ -525,7 +501,7 @@ def main(argv=None) -> int:
     except GraphValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import vec_mat
+from .grothendieck import _frac_json
 from .resolution import Pair, ResolutionGraph
 
 
@@ -81,11 +82,11 @@ class Stratum:
             raise ValueError("pair_mults must align with pairs")
         if len(self.branch_mults) != len(self.branches):
             raise ValueError("branch_mults must align with branches")
-        if any(n < 0 for n in self.point_mults):
+        if min(self.point_mults, default=0) < 0:
             raise ValueError("point multiplicities must be nonnegative")
-        if any(a < 1 or b < 1 for a, b in self.pair_mults):
+        if self.pair_mults and min(map(min, self.pair_mults)) < 1:
             raise ValueError("pair multiplicities must be positive")
-        if any(a < 1 or b < 1 for a, b in self.branch_mults):
+        if self.branch_mults and min(map(min, self.branch_mults)) < 1:
             raise ValueError("branch multiplicities must be positive")
 
     @property
@@ -169,26 +170,21 @@ def deg_AA(nhat_vec, g: ResolutionGraph) -> Fraction:
     return -sum(Fraction(wi) * ni for wi, ni in zip(w, nhat_vec))
 
 
-def codim_F(st: Stratum, g: ResolutionGraph) -> Fraction:
-    """Codimension of a stratum fiber, by composition.
+def nhat_codim(nh, g: ResolutionGraph) -> Fraction:
+    """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition.
 
-    ``F = hoskin_deligne(w) + sum nhat_i h_i + sum_{j in J} t''_j h_j``.
+    ``hoskin_deligne(w) + sum nhat_i h_i``.
     """
-    nh = nhat(st, g)
     total = hoskin_deligne(w_of(nh, g), g)
-    total += sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
-    for j, (_tp, tpp) in zip(st.branches, st.branch_mults):
-        total += tpp * g.branch(j).degree
-    return total
+    return total + sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
 
 
-def codim_F_literal(st: Stratum, g: ResolutionGraph) -> Fraction:
-    """The expanded quadratic-form expression for ``F``, kept as a cross-check.
+def nhat_codim_literal(nh, g: ResolutionGraph) -> Fraction:
+    """The expanded quadratic-form expression for ``nhat_codim``.
 
     The trailing linear term reads ``(2 h_i - 1)`` with the outer index, which
     is what the composition forces.
     """
-    nh = nhat(st, g)
     m = g.m_matrix
     eps = g.epsilon
     s = g.s
@@ -203,20 +199,31 @@ def codim_F_literal(st: Stratum, g: ResolutionGraph) -> Fraction:
         )
         for i in range(s)
     )
-    total = (quad + lin) / 2
-    for j, (_tp, tpp) in zip(st.branches, st.branch_mults):
-        total += tpp * g.branch(j).degree
-    return total
+    return (quad + lin) / 2
+
+
+def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:
+    return sum(tpp * g.branch(j).degree for j, (_tp, tpp) in zip(st.branches, st.branch_mults))
+
+
+def codim_F(st: Stratum, g: ResolutionGraph) -> Fraction:
+    """Codimension of a stratum fiber, by composition.
+
+    ``F = hoskin_deligne(w) + sum nhat_i h_i + sum_{j in J} t''_j h_j``.
+    """
+    return nhat_codim(nhat(st, g), g) + _branch_codim(st, g)
+
+
+def codim_F_literal(st: Stratum, g: ResolutionGraph) -> Fraction:
+    """The expanded quadratic-form expression for ``F``, kept as a cross-check."""
+    return nhat_codim_literal(nhat(st, g), g) + _branch_codim(st, g)
 
 
 def codim_FD(st: Stratum, g: ResolutionGraph) -> Fraction:
     """Divisorial stratum codimension; requires a branch-free stratum."""
     if not st.is_divisorial:
         raise ValueError("divisorial codimension is defined for J-free strata")
-    nh = nhat(st, g)
-    total = hoskin_deligne(w_of(nh, g), g)
-    total += sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
-    return total
+    return nhat_codim(nhat(st, g), g)
 
 
 def stratum_report(st: Stratum, g: ResolutionGraph) -> dict:
@@ -241,8 +248,3 @@ def stratum_report(st: Stratum, g: ResolutionGraph) -> dict:
     if st.is_divisorial:
         report["F_D"] = _frac_json(codim_FD(st, g))
     return report
-
-
-def _frac_json(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else str(x)

@@ -241,7 +241,7 @@ class RingElement:
         terms: dict[MonomialKey, int] = {}
         for item in data:
             key = (
-                _frac_from_json(item["Lexp"]),
+                Fraction(item["Lexp"]),
                 tuple(sorted((str(k), int(v)) for k, v in item.get("symbols", {}).items())),
             )
             terms[key] = terms.get(key, 0) + int(item["coeff"])
@@ -288,12 +288,9 @@ def _exp_text(exp: Fraction) -> str:
     return str(exp.numerator) if exp.denominator == 1 else f"({exp})"
 
 
-def _frac_json(x: Fraction):
+def _frac_json(x: Fraction | int):
+    """An exact rational as JSON: an integer when integral, else ``"p/q"``."""
     return x.numerator if x.denominator == 1 else str(x)
-
-
-def _frac_from_json(value) -> Fraction:
-    return Fraction(value) if not isinstance(value, str) else Fraction(value)
 
 
 @dataclass(frozen=True)

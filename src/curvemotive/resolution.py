@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import _linalg
-from .grothendieck import SymbolTable
+from .grothendieck import SymbolTable, _frac_json
 
 Pair = tuple[int, int]
 
@@ -459,9 +458,3 @@ def matrices_report(g: ResolutionGraph) -> dict:
         "epsilon": list(g.epsilon),
         "warnings": list(g.warnings),
     }
-
-
-def _frac_json(x):
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else str(x)
-    return x

@@ -17,7 +17,12 @@ exponents:
 The first two series are always computed along two independent routes (the
 direct stratum sum with composed codimensions, and the factored display with
 the expanded quadratic-form codimension) and the routes must agree term by
-term.  The closed form is cross-checked against its own stratum sum by
+term.  Neither route visits strata one by one: codimension and exponent
+depend on a stratum only through ``nhat`` and the branch multiplicities
+``t''``, so each route sums the stratum classes per ``nhat`` with a
+generating function and applies ``L^(-F) t^v`` once per key; the number of
+strata that generating function counts must match a direct enumeration.
+The closed form is cross-checked against its own stratum sum by
 ``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
 this module's core self-verification.
 
@@ -29,23 +34,24 @@ the bound loses nothing below it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, floor, lcm
+from functools import reduce
+from operator import le, mul
 
-from ._linalg import vec_mat
 from .codim import (
     ExponentVector,
     Stratum,
     codim_F,
-    codim_F_literal,
-    codim_FD,
+    nhat,
+    nhat_codim,
+    nhat_codim_literal,
     v_of,
     w_of,
-    nhat,
 )
-from .grothendieck import RingElement, _frac_json, _frac_from_json
+from .grothendieck import RingElement, _frac_json
 from .resolution import ResolutionGraph
 
 
@@ -128,12 +134,6 @@ class TruncatedSeries:
             result = result.mul(self)
         return result
 
-    def scaled(self, element: RingElement) -> "TruncatedSeries":
-        out = TruncatedSeries.zero(self.arity, self.bound)
-        for exp, value in self.terms.items():
-            out.add_term(exp, value * element)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -178,11 +178,11 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        series = cls.zero(int(data["arity"]), [_frac_from_json(b) for b in data["bound"]])
+        series = cls.zero(int(data["arity"]), [Fraction(b) for b in data["bound"]])
         series.skipped_nonintegral = int(data.get("skipped_nonintegral", 0))
         for item in data["terms"]:
             series.add_term(
-                ExponentVector(_frac_from_json(e) for e in item["t"]),
+                ExponentVector(Fraction(e) for e in item["t"]),
                 RingElement.from_json(item["value"]),
             )
         return series
@@ -207,17 +207,25 @@ def sym_power_class(label: str | None, degree: int, nu: int, n: int) -> RingElem
         raise ValueError("symmetric power index must be nonnegative")
     if nu < 0:
         raise ValueError("removed-point count must be nonnegative")
-    e = RingElement.one() if degree == 1 else RingElement.symbol(label)
-    eL = e * RingElement.lefschetz()
-    total = RingElement.zero()
-    if nu >= 1:
-        for l in range(min(n, nu - 1) + 1):
-            sign = -1 if l % 2 else 1
-            total = total + RingElement.integer(sign * comb(nu - 1, l)) * eL ** (n - l)
-    else:
-        for k in range(n + 1):
-            total = total + eL**k
-    return total
+    eL = (RingElement.one() if degree == 1 else RingElement.symbol(label)) * RingElement.lefschetz()
+    return _binomial_sum(nu, n, lambda l: eL ** (n - l))
+
+
+def _binomial_sum(nu: int, n: int, term) -> RingElement:
+    """``sum_{l<=n} c_l term(l)``, ``c_l`` the coefficients of ``(1 - x)^(nu - 1)``.
+
+    They are ``(-1)^l binom(nu - 1, l)`` for ``nu >= 1`` and all 1 for
+    ``nu = 0``, where the factor is the geometric series.
+    """
+    if nu == 0:
+        return sum((term(l) for l in range(n + 1)), RingElement.zero())
+    return sum(
+        (
+            RingElement.integer((-1) ** l * comb(nu - 1, l)) * term(l)
+            for l in range(min(n, nu - 1) + 1)
+        ),
+        RingElement.zero(),
+    )
 
 
 def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> RingElement:
@@ -253,18 +261,7 @@ def _display_inner_factor(e: RingElement, nu: int, n: int) -> RingElement:
     # e^n folded in so exponents stay nonnegative:
     #   sum_l (-1)^l binom(nu-1, l) e^(n-l) L^(-l)      (nu >= 1)
     #   sum_l e^(n-l) L^(-l)                            (nu = 0)
-    total = RingElement.zero()
-    if nu >= 1:
-        for l in range(min(n, nu - 1) + 1):
-            sign = -1 if l % 2 else 1
-            total = total + (
-                RingElement.integer(sign * comb(nu - 1, l))
-                * e ** (n - l)
-            ).lefschetz_shift(-l)
-    else:
-        for l in range(n + 1):
-            total = total + (e ** (n - l)).lefschetz_shift(-l)
-    return total
+    return _binomial_sum(nu, n, lambda l: (e ** (n - l)).lefschetz_shift(-l))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +272,50 @@ def _display_inner_factor(e: RingElement, nu: int, n: int) -> RingElement:
 def _subsets(items):
     for mask in range(1 << len(items)):
         yield tuple(items[k] for k in range(len(items)) if mask >> k & 1)
+
+
+def _lattice(g: ResolutionGraph, bound, mode: str):
+    """Exponents and bound on the integer lattice ``d * M``, for ``_walk``.
+
+    Returns ``(d, nhat_step, caps)``.  A unit of ``nhat_i`` raises ``d`` times
+    (exponent vector, then ``w`` for the branch series) by ``nhat_step[i]``;
+    the exponent vector is ``w`` itself for the divisorial series.  An
+    exponent fits under the bound exactly when it is at most ``caps``.
+    """
+    m = g.m_matrix
+    d = lcm(*(Fraction(x).denominator for row in m for x in row))
+    rows = [[int(Fraction(x) * d) for x in row] for row in m]
+    if mode == "full":
+        cols = [g.branch(j).attach - 1 for j in range(1, g.r + 1)]
+        nhat_step = [[row[c] for c in cols] + row for row in rows]
+    else:
+        nhat_step = rows
+    return d, nhat_step, [floor(Fraction(b) * d) for b in bound]
+
+
+def _walk(steps, mins, caps, visit):
+    """Call ``visit(values, z)`` for every ``values >= mins`` whose
+    ``z = sum_k values[k] * steps[k]`` fits under ``caps``, lexicographically.
+
+    Only the leading ``len(caps)`` entries of ``z`` are bounded; the rest ride
+    along.  Every step raises at least one bounded entry, so the walk ends.
+    ``values`` is reused between calls.
+    """
+    values = list(mins)
+    last = len(steps) - 1
+
+    def rec(k, z):
+        step = steps[k]
+        while all(map(le, z, caps)):  # map() stops at the end of caps
+            if k == last:
+                visit(values, z)
+            else:
+                rec(k + 1, z)
+            values[k] += 1
+            z = [a + b for a, b in zip(z, step)]
+        values[k] = mins[k]
+
+    rec(0, [sum(m * step[c] for m, step in zip(mins, steps)) for c in range(len(steps[0]))])
 
 
 def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
@@ -300,110 +341,53 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
         raise ValueError("bounds must be nonnegative")
 
     s = g.s
-    m = g.m_matrix
-    pairs0 = [site.key for site in g.pairs]
-    branch_attach = [g.branch(j).attach for j in range(1, g.r + 1)]
-    branch_weight = [g.degree_of(a) for a in branch_attach]
+    d, nhat_step, caps = _lattice(g, bound, mode)
+    # A unit of t''_j adds d * h to exponent j, h the degree of its attaching
+    # component.  Integral mode checks the exponent vector and w.
+    width = len(nhat_step[0])
+    branch_step = [
+        [d * g.degree_of(g.branch(j).attach) if k == j - 1 else 0 for k in range(width)]
+        for j in range(1, g.r + 1)
+    ]
 
     strata: list[Stratum] = []
     skipped = 0
 
-    for pair_subset in _subsets(pairs0):
+    for pair_subset in _subsets([site.key for site in g.pairs]):
         branch_subsets = _subsets(list(range(1, g.r + 1))) if mode == "full" else ((),)
         for branch_subset in branch_subsets:
-            # Independent variables, in canonical order.  Each entry is
-            # (nhat index or None, minimum value, role).
-            variables: list[tuple[int | None, int, tuple]] = []
-            for i in range(1, s + 1):
-                variables.append((i - 1, 0, ("n", i)))
-            for k, (i1, i2) in enumerate(pair_subset):
-                variables.append((i1 - 1, 1, ("p1", k)))
-                variables.append((i2 - 1, 1, ("p2", k)))
-            for k, j in enumerate(branch_subset):
-                variables.append((branch_attach[j - 1] - 1, 1, ("b1", k)))
-                variables.append((None, 1, ("b2", k, j)))
+            # Independent variables in canonical order: n_i, then (n', n'')
+            # per pair, then (t', t'') per branch.
+            steps = list(nhat_step)
+            for i1, i2 in pair_subset:
+                steps += [nhat_step[i1 - 1], nhat_step[i2 - 1]]
+            for j in branch_subset:
+                steps += [nhat_step[g.branch(j).attach - 1], branch_step[j - 1]]
+            n_pairs = len(pair_subset)
 
-            values = [v_min for _, v_min, _ in variables]
-
-            def exponent_now():
-                nh = [0] * s
-                second = {}
-                for (idx, _, role), val in zip(variables, values):
-                    if idx is not None:
-                        nh[idx] += val
-                    else:
-                        second[role[2]] = val
-                w = vec_mat(nh, m)
-                if mode == "divisorial":
-                    return nh, w, w
-                v = tuple(
-                    w[branch_attach[j - 1] - 1]
-                    + second.get(j, 0) * branch_weight[j - 1]
-                    for j in range(1, g.r + 1)
-                )
-                return nh, w, v
-
-            def emit():
+            def emit(values, z):
                 nonlocal skipped
-                nh, w, exp = exponent_now()
-                if strictness == "integral" and not (
-                    all(Fraction(x).denominator == 1 for x in w)
-                    and all(Fraction(x).denominator == 1 for x in exp)
-                ):
+                if strictness == "integral" and any(x % d for x in z):
                     skipped += 1
                     return
-                point_mults = tuple(values[i] for i in range(s))
-                pair_mults = []
-                branch_mults = []
-                offset = s
-                for k in range(len(pair_subset)):
-                    pair_mults.append((values[offset], values[offset + 1]))
-                    offset += 2
-                for k in range(len(branch_subset)):
-                    branch_mults.append((values[offset], values[offset + 1]))
-                    offset += 2
+                rest = values[s:]
                 strata.append(
                     Stratum(
                         pairs=pair_subset,
                         branches=branch_subset,
-                        point_mults=point_mults,
-                        pair_mults=tuple(pair_mults),
-                        branch_mults=tuple(branch_mults),
+                        point_mults=tuple(values[:s]),
+                        pair_mults=tuple(zip(rest[0 : 2 * n_pairs : 2], rest[1 : 2 * n_pairs : 2])),
+                        branch_mults=tuple(zip(rest[2 * n_pairs :: 2], rest[2 * n_pairs + 1 :: 2])),
                     )
                 )
 
-            def rec(k: int):
-                if k == len(variables):
-                    emit()
-                    return
-                _, v_min, _ = variables[k]
-                value = v_min
-                while True:
-                    values[k] = value
-                    _, _, exp = exponent_now()
-                    if not all(e <= b for e, b in zip(exp, bound)):
-                        break
-                    if k == len(variables) - 1:
-                        emit()
-                    else:
-                        rec(k + 1)
-                    value += 1
-                values[k] = v_min
-
-            # Feasibility of the all-minimum assignment gates the whole family.
-            _, _, exp0 = exponent_now()
-            if all(e <= b for e, b in zip(exp0, bound)):
-                if variables:
-                    rec(0)
-                else:  # pragma: no cover - s >= 1 always yields variables
-                    emit()
+            _walk(steps, [0] * s + [1] * (len(steps) - s), caps, emit)
     return strata, skipped
 
 
 def enumerate_strata(g: ResolutionGraph, bound, mode: str = "full", strictness: str = "literal"):
     """Every stratum whose exponent vector is coordinatewise at most ``bound``."""
-    strata, _skipped = _scan_strata(g, bound, mode, strictness)
-    yield from strata
+    yield from _scan_strata(g, bound, mode, strictness)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +395,137 @@ def enumerate_strata(g: ResolutionGraph, bound, mode: str = "full", strictness: 
 # ---------------------------------------------------------------------------
 
 
-def _mapreduce(arity, bound, strata, skipped, term_fn, workers: int) -> TruncatedSeries:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(term_fn, strata))
-    else:
-        results = [term_fn(st) for st in strata]
+def _mapreduce(arity, bound, strata, skipped, term_fn) -> TruncatedSeries:
     series = TruncatedSeries.zero(arity, bound)
-    for exp, value in results:
-        series.add_term(exp, value)
+    for st in strata:
+        series.add_term(*term_fn(st))
     series.skipped_nonintegral = skipped
     return series
 
 
-def _units_product(g: ResolutionGraph, st: Stratum) -> RingElement:
-    table = g.symbol_table
-    out = RingElement.one()
-    for i1, i2 in st.pairs:
-        out = out * table.units_class(g.pair_label(g.pair_site(i1, i2)))
-    for j in st.branches:
-        out = out * table.units_class(g.branch_label(j))
+def _tail(values, below, zero):
+    """Multiply by ``x_a / (1 - x_a)``: ``out[n] = sum_{k >= 1} values[n - k e_a]``.
+
+    ``below[n]`` is the position of ``n - e_a`` (-1 when ``n_a = 0``); the keys
+    are in lexicographic order, so the running sum reads entries already made.
+    """
+    out = []
+    for b in below:
+        out.append(values[b] + out[b] if b >= 0 else zero)
     return out
 
 
+def _coefficients(g, mode, keys, below, site, unit, zero):
+    """Per branch subset ``J`` (list index: its bit mask), the coefficient of ``x^nhat`` in
+
+        ``prod_i sum_n site[i][n] x_i^n
+        * prod_sigma (1 + U_sigma x_i1 x_i2 / ((1 - x_i1)(1 - x_i2)))
+        * prod_{j in J} U_j x_a / (1 - x_a)``,
+
+    the sum of the stratum classes over the strata with that ``nhat`` and
+    ``J``; ``a`` is the component branch ``j`` attaches to.  A stratum class
+    is the product of its per-site factors, so the sum factors the same way.
+    """
+    values = [reduce(mul, (site[i][n_i] for i, n_i in enumerate(n))) for n in keys]
+    for p in g.pairs:
+        both = _tail(_tail(values, below[p.i1 - 1], zero), below[p.i2 - 1], zero)
+        u = unit(g.pair_label(p))
+        values = [a + u * b for a, b in zip(values, both)]
+    per_subset = [values]
+    if mode == "full":
+        for j in range(1, g.r + 1):
+            u = unit(g.branch_label(j))
+            below_a = below[g.branch(j).attach - 1]
+            per_subset += [[u * b for b in _tail(c, below_a, zero)] for c in per_subset]
+    return per_subset
+
+
+def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
+    """The branch (``full``) or divisorial series along both routes, per key.
+
+    ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
+    branch second multiplicities ``t''``, so each route sums its stratum
+    classes per ``(nhat, J)`` with ``_coefficients`` and then applies
+    ``L^(-F) t^v`` once per ``(nhat, J, t'')``.  The direct route uses
+    ``sym_power_class`` with the composed codimension, the factored display
+    ``_display_inner_factor L^n`` with the literal one.  A third product with
+    every class set to 1 counts the strata per key; the totals must match
+    the stratum enumeration, and in ``integral`` mode a dropped key adds its
+    count to ``skipped_nonintegral``.
+    """
+    strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
+    d, nhat_step, caps = _lattice(g, bound, mode)
+    # every nhat whose exponent fits, lexicographically, with d * (exponent, w)
+    found = []
+    _walk(nhat_step, [0] * g.s, caps, lambda n, z: found.append((tuple(n), z)))
+    keys = [n for n, _z in found]
+    position = {n: k for k, n in enumerate(keys)}
+    below = [
+        [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
+        for a in range(g.s)
+    ]
+    table = g.symbol_table
+    nu = g.nu_circ if mode == "full" else g.nu_bullet
+    labels = [g.component_label(i) for i in range(1, g.s + 1)]
+
+    def route(site, unit=table.units_class, zero=RingElement.zero()):
+        sites = [[site(i, n) for n in range(max(k[i] for k in keys) + 1)] for i in range(g.s)]
+        return _coefficients(g, mode, keys, below, sites, unit, zero)
+
+    direct_by_subset = route(lambda i, n: sym_power_class(labels[i], g.degree_of(i + 1), nu[i], n))
+    factored_by_subset = route(
+        lambda i, n: _display_inner_factor(table.class_of(labels[i]), nu[i], n).lefschetz_shift(n)
+    )
+    count_by_subset = route(lambda i, n: 1, unit=lambda _label: 1, zero=0)
+
+    direct = TruncatedSeries.zero(len(caps), bound)
+    factored = TruncatedSeries.zero(len(caps), bound)
+    total = skipped = 0
+    codims = [(nhat_codim(n, g), nhat_codim_literal(n, g)) for n in keys]
+    subsets = list(_subsets(list(range(1, g.r + 1)))) if mode == "full" else [()]
+    # d * v_j grows by t_step[j - 1] per unit of t''_j
+    t_step = [d * g.degree_of(g.branch(j).attach) for j in range(1, g.r + 1)]
+    for branches, counts, direct_values, factored_values in zip(
+        subsets, count_by_subset, direct_by_subset, factored_by_subset
+    ):
+        for k, count in enumerate(counts):
+            if not count:
+                continue
+            z, (f, f_literal) = found[k][1], codims[k]
+            ranges = [range(1, (caps[j - 1] - z[j - 1]) // t_step[j - 1] + 1) for j in branches]
+            for seconds in product(*ranges):
+                exp = list(z)
+                extra = 0
+                for j, t in zip(branches, seconds):
+                    exp[j - 1] += t * t_step[j - 1]
+                    extra += t * g.branch(j).degree
+                total += count
+                if strictness == "integral" and any(x % d for x in exp):
+                    skipped += count
+                    continue
+                exp = ExponentVector(Fraction(x, d) for x in exp[: len(caps)])
+                direct.add_term(exp, direct_values[k].lefschetz_shift(-(f + extra)))
+                factored.add_term(exp, factored_values[k].lefschetz_shift(-(f_literal + extra)))
+
+    if total != len(strata) + scan_skipped or skipped != scan_skipped:
+        raise SeriesCrossCheckError(
+            f"{what}: the nhat generating function counts {total} strata "
+            f"({skipped} non-integral), the enumeration {len(strata) + scan_skipped} "
+            f"({scan_skipped} non-integral)"
+        )
+    for exp in sorted(direct.terms.keys() | factored.terms.keys(), key=_grlex_key):
+        x, y = direct.coefficient(exp), factored.coefficient(exp)
+        if x != y:
+            raise SeriesCrossCheckError(
+                f"{what}: stratum sum and factored display disagree; first at "
+                f"{monomial_text(exp)}: stratum sum {x.to_text()}, factored display {y.to_text()}"
+            )
+    direct.skipped_nonintegral = skipped
+    return direct
+
+
 def poincare_generalised(
-    g: ResolutionGraph,
-    bound,
-    *,
-    strictness: str = "literal",
-    workers: int = 1,
+    g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
     """The branch series, truncated coordinatewise at ``bound``.
 
@@ -448,74 +534,18 @@ def poincare_generalised(
     """
     if g.r < 1:
         raise ValueError("the branch series needs at least one branch")
-    strata, skipped = _scan_strata(g, bound, "full", strictness)
-
-    def fubini_term(st: Stratum):
-        exp = v_of(st, g)
-        value = stratum_class(st, g, "circ").lefschetz_shift(-codim_F(st, g))
-        return exp, value
-
-    def factored_term(st: Stratum):
-        exp = v_of(st, g)
-        shift = sum(st.point_mults) - codim_F_literal(st, g)
-        value = _units_product(g, st)
-        for i in range(1, g.s + 1):
-            n_i = st.point_mults[i - 1]
-            if n_i:
-                e = g.symbol_table.class_of(g.component_label(i))
-                value = value * _display_inner_factor(e, g.nu_circ[i - 1], n_i)
-        return exp, value.lefschetz_shift(shift)
-
-    direct = _mapreduce(g.r, bound, strata, skipped, fubini_term, workers)
-    factored = _mapreduce(g.r, bound, strata, skipped, factored_term, workers)
-    if direct != factored:
-        raise SeriesCrossCheckError(
-            "branch series: stratum sum and factored display disagree"
-        )
-    return direct
+    return _assemble(g, bound, "full", strictness, "branch series")
 
 
 def poincare_divisorial(
-    g: ResolutionGraph,
-    bound,
-    *,
-    strictness: str = "literal",
-    workers: int = 1,
+    g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
     """The divisorial series, truncated coordinatewise at ``bound``."""
-    strata, skipped = _scan_strata(g, bound, "divisorial", strictness)
-
-    def fubini_term(st: Stratum):
-        exp = w_of(nhat(st, g), g)
-        value = stratum_class(st, g, "bullet").lefschetz_shift(-codim_FD(st, g))
-        return exp, value
-
-    def factored_term(st: Stratum):
-        exp = w_of(nhat(st, g), g)
-        shift = sum(st.point_mults) - codim_F_literal(st, g)
-        value = _units_product(g, st)
-        for i in range(1, g.s + 1):
-            n_i = st.point_mults[i - 1]
-            if n_i:
-                e = g.symbol_table.class_of(g.component_label(i))
-                value = value * _display_inner_factor(e, g.nu_bullet[i - 1], n_i)
-        return exp, value.lefschetz_shift(shift)
-
-    direct = _mapreduce(g.s, bound, strata, skipped, fubini_term, workers)
-    factored = _mapreduce(g.s, bound, strata, skipped, factored_term, workers)
-    if direct != factored:
-        raise SeriesCrossCheckError(
-            "divisorial series: stratum sum and factored display disagree"
-        )
-    return direct
+    return _assemble(g, bound, "divisorial", strictness, "divisorial series")
 
 
 def divisorial_semigroup_stratum_sum(
-    g: ResolutionGraph,
-    bound,
-    *,
-    strictness: str = "literal",
-    workers: int = 1,
+    g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
     """Direct sum ``sum [Y^D] t^w`` over divisorial strata, no codimension factor.
 
@@ -527,7 +557,7 @@ def divisorial_semigroup_stratum_sum(
     def term(st: Stratum):
         return w_of(nhat(st, g), g), stratum_class(st, g, "bullet")
 
-    return _mapreduce(g.s, bound, strata, skipped, term, workers)
+    return _mapreduce(g.s, bound, strata, skipped, term)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +726,7 @@ def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
     return series
 
 
-def poincare_generalised_totally_rational(
-    g: ResolutionGraph, bound, *, workers: int = 1
-) -> TruncatedSeries:
+def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
     """Independent implementation of the all-degrees-one branch series.
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
@@ -735,4 +763,4 @@ def poincare_generalised_totally_rational(
             value = value * inner
         return exp, value.lefschetz_shift(shift)
 
-    return _mapreduce(g.r, bound, strata, skipped, term, workers)
+    return _mapreduce(g.r, bound, strata, skipped, term)

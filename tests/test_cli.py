@@ -135,6 +135,45 @@ def test_compute_bound_arity_mismatch_is_usage_error(capsys, cusp_file):
     assert "arity" in err
 
 
+def test_specialize_lefschetz_to_zero_is_a_clean_data_error(capsys, cusp_file):
+    # pg carries negative L-powers, which L = 0 cannot evaluate
+    code, out, err = run(
+        capsys, "compute", "--series", "pg", "--bound", "4", "--input", cusp_file,
+        "--specialize", "L=0,all=1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_malformed_bound_is_usage_error(capsys, cusp_file):
+    for bound in ("abc", "-1", "3,4"):
+        code, out, err = run(capsys, "check", "--input", cusp_file, "--bound", bound)
+        assert code == 2, bound
+        assert out == "" and err.startswith("usage error: "), bound
+
+
+def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
+    from curvemotive import series
+
+    original = series._display_inner_factor
+
+    def doubled_at_one(e, nu, n):
+        value = original(e, nu, n)
+        return 2 * value if n == 1 else value
+
+    monkeypatch.setattr(series, "_display_inner_factor", doubled_at_one)
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
+    assert code == 3
+    assert (
+        "FAIL: branch series: stratum sum vs factored display (branch series: stratum sum "
+        "and factored display disagree; first at t1^2: stratum sum L^-1, factored display "
+        "2*L^-1)"
+    ) in out.splitlines()
+    assert "FAIL: divisorial series: stratum sum vs factored display (divisorial series: " \
+        "stratum sum and factored display disagree; first at t1*t2*t3^2: " in out
+
+
 def test_unknown_flag_is_usage_error(capsys, cusp_file):
     code, _out, _err = run(capsys, "compute", "--nope", "--input", cusp_file)
     assert code == 2

@@ -391,14 +391,35 @@ def test_series_rendering_orders_terms_graded_lex(single):
     assert lines[2].startswith("t1^2:")
 
 
-def test_workers_do_not_change_results(cusp):
-    base = poincare_generalised(cusp, (12,))
-    for workers in (2, 8):
-        assert poincare_generalised(cusp, (12,), workers=workers) == base
-        assert (
-            divisorial_semigroup_stratum_sum(cusp, (4, 4, 4), workers=workers)
-            == divisorial_semigroup_stratum_sum(cusp, (4, 4, 4))
-        )
+def test_workers_do_not_change_results(cusp, capsys, monkeypatch, tmp_path):
+    # The library has no worker pool; the CLI still accepts --workers and
+    # CURVEMOTIVE_WORKERS, and neither changes a byte of the output.
+    import json
+
+    from conftest import cusp_description
+    from curvemotive.cli import main
+
+    for series_fn, bound in (
+        (poincare_generalised, (12,)),
+        (poincare_divisorial, (4, 4, 4)),
+        (divisorial_semigroup_stratum_sum, (4, 4, 4)),
+        (poincare_generalised_totally_rational, (12,)),
+    ):
+        with pytest.raises(TypeError):
+            series_fn(cusp, bound, workers=2)
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(cusp_description()))
+    argv = ["compute", "--series", "pg", "--bound", "12", "--input", str(path)]
+    outputs = []
+    for extra, env in (([], None), (["--workers", "8"], None), ([], "3")):
+        if env is None:
+            monkeypatch.delenv("CURVEMOTIVE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("CURVEMOTIVE_WORKERS", env)
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].out == poincare_generalised(cusp, (12,)).to_text() + "\n"
 
 
 def test_repeated_runs_identical_text(satellite5):
