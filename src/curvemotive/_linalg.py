@@ -44,16 +44,6 @@ def vec_mat(v, a):
     return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0])))
 
 
-def mat_vec(a, v):
-    assert len(a[0]) == len(v)
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def dot(u, v):
-    assert len(u) == len(v)
-    return sum(x * y for x, y in zip(u, v))
-
-
 def neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 

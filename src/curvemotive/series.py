@@ -14,14 +14,14 @@ exponents:
   form: a product of intersection-pair factors over the product of
   ``(1 - t^{m_i}) (1 - e_i L t^{m_i})`` with ``m_i`` the i-th row of ``M``.
 
-The first two series are always computed along two independent routes (the
-direct stratum sum with composed codimensions, and the factored display with
-the expanded quadratic-form codimension) and the routes must agree term by
-term.  Neither route visits strata one by one: codimension and exponent
-depend on a stratum only through ``nhat`` and the branch multiplicities
-``t''``, so each route sums the stratum classes per ``nhat`` with a
-generating function and applies ``L^(-F) t^v`` once per key; the number of
-strata that generating function counts must match a direct enumeration.
+The first two series are stratum sums, built without visiting strata one by
+one: codimension and exponent depend on a stratum only through ``nhat`` and
+the branch multiplicities ``t''``, so one generating-function product sums
+the classes per ``nhat`` and ``L^(-F) t^v`` is applied once per key; a
+second product counts the strata, which must match a direct enumeration.
+The factored display differs from the stratum sum in two ingredients only,
+so those are checked one by one: every symmetric-power factor and every
+composed codimension against the display's expanded form.
 The closed form is cross-checked against its own stratum sum by
 ``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
 this module's core self-verification.
@@ -441,17 +441,16 @@ def _coefficients(g, mode, keys, below, site, unit, zero):
 
 
 def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
-    """The branch (``full``) or divisorial series along both routes, per key.
+    """The branch (``full``) or divisorial series, summed per key.
 
     ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
-    branch second multiplicities ``t''``, so each route sums its stratum
-    classes per ``(nhat, J)`` with ``_coefficients`` and then applies
-    ``L^(-F) t^v`` once per ``(nhat, J, t'')``.  The direct route uses
-    ``sym_power_class`` with the composed codimension, the factored display
-    ``_display_inner_factor L^n`` with the literal one.  A third product with
-    every class set to 1 counts the strata per key; the totals must match
-    the stratum enumeration, and in ``integral`` mode a dropped key adds its
-    count to ``skipped_nonintegral``.
+    branch second multiplicities ``t''``, so ``_coefficients`` sums the
+    stratum classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per
+    ``(nhat, J, t'')``.  Each site factor must equal ``_display_inner_factor
+    L^n`` and each key's composed codimension the literal one.  A second
+    product with every class set to 1 counts the strata per key; the totals
+    must match the stratum enumeration, and in ``integral`` mode a dropped
+    key adds its count to ``skipped_nonintegral``.
     """
     strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
     d, nhat_step, caps = _lattice(g, bound, mode)
@@ -466,32 +465,33 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     ]
     table = g.symbol_table
     nu = g.nu_circ if mode == "full" else g.nu_bullet
-    labels = [g.component_label(i) for i in range(1, g.s + 1)]
 
-    def route(site, unit=table.units_class, zero=RingElement.zero()):
-        sites = [[site(i, n) for n in range(max(k[i] for k in keys) + 1)] for i in range(g.s)]
-        return _coefficients(g, mode, keys, below, sites, unit, zero)
+    def site(i, n):
+        label = g.component_label(i + 1)
+        x = sym_power_class(label, g.degree_of(i + 1), nu[i], n)
+        y = _display_inner_factor(table.class_of(label), nu[i], n).lefschetz_shift(n)
+        return _agree(what, f" at E{i + 1}, n = {n}", ("stratum sum", "factored display"), x, y)
 
-    direct_by_subset = route(lambda i, n: sym_power_class(labels[i], g.degree_of(i + 1), nu[i], n))
-    factored_by_subset = route(
-        lambda i, n: _display_inner_factor(table.class_of(labels[i]), nu[i], n).lefschetz_shift(n)
-    )
-    count_by_subset = route(lambda i, n: 1, unit=lambda _label: 1, zero=0)
+    sites = [[site(i, n) for n in range(max(k[i] for k in keys) + 1)] for i in range(g.s)]
+    names = ("composed codimension", "literal codimension")
+    codims = [
+        _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
+        for n in keys
+    ]
+    class_by_subset = _coefficients(g, mode, keys, below, sites, table.units_class, RingElement.zero())
+    ones = [[1] * len(row) for row in sites]
+    count_by_subset = _coefficients(g, mode, keys, below, ones, lambda _label: 1, 0)
 
-    direct = TruncatedSeries.zero(len(caps), bound)
-    factored = TruncatedSeries.zero(len(caps), bound)
+    series = TruncatedSeries.zero(len(caps), bound)
     total = skipped = 0
-    codims = [(nhat_codim(n, g), nhat_codim_literal(n, g)) for n in keys]
     subsets = list(_subsets(list(range(1, g.r + 1)))) if mode == "full" else [()]
     # d * v_j grows by t_step[j - 1] per unit of t''_j
     t_step = [d * g.degree_of(g.branch(j).attach) for j in range(1, g.r + 1)]
-    for branches, counts, direct_values, factored_values in zip(
-        subsets, count_by_subset, direct_by_subset, factored_by_subset
-    ):
+    for branches, counts, values in zip(subsets, count_by_subset, class_by_subset):
         for k, count in enumerate(counts):
             if not count:
                 continue
-            z, (f, f_literal) = found[k][1], codims[k]
+            z = found[k][1]
             ranges = [range(1, (caps[j - 1] - z[j - 1]) // t_step[j - 1] + 1) for j in branches]
             for seconds in product(*ranges):
                 exp = list(z)
@@ -504,8 +504,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
                     skipped += count
                     continue
                 exp = ExponentVector(Fraction(x, d) for x in exp[: len(caps)])
-                direct.add_term(exp, direct_values[k].lefschetz_shift(-(f + extra)))
-                factored.add_term(exp, factored_values[k].lefschetz_shift(-(f_literal + extra)))
+                series.add_term(exp, values[k].lefschetz_shift(-(codims[k] + extra)))
 
     if total != len(strata) + scan_skipped or skipped != scan_skipped:
         raise SeriesCrossCheckError(
@@ -513,15 +512,28 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
             f"({skipped} non-integral), the enumeration {len(strata) + scan_skipped} "
             f"({scan_skipped} non-integral)"
         )
-    for exp in sorted(direct.terms.keys() | factored.terms.keys(), key=_grlex_key):
-        x, y = direct.coefficient(exp), factored.coefficient(exp)
-        if x != y:
-            raise SeriesCrossCheckError(
-                f"{what}: stratum sum and factored display disagree; first at "
-                f"{monomial_text(exp)}: stratum sum {x.to_text()}, factored display {y.to_text()}"
-            )
-    direct.skipped_nonintegral = skipped
-    return direct
+    series.skipped_nonintegral = skipped
+    return series
+
+
+def _agree(what: str, where: str, names, x, y):
+    """Return ``x`` if it equals ``y``, else raise ``SeriesCrossCheckError`` naming both."""
+    if x != y:
+        raise SeriesCrossCheckError(
+            f"{what}: {names[0]} and {names[1]} disagree{where}: {names[0]} {x}, {names[1]} {y}"
+        )
+    return x
+
+
+def require_same_series(what: str, left_name: str, left, right_name: str, right) -> None:
+    """Raise ``SeriesCrossCheckError`` unless two series have the same terms.
+
+    The message names the first differing exponent (graded-lex) and both values.
+    """
+    if left.terms != right.terms:
+        for exp in sorted(left.terms.keys() | right.terms.keys(), key=_grlex_key):
+            x, y = left.coefficient(exp), right.coefficient(exp)
+            _agree(what, f"; first at {monomial_text(exp)}", (left_name, right_name), x, y)
 
 
 def poincare_generalised(
@@ -529,8 +541,9 @@ def poincare_generalised(
 ) -> TruncatedSeries:
     """The branch series, truncated coordinatewise at ``bound``.
 
-    Both the direct stratum sum ``sum L^(-F) [Y] t^v`` and the factored
-    display are evaluated; a mismatch raises ``SeriesCrossCheckError``.
+    The stratum sum ``sum L^(-F) [Y] t^v`` is checked against the factored
+    display ingredient by ingredient; a mismatch raises
+    ``SeriesCrossCheckError``.
     """
     if g.r < 1:
         raise ValueError("the branch series needs at least one branch")

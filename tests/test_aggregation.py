@@ -99,10 +99,26 @@ def test_route_mismatch_names_first_exponent_and_both_values(cusp, monkeypatch):
     monkeypatch.setattr(series_module, "_display_inner_factor", doubled_at_one)
     with pytest.raises(SeriesCrossCheckError) as info:
         poincare_generalised(cusp, (7,))
-    # t^2 has the single stratum n = (1, 0, 0): L^-1, doubled on one route
+    # the first differing ingredient: [Sym^1 E1°] = L, doubled in the display
     assert str(info.value) == (
-        "branch series: stratum sum and factored display disagree; first at t1^2: "
-        "stratum sum L^-1, factored display 2*L^-1"
+        "branch series: stratum sum and factored display disagree at E1, n = 1: "
+        "stratum sum L, factored display 2*L"
+    )
+
+
+def test_codimension_mismatch_names_nhat_and_both_values(cusp, monkeypatch):
+    original = series_module.nhat_codim_literal
+
+    def off_by_one_at(nh, g):
+        value = original(nh, g)
+        return value + 1 if nh == (0, 1, 0) else value
+
+    monkeypatch.setattr(series_module, "nhat_codim_literal", off_by_one_at)
+    with pytest.raises(SeriesCrossCheckError) as info:
+        poincare_divisorial(cusp, (4, 4, 4))
+    assert str(info.value) == (
+        "divisorial series: composed codimension and literal codimension disagree at "
+        "nhat = (0, 1, 0): composed codimension 3, literal codimension 4"
     )
 
 

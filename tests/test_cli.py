@@ -1,13 +1,19 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from curvemotive import build, cli
 from curvemotive.cli import main
-from curvemotive.series import TruncatedSeries
+from curvemotive.codim import ExponentVector
+from curvemotive.grothendieck import RingElement
+from curvemotive.series import TruncatedSeries, divisorial_semigroup_stratum_sum
 
 from conftest import cusp_description
+
+DEMOS = Path(__file__).parent.parent / "demos"
 
 
 @pytest.fixture()
@@ -165,13 +171,70 @@ def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
     monkeypatch.setattr(series, "_display_inner_factor", doubled_at_one)
     code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
     assert code == 3
+    for what in ("divisorial", "branch"):
+        assert (
+            f"FAIL: {what} series: stratum sum vs factored display ({what} series: stratum "
+            "sum and factored display disagree at E1, n = 1: stratum sum L, factored display 2*L)"
+        ) in out.splitlines()
+
+
+def bumped_at_one(original):
+    """``original`` with 1 added to the constant term of the series it returns."""
+
+    def bumped(*args):
+        series = original(*args)
+        series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
+        return series
+
+    return bumped
+
+
+def test_closed_form_mismatch_names_first_difference(capsys, cusp_file, monkeypatch):
+    monkeypatch.setattr(cli, "expand", bumped_at_one(cli.expand))
+    code, out, err = run(capsys, "compute", "--series", "phatd", "--bound", "4", "--input", cusp_file)
+    assert (code, out) == (3, "")
+    assert err == (
+        "cross-check failure: extended-semigroup series: closed form and stratum sum disagree; "
+        "first at 1: closed form 2, stratum sum 1\n"
+    )
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
+    assert code == 3
+    lines = out.splitlines()
     assert (
-        "FAIL: branch series: stratum sum vs factored display (branch series: stratum sum "
-        "and factored display disagree; first at t1^2: stratum sum L^-1, factored display "
-        "2*L^-1)"
-    ) in out.splitlines()
-    assert "FAIL: divisorial series: stratum sum vs factored display (divisorial series: " \
-        "stratum sum and factored display disagree; first at t1*t2*t3^2: " in out
+        "FAIL: extended-semigroup series: closed form vs stratum sum (extended-semigroup "
+        "series: closed form and stratum sum disagree; first at 1: closed form 2, stratum sum 1)"
+    ) in lines
+    assert (
+        "FAIL: totally rational: extended-semigroup reduction (extended-semigroup series: "
+        "closed form and reduced form disagree; first at 1: closed form 2, reduced form 1)"
+    ) in lines
+
+
+def test_branch_series_reduction_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
+    reduced = cli.poincare_generalised_totally_rational
+    monkeypatch.setattr(cli, "poincare_generalised_totally_rational", bumped_at_one(reduced))
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: totally rational: branch-series reduction (branch series: stratum sum and "
+        "reduced form disagree; first at 1: stratum sum 1, reduced form 2)"
+    ]
+
+
+def test_phatd_strict_integral_counts_dropped_strata(capsys):
+    path = DEMOS / "graphs" / "chain2_h12.json"
+    g = build(json.loads(path.read_text(encoding="utf-8")))
+    want = divisorial_semigroup_stratum_sum(g, (6, 6), strictness="integral")
+    assert want.skipped_nonintegral == 20
+    argv = ["compute", "--series", "phatd", "--bound", "6", "--input", str(path), "--strict-integral"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "warning: 20 strata with non-integral exponents dropped" in err.splitlines()
+    assert out == want.to_text() + "\n"
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert TruncatedSeries.from_json(json.loads(out)) == want
+    assert json.loads(out)["skipped_nonintegral"] == 20
 
 
 def test_unknown_flag_is_usage_error(capsys, cusp_file):
