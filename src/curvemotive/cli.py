@@ -16,14 +16,15 @@ import json
 import sys
 from fractions import Fraction
 
-from . import oracles
+from . import _linalg, oracles
 from .codim import (
     Stratum,
-    codim_F,
-    codim_F_literal,
-    codim_FD,
+    deg_AA,
+    deg_AK,
     hoskin_deligne,
     nhat,
+    nhat_codim,
+    nhat_codim_literal,
     stratum_report,
     w_of,
 )
@@ -39,7 +40,9 @@ from .series import (
     poincare_divisorial,
     poincare_generalised,
     poincare_generalised_totally_rational,
+    require_branches,
     require_same_series,
+    sym_power_class,
 )
 
 EXIT_OK = 0
@@ -181,13 +184,14 @@ def _parse_stratum(raw: str, g) -> Stratum:
     else:
         with open(raw, encoding="utf-8") as handle:
             data = json.load(handle)
-    pairs = tuple(tuple(int(x) for x in pair) for pair in data.get("I", ()))
-    branches = tuple(int(j) for j in data.get("J", ()))
-    point_mults = tuple(int(x) for x in data.get("n", (0,) * g.s))
-    pair_mults = tuple(tuple(int(x) for x in pm) for pm in data.get("pair_mults", ()))
-    branch_mults = tuple(
-        tuple(int(x) for x in bm) for bm in data.get("branch_mults", ())
-    )
+    try:
+        pairs = tuple(tuple(int(x) for x in pair) for pair in data.get("I", ()))
+        branches = tuple(int(j) for j in data.get("J", ()))
+        point_mults = tuple(int(x) for x in data.get("n", (0,) * g.s))
+        pair_mults = tuple(tuple(int(x) for x in pm) for pm in data.get("pair_mults", ()))
+        branch_mults = tuple(tuple(int(x) for x in bm) for bm in data.get("branch_mults", ()))
+    except (AttributeError, TypeError) as exc:
+        raise GraphValidationError([f"malformed stratum: {exc}"]) from exc
     if len(point_mults) != g.s:
         raise GraphValidationError([f"stratum n must have {g.s} entries"])
     known = {site.key for site in g.pairs}
@@ -290,6 +294,7 @@ def _cmd_compute(args) -> int:
         return EXIT_OK
 
     if args.series == "pg":
+        require_branches(g)
         bound = _parse_bound(args.bound, g.r, "the branch series")
         series = poincare_generalised(g, bound, strictness=strictness)
     elif args.series == "pdg":
@@ -343,8 +348,6 @@ def _cmd_check(args) -> int:
             failures.append(name)
 
     # 1. matrix layer
-    from . import _linalg
-
     p = g.proximity_matrix
     n = g.intersection_matrix
     m = g.m_matrix
@@ -386,8 +389,6 @@ def _cmd_check(args) -> int:
             lambda: poincare_generalised(g, branch_bound),
         )
 
-    from .series import sym_power_class
-
     ok = True
     for q in (2, 3):
         for removed in (1, 2, 3):
@@ -397,12 +398,12 @@ def _cmd_check(args) -> int:
                 ok = ok and counted == oracles.count_divisors_open_line(q, removed, n)
     report("symmetric-power classes count divisors over GF(2), GF(3)", ok)
 
-    strata = list(enumerate_strata(g, div_bound, mode="divisorial"))
-    ok = all(codim_FD(st, g) == codim_F(st, g) == codim_F_literal(st, g) for st in strata)
-    ok = ok and all(
-        hoskin_deligne(w_of(nhat(st, g), g), g)
-        == -(Fraction(1, 2)) * (_deg_sum(st, g))
-        for st in strata
+    # a branch-free stratum's codimension depends on it only through nhat
+    nhats = {nhat(st, g) for st in enumerate_strata(g, div_bound, mode="divisorial")}
+    ok = all(
+        nhat_codim(nh, g) == nhat_codim_literal(nh, g)
+        and hoskin_deligne(w_of(nh, g), g) == -(deg_AA(nh, g) + deg_AK(nh, g)) / 2
+        for nh in nhats
     )
     report("codimensions: composed vs expanded form, genus identity", ok)
 
@@ -425,13 +426,6 @@ def _cmd_check(args) -> int:
             )
 
     return EXIT_CROSSCHECK if failures else EXIT_OK
-
-
-def _deg_sum(st, g):
-    from .codim import deg_AA, deg_AK
-
-    nh = nhat(st, g)
-    return deg_AA(nh, g) + deg_AK(nh, g)
 
 
 def _semigroup_check(g, pg_series, scalar) -> bool:

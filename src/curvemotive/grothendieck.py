@@ -159,9 +159,6 @@ class RingElement:
     def is_one(self) -> bool:
         return self._terms == {(_ZERO, ()): 1}
 
-    def symbols(self) -> frozenset:
-        return frozenset(lbl for _, syms in self._terms for lbl, _ in syms)
-
     @property
     def has_integral_lefschetz_exponents(self) -> bool:
         return all(l.denominator == 1 for l, _ in self._terms)

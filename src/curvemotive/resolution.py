@@ -409,15 +409,15 @@ def build(description: dict) -> ResolutionGraph:
             Branch(attach=int(b["attach"]), degree=int(b.get("h", 1)))
             for b in description.get("branches", ())
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphValidationError([f"malformed center/branch record: {exc}"]) from exc
-    labels = tuple(sorted((str(k), str(v)) for k, v in description.get("labels", {}).items()))
-    overrides = tuple(
-        sorted(
-            (_parse_pair(k), int(v))
-            for k, v in description.get("h_sigma_overrides", {}).items()
+        labels = tuple(sorted((str(k), str(v)) for k, v in description.get("labels", {}).items()))
+        overrides = tuple(
+            sorted(
+                (_parse_pair(k), int(v))
+                for k, v in description.get("h_sigma_overrides", {}).items()
+            )
         )
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphValidationError([f"malformed graph record: {exc}"]) from exc
     return ResolutionGraph(
         centers=centers,
         branches=branches,

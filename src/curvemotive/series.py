@@ -536,6 +536,12 @@ def require_same_series(what: str, left_name: str, left, right_name: str, right)
             _agree(what, f"; first at {monomial_text(exp)}", (left_name, right_name), x, y)
 
 
+def require_branches(g: ResolutionGraph) -> None:
+    """Raise ``ValueError`` unless ``g`` has a branch, as the branch series needs one."""
+    if g.r < 1:
+        raise ValueError("the branch series needs at least one branch")
+
+
 def poincare_generalised(
     g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
@@ -545,8 +551,7 @@ def poincare_generalised(
     display ingredient by ingredient; a mismatch raises
     ``SeriesCrossCheckError``.
     """
-    if g.r < 1:
-        raise ValueError("the branch series needs at least one branch")
+    require_branches(g)
     return _assemble(g, bound, "full", strictness, "branch series")
 
 
@@ -650,12 +655,6 @@ def divisorial_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
     )
 
 
-def _monomial_series(arity, bound, exp: ExponentVector, value=None) -> TruncatedSeries:
-    series = TruncatedSeries.zero(arity, bound)
-    series.add_term(exp, RingElement.one() if value is None else value)
-    return series
-
-
 def _geometric_series(arity, bound, step: ExponentVector, ratio: RingElement) -> TruncatedSeries:
     """``sum_k ratio^k t^(k * step)`` truncated at ``bound``."""
     if all(x == 0 for x in step):
@@ -686,19 +685,19 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     series = TruncatedSeries.one(arity, bound)
     bound = series.bound
     zero = ExponentVector((0,) * arity)
+    one = RingElement.one()
     for i1, i2, h, units in cf.pair_data:
         a = cf.m_rows[i1 - 1]
         b = cf.m_rows[i2 - 1]
         d = TruncatedSeries.zero(arity, bound)
-        d.add_term(zero, RingElement.one())
-        d.add_term(a, -RingElement.one())
-        d.add_term(b, -RingElement.one())
-        d.add_term(a + b, RingElement.one())
-        factor = d.power(h) + d.power(h - 1).mul(
-            _monomial_series(arity, bound, a + b, units)
-        )
-        series = series.mul(factor)
-    one = RingElement.one()
+        d.add_term(zero, one)
+        d.add_term(a, -one)
+        d.add_term(b, -one)
+        d.add_term(a + b, one)
+        # D^h + D^(h-1) U t^(a+b) = D^(h-1) (D + U t^(a+b))
+        factor = d.power(h - 1)
+        d.add_term(a + b, units)
+        series = series.mul(factor.mul(d))
     lef = RingElement.lefschetz()
     for i in range(arity):
         step = cf.m_rows[i]
@@ -747,8 +746,7 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
-    if g.r < 1:
-        raise ValueError("the branch series needs at least one branch")
+    require_branches(g)
     strata, skipped = _scan_strata(g, bound, "full", "literal")
     one = RingElement.one()
     unit_factor = one - RingElement.lefschetz(-1)  # 1 - L^{-1}

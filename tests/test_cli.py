@@ -178,6 +178,21 @@ def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
         ) in out.splitlines()
 
 
+@pytest.mark.parametrize("name", ["nhat_codim_literal", "deg_AK"])
+def test_codimension_line_fails_alone(capsys, cusp_file, monkeypatch, name):
+    original = getattr(cli, name)
+
+    def off_by_one_at_one_nhat(nh, g):
+        return original(nh, g) + (1 if nh == (0, 1, 0) else 0)
+
+    monkeypatch.setattr(cli, name, off_by_one_at_one_nhat)
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("ok: ")] == [
+        "FAIL: codimensions: composed vs expanded form, genus identity"
+    ]
+
+
 def bumped_at_one(original):
     """``original`` with 1 added to the constant term of the series it returns."""
 
@@ -244,10 +259,31 @@ def test_unknown_flag_is_usage_error(capsys, cusp_file):
 
 def test_validation_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"centers": [{"prox": [3]}]}))
-    code, _out, err = run(capsys, "matrices", "--input", str(path))
-    assert code == 1
-    assert "validation error" in err
+    for bad in (
+        {"centers": [{"prox": [3]}]},
+        {"centers": [5]},
+        {"centers": [{"prox": []}], "labels": [1, 2]},
+        {"centers": [{"prox": []}], "h_sigma_overrides": [1]},
+    ):
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "matrices", "--input", str(path))
+        assert (code, out) == (1, ""), bad
+        assert err.startswith("validation error: "), bad
+
+
+def test_malformed_stratum_fields_are_data_errors(capsys, cusp_file):
+    for stratum in ('{"I": 5}', '{"n": 5}', '{"J": [[1]]}', '{"branch_mults": [1]}'):
+        code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
+        assert (code, out) == (1, ""), stratum
+        assert err.startswith("validation error: malformed stratum: "), stratum
+
+
+def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"centers": [{"prox": []}, {"prox": [1]}]}))
+    code, out, err = run(capsys, "compute", "--series", "pg", "--bound", "4", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: the branch series needs at least one branch\n"
 
 
 def test_check_exits_zero_on_good_graphs(capsys, cusp_file, chain12_file):
