@@ -4,12 +4,15 @@ Matrices are tuples of tuples holding ints or ``fractions.Fraction``; nothing
 here ever touches floating point.  The inverse uses fraction-free (Bareiss)
 elimination so that all intermediate values stay integers when the input is an
 integer matrix; the final division by the tracked determinant is the only step
-that introduces fractions.
+that introduces fractions, and the entries it leaves integral are returned as
+``int``, so that products with a unimodular inverse stay in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .grothendieck import _exact
 
 
 class SingularMatrixError(ValueError):
@@ -85,8 +88,9 @@ def inverse(a):
 
     Forward elimination is fraction-free Bareiss on the augmented system, so
     for integer input every intermediate entry is an integer; back substitution
-    divides by the pivots, which equal the leading principal minors.  The
-    result is verified against the identity before returning.
+    divides by the pivots, which equal the leading principal minors.  Integral
+    entries of the result are ``int``s, the others ``Fraction``s.  The result
+    is verified against the identity before returning.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -118,7 +122,7 @@ def inverse(a):
             for j in range(i + 1, n):
                 acc -= m[i][j] * inv[j][col]
             inv[i][col] = acc / m[i][i]
-    result = tuple(tuple(row) for row in inv)
+    result = tuple(tuple(_exact(x) for x in row) for row in inv)
 
     check = mat_mul(a, result)
     if check != identity(n):

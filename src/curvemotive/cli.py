@@ -402,7 +402,7 @@ def _cmd_check(args) -> int:
     nhats = {nhat(st, g) for st in enumerate_strata(g, div_bound, mode="divisorial")}
     ok = all(
         nhat_codim(nh, g) == nhat_codim_literal(nh, g)
-        and hoskin_deligne(w_of(nh, g), g) == -(deg_AA(nh, g) + deg_AK(nh, g)) / 2
+        and hoskin_deligne(w_of(nh, g), g) == Fraction(-(deg_AA(nh, g) + deg_AK(nh, g)), 2)
         for nh in nhats
     )
     report("codimensions: composed vs expanded form, genus identity", ok)
@@ -444,19 +444,29 @@ def _semigroup_check(g, pg_series, scalar) -> bool:
     return ok
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    """Comma-separated integers; anything else is a usage error."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"malformed {option} {text!r}") from exc
+
+
 def _cmd_oracle(args) -> int:
     if args.oracle_name == "semigroup-gf":
-        gens = [int(x) for x in args.generators.split(",") if x.strip()]
+        gens = _int_list(args.generators, "--generators")
+        if args.bound < 0:
+            raise _UsageError("bounds must be nonnegative")
         coeffs = oracles.semigroup_gf(gens, args.bound)
         print(" ".join(str(c) for c in coeffs))
     elif args.oracle_name == "monomial-codim":
         weights = tuple(
-            tuple(int(x) for x in pair.split(","))
+            tuple(_int_list(pair, "--weights"))
             for pair in args.weights.split(";")
             if pair.strip()
         )
         system = oracles.MonomialValuationSystem(weights)
-        w = [int(x) for x in args.w.split(",")]
+        w = _int_list(args.w, "--w")
         print(oracles.monomial_codim(system, w))
     else:
         print(oracles.count_divisors_open_line(args.q, args.removed, args.n))

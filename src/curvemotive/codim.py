@@ -22,8 +22,9 @@ The derived quantities:
   literal transcription of the expanded quadratic form is kept alongside as
   a cross-check.
 
-Non-integral values are carried exactly as ``Fraction`` and flagged by the
-callers; nothing here rounds.
+Values are exact: integral ones are ``int``s and non-integral ones
+``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
+here rounds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import vec_mat
-from .grothendieck import _frac_json
+from .grothendieck import _exact, _frac_json
 from .resolution import Pair, ResolutionGraph
 
 
@@ -42,10 +43,13 @@ class SemigroupMembershipWarning(UserWarning):
 
 
 class ExponentVector(tuple):
-    """A tuple of exact rationals with integrality reporting."""
+    """A tuple of exact rationals with integrality reporting.
+
+    Integral entries are stored as ``int``, the others as ``Fraction``.
+    """
 
     def __new__(cls, values):
-        return super().__new__(cls, (Fraction(v) for v in values))
+        return super().__new__(cls, map(_exact, values))
 
     @property
     def integral_flags(self) -> tuple[bool, ...]:
@@ -127,12 +131,12 @@ def v_of(st: Stratum, g: ResolutionGraph) -> ExponentVector:
     return ExponentVector(values)
 
 
-def alpha_of(w, g: ResolutionGraph) -> tuple[Fraction, ...]:
+def alpha_of(w, g: ResolutionGraph) -> tuple[int | Fraction, ...]:
     """Coordinates of the divisor sum(w_i E_i) on the total-transform basis."""
-    return tuple(Fraction(x) for x in vec_mat(tuple(w), g.proximity_matrix))
+    return tuple(map(_exact, vec_mat(tuple(w), g.proximity_matrix)))
 
 
-def hoskin_deligne(w, g: ResolutionGraph) -> Fraction:
+def hoskin_deligne(w, g: ResolutionGraph) -> int | Fraction:
     """Codimension of the divisorial ideal of ``w``: 1/2 sum h_i a_i (a_i+1).
 
     Valid as a dimension count only when ``w`` lies in the divisorial value
@@ -152,25 +156,23 @@ def hoskin_deligne(w, g: ResolutionGraph) -> Fraction:
     total = sum(
         g.degree_of(i + 1) * a * (a + 1) for i, a in enumerate(alpha)
     )
-    return Fraction(total) / 2
+    return _exact(Fraction(total, 2))
 
 
-def deg_AK(nhat_vec, g: ResolutionGraph) -> Fraction:
+def deg_AK(nhat_vec, g: ResolutionGraph) -> int | Fraction:
     """Intersection degree of the divisor with the canonical cycle."""
     w = vec_mat(nhat_vec, g.m_matrix)
     eps = g.epsilon
-    return Fraction(sum(nhat_vec)) - sum(
-        Fraction(wi) * ei for wi, ei in zip(w, eps)
-    )
+    return _exact(sum(nhat_vec) - sum(wi * ei for wi, ei in zip(w, eps)))
 
 
-def deg_AA(nhat_vec, g: ResolutionGraph) -> Fraction:
+def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
     """Self-intersection degree of the divisor: -(nhat . M . nhat)."""
     w = vec_mat(nhat_vec, g.m_matrix)
-    return -sum(Fraction(wi) * ni for wi, ni in zip(w, nhat_vec))
+    return _exact(-sum(wi * ni for wi, ni in zip(w, nhat_vec)))
 
 
-def nhat_codim(nh, g: ResolutionGraph) -> Fraction:
+def nhat_codim(nh, g: ResolutionGraph) -> int | Fraction:
     """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition.
 
     ``hoskin_deligne(w) + sum nhat_i h_i``.
@@ -179,7 +181,7 @@ def nhat_codim(nh, g: ResolutionGraph) -> Fraction:
     return total + sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
 
 
-def nhat_codim_literal(nh, g: ResolutionGraph) -> Fraction:
+def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
     """The expanded quadratic-form expression for ``nhat_codim``.
 
     The trailing linear term reads ``(2 h_i - 1)`` with the outer index, which
@@ -188,25 +190,23 @@ def nhat_codim_literal(nh, g: ResolutionGraph) -> Fraction:
     m = g.m_matrix
     eps = g.epsilon
     s = g.s
-    quad = sum(
-        Fraction(m[i][k]) * nh[i] * nh[k] for i in range(s) for k in range(s)
-    )
+    quad = sum(m[i][k] * nh[i] * nh[k] for i in range(s) for k in range(s))
     lin = sum(
         nh[i]
         * (
-            sum(Fraction(m[i][k]) * eps[k] for k in range(s))
+            sum(m[i][k] * eps[k] for k in range(s))
             + (2 * g.degree_of(i + 1) - 1)
         )
         for i in range(s)
     )
-    return (quad + lin) / 2
+    return _exact(Fraction(quad + lin, 2))
 
 
 def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:
     return sum(tpp * g.branch(j).degree for j, (_tp, tpp) in zip(st.branches, st.branch_mults))
 
 
-def codim_F(st: Stratum, g: ResolutionGraph) -> Fraction:
+def codim_F(st: Stratum, g: ResolutionGraph) -> int | Fraction:
     """Codimension of a stratum fiber, by composition.
 
     ``F = hoskin_deligne(w) + sum nhat_i h_i + sum_{j in J} t''_j h_j``.
@@ -214,12 +214,12 @@ def codim_F(st: Stratum, g: ResolutionGraph) -> Fraction:
     return nhat_codim(nhat(st, g), g) + _branch_codim(st, g)
 
 
-def codim_F_literal(st: Stratum, g: ResolutionGraph) -> Fraction:
+def codim_F_literal(st: Stratum, g: ResolutionGraph) -> int | Fraction:
     """The expanded quadratic-form expression for ``F``, kept as a cross-check."""
     return nhat_codim_literal(nhat(st, g), g) + _branch_codim(st, g)
 
 
-def codim_FD(st: Stratum, g: ResolutionGraph) -> Fraction:
+def codim_FD(st: Stratum, g: ResolutionGraph) -> int | Fraction:
     """Divisorial stratum codimension; requires a branch-free stratum."""
     if not st.is_divisorial:
         raise ValueError("divisorial codimension is defined for J-free strata")
@@ -243,7 +243,7 @@ def stratum_report(st: Stratum, g: ResolutionGraph) -> dict:
         "deg_AA": _frac_json(deg_AA(nh, g)),
         "deg_AK": _frac_json(deg_AK(nh, g)),
         "F": _frac_json(f),
-        "F_integral": Fraction(f).denominator == 1,
+        "F_integral": f.denominator == 1,
     }
     if st.is_divisorial:
         report["F_D"] = _frac_json(codim_FD(st, g))

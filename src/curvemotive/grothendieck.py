@@ -8,11 +8,12 @@ distinct symbols are imposed, so products like ``e[a]*e[b]`` stay formal.
 Degree-one labels are identified with the ring unit and never create a
 symbol.
 
-``L``-exponents are exact rationals: codimension exponents of strata can be
-non-integral when extension degrees exceed one, and such terms are carried
-exactly rather than rounded.  Symbol exponents are nonnegative integers by
-construction (formulas that would produce ``e^(n-l)`` with ``l > n`` are never
-formed).  Coefficients are arbitrary-precision integers.
+``L``-exponents are exact rationals, stored as ``int`` when integral and as
+``Fraction`` only when not (see ``_exact``): codimension exponents of strata
+can be non-integral when extension degrees exceed one, and such terms are
+carried exactly rather than rounded.  Symbol exponents are nonnegative
+integers by construction (formulas that would produce ``e^(n-l)`` with
+``l > n`` are never formed).  Coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-# A monomial key is (L-exponent, ((label, exponent), ...)) with the symbol
-# part sorted by label and all symbol exponents positive.
-MonomialKey = tuple[Fraction, tuple[tuple[str, int], ...]]
+# A monomial key is (L-exponent, ((label, exponent), ...)) with the L-exponent
+# normalised by _exact, the symbol part sorted by label and all symbol
+# exponents positive.
+MonomialKey = tuple[int | Fraction, tuple[tuple[str, int], ...]]
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 def _canonical_syms(syms) -> tuple[tuple[str, int], ...]:
@@ -48,7 +50,7 @@ class RingElement:
             for (lexp, syms), coeff in terms.items():
                 if coeff == 0:
                     continue
-                key = (Fraction(lexp), _canonical_syms(syms))
+                key = (_exact(lexp), _canonical_syms(syms))
                 canon[key] = canon.get(key, 0) + int(coeff)
                 if canon[key] == 0:
                     del canon[key]
@@ -71,7 +73,7 @@ class RingElement:
     @classmethod
     def lefschetz(cls, exp=1) -> "RingElement":
         """The monomial L**exp; exp may be any exact rational."""
-        return cls({(Fraction(exp), ()): 1})
+        return cls({(_exact(exp), ()): 1})
 
     @classmethod
     def symbol(cls, label: str, exp: int = 1) -> "RingElement":
@@ -118,7 +120,7 @@ class RingElement:
         out: dict[MonomialKey, int] = {}
         for (l1, s1), c1 in self._terms.items():
             for (l2, s2), c2 in other._terms.items():
-                key = (l1 + l2, _merge_syms(s1, s2))
+                key = (_exact(l1 + l2), _merge_syms(s1, s2))
                 c = out.get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
@@ -144,9 +146,9 @@ class RingElement:
 
     def lefschetz_shift(self, exp) -> "RingElement":
         """Multiply by L**exp without building an intermediate element."""
-        exp = Fraction(exp)
+        exp = _exact(exp)
         result = RingElement.__new__(RingElement)
-        result._terms = {(l + exp, s): c for (l, s), c in self._terms.items()}
+        result._terms = {(_exact(l + exp), s): c for (l, s), c in self._terms.items()}
         return result
 
     # -- structure ---------------------------------------------------------
@@ -264,7 +266,7 @@ def _merge_syms(s1, s2):
     return tuple(sorted(merged.items()))
 
 
-def _rational_power(base: Fraction, exp: Fraction) -> Fraction:
+def _rational_power(base: Fraction, exp: int | Fraction) -> Fraction:
     if exp == 0:
         return Fraction(1)
     if base == 1:
@@ -281,8 +283,21 @@ def _rational_power(base: Fraction, exp: Fraction) -> Fraction:
     return base ** exp.numerator
 
 
-def _exp_text(exp: Fraction) -> str:
+def _exp_text(exp: int | Fraction) -> str:
     return str(exp.numerator) if exp.denominator == 1 else f"({exp})"
+
+
+def _exact(x) -> int | Fraction:
+    """An exact rational as an ``int`` when integral, else as a ``Fraction``.
+
+    The two compare, hash, sort and render alike, but ``int`` arithmetic is
+    much cheaper, and on a totally rational graph every exponent is integral.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _frac_json(x: Fraction | int):

@@ -21,6 +21,8 @@ def semigroup_gf(generators, bound: int):
     gens = sorted(set(int(x) for x in generators))
     if not gens or any(x <= 0 for x in gens):
         raise ValueError("generators must be positive integers")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     reachable = [False] * (bound + 1)
     reachable[0] = True
     for gen in gens:

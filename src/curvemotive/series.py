@@ -38,20 +38,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, floor, lcm
-from functools import reduce
+from functools import cache, reduce
 from operator import le, mul
 
 from .codim import (
     ExponentVector,
     Stratum,
-    codim_F,
+    _branch_codim,
     nhat,
     nhat_codim,
     nhat_codim_literal,
     v_of,
     w_of,
 )
-from .grothendieck import RingElement, _frac_json
+from .grothendieck import RingElement, _exact, _frac_json
 from .resolution import ResolutionGraph
 
 
@@ -83,13 +83,13 @@ class TruncatedSeries:
     """Finite slab of a multivariate series under a per-variable bound."""
 
     arity: int
-    bound: tuple[Fraction, ...]
+    bound: tuple[int | Fraction, ...]
     terms: dict[ExponentVector, RingElement] = field(default_factory=dict)
     skipped_nonintegral: int = 0
 
     @classmethod
     def zero(cls, arity, bound) -> "TruncatedSeries":
-        return cls(arity=arity, bound=tuple(Fraction(b) for b in bound))
+        return cls(arity=arity, bound=tuple(map(_exact, bound)))
 
     @classmethod
     def one(cls, arity, bound) -> "TruncatedSeries":
@@ -98,8 +98,11 @@ class TruncatedSeries:
         return series
 
     def add_term(self, exp: ExponentVector, value: RingElement) -> None:
-        if not exp.leq(self.bound):
-            return
+        if exp.leq(self.bound):
+            self._accumulate(exp, value)
+
+    def _accumulate(self, exp: ExponentVector, value: RingElement) -> None:
+        """``add_term`` for an exponent already known to fit under the bound."""
         current = self.terms.get(exp)
         total = value if current is None else current + value
         if total.is_zero:
@@ -125,7 +128,7 @@ class TruncatedSeries:
             for e2, c2 in other.terms.items():
                 exp = e1 + e2
                 if exp.leq(self.bound):
-                    out.add_term(exp, c1 * c2)
+                    out._accumulate(exp, c1 * c2)
         return out
 
     def power(self, n: int) -> "TruncatedSeries":
@@ -742,36 +745,38 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     """Independent implementation of the all-degrees-one branch series.
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
-    (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.
+    (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.  The sum
+    runs stratum by stratum; the part of ``F`` fixed by ``nhat``, each
+    binomial factor and each power of ``1 - L^{-1}`` are computed once.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
     strata, skipped = _scan_strata(g, bound, "full", "literal")
-    one = RingElement.one()
-    unit_factor = one - RingElement.lefschetz(-1)  # 1 - L^{-1}
+    unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
+    nhat_part = cache(lambda nh: nhat_codim(nh, g))
+    unit_power = cache(lambda count: unit_factor**count)
+
+    @cache
+    def inner(nu: int, n_i: int) -> RingElement:
+        out = RingElement.zero()
+        if nu >= 1:
+            for l in range(min(n_i, nu - 1) + 1):
+                sign = -1 if l % 2 else 1
+                out = out + RingElement.integer(sign * comb(nu - 1, l)).lefschetz_shift(-l)
+        else:
+            for l in range(n_i + 1):
+                out = out + RingElement.lefschetz(-l)
+        return out
 
     def term(st: Stratum):
         exp = v_of(st, g)
         count = len(st.pairs) + len(st.branches)
-        shift = count + sum(st.point_mults) - codim_F(st, g)
-        value = unit_factor**count
-        for i in range(1, g.s + 1):
-            n_i = st.point_mults[i - 1]
-            if not n_i:
-                continue
-            nu = g.nu_circ[i - 1]
-            inner = RingElement.zero()
-            if nu >= 1:
-                for l in range(min(n_i, nu - 1) + 1):
-                    sign = -1 if l % 2 else 1
-                    inner = inner + RingElement.integer(
-                        sign * comb(nu - 1, l)
-                    ).lefschetz_shift(-l)
-            else:
-                for l in range(n_i + 1):
-                    inner = inner + RingElement.lefschetz(-l)
-            value = value * inner
-        return exp, value.lefschetz_shift(shift)
+        codim = nhat_part(nhat(st, g)) + _branch_codim(st, g)
+        value = unit_power(count)
+        for n_i, nu in zip(st.point_mults, g.nu_circ):
+            if n_i:
+                value = value * inner(nu, n_i)
+        return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 
     return _mapreduce(g.r, bound, strata, skipped, term)

@@ -356,6 +356,21 @@ def test_oracle_subcommands(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("semigroup-gf", "--generators", "2,3", "--bound", "-1"),
+        ("semigroup-gf", "--generators", "2,x", "--bound", "7"),
+        ("monomial-codim", "--weights", "1,1;1,x", "--w", "2,3"),
+        ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,1.5"),
+    ],
+)
+def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
+    code, out, err = run(capsys, "oracle", *args)
+    assert code == 2
+    assert out == "" and err.startswith("usage error: ")
+
+
 def test_byte_identical_output_across_runs(capsys, cusp_file):
     outputs = set()
     for _ in range(2):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvemotive import (
+    ExponentVector,
     SemigroupMembershipWarning,
     Stratum,
     alpha_of,
@@ -149,6 +150,13 @@ def test_totally_rational_values_are_integers(cusp, satellite5):
             assert v_of(st, g).is_integral
             f = codim_F(st, g)
             assert Fraction(f).denominator == 1
+
+
+def test_exponent_vector_keeps_only_non_integral_entries_as_fractions():
+    v = ExponentVector((Fraction(4, 2), Fraction(3, 2)))
+    assert v == (2, Fraction(3, 2))
+    assert [type(x) for x in v] == [int, Fraction]
+    assert [type(x) for x in v + ExponentVector((0, Fraction(1, 2)))] == [int, int]
 
 
 def test_rational_codimensions_carried_exactly(chain2_h12):

@@ -131,6 +131,13 @@ def test_text_rendering():
     assert (L(Fraction(3, 2)) + one).to_text() == "L^(3/2) + 1"
 
 
+def test_integral_fraction_exponent_merges_with_int():
+    x = RingElement.lefschetz(Fraction(2)) + RingElement.lefschetz(2)
+    assert len(x._terms) == 1
+    assert x == 2 * L(2)
+    assert x.to_text() == "2*L^2"
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     for _ in range(50):

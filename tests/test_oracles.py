@@ -27,6 +27,8 @@ def test_semigroup_gf_examples():
         semigroup_gf([], 5)
     with pytest.raises(ValueError):
         semigroup_gf([0], 5)
+    with pytest.raises(ValueError):
+        semigroup_gf([2, 3], -1)
 
 
 def test_monomial_codim_examples():

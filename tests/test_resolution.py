@@ -80,6 +80,11 @@ def test_cusp_matrices(cusp):
     assert not cusp.warnings
 
 
+def test_integral_m_entries_are_ints(cusp, satellite5):
+    for g in (cusp, satellite5):
+        assert all(type(x) is int for row in m_matrix(g) for x in row)
+
+
 def test_two_center_matrices():
     g = build({"centers": [{"prox": []}, {"prox": [1]}]})
     assert proximity_matrix(g) == ((1, -1), (0, 1))
@@ -94,6 +99,7 @@ def test_chain2_h12_matrices(chain2_h12):
         (1, 1),
         (1, Fraction(3, 2)),
     )
+    assert [type(x) for row in m_matrix(chain2_h12) for x in row] == [int, int, int, Fraction]
     # the degree-2 intersection point makes nu_bullet != h * beta on E1
     assert chain2_h12.nu_bullet == (2, 2)
     assert chain2_h12.beta == (1, 1)

@@ -6,6 +6,8 @@ from itertools import product
 
 import pytest
 
+from curvemotive import codim
+from curvemotive import series as series_module
 from curvemotive import (
     ExponentVector,
     RingElement,
@@ -437,6 +439,22 @@ def test_two_branch_series(cusp_two_branches):
     assert series.coefficient(ev(2, 1)) != RingElement.zero()
     naive = naive_strata(g, (6, 6), "full")
     assert set(enumerate_strata(g, (6, 6), mode="full")) == naive
+
+
+def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two_branches, monkeypatch):
+    g = cusp_two_branches
+    expected = poincare_generalised(g, (8, 8))
+    calls = []
+
+    def counted(nh, graph):
+        calls.append(nh)
+        return codim.nhat_codim(nh, graph)
+
+    monkeypatch.setattr(series_module, "nhat_codim", counted)
+    assert poincare_generalised_totally_rational(g, (8, 8)) == expected
+    strata = list(enumerate_strata(g, (8, 8)))
+    assert sorted(calls) == sorted({nhat(st, g) for st in strata})
+    assert len(calls) < len(strata)
 
 
 def test_cross_checks_on_random_graphs():
