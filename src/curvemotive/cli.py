@@ -460,12 +460,14 @@ def _cmd_oracle(args) -> int:
         coeffs = oracles.semigroup_gf(gens, args.bound)
         print(" ".join(str(c) for c in coeffs))
     elif args.oracle_name == "monomial-codim":
-        weights = tuple(
-            tuple(_int_list(pair, "--weights"))
-            for pair in args.weights.split(";")
-            if pair.strip()
-        )
-        system = oracles.MonomialValuationSystem(weights)
+        weights = []
+        for piece in args.weights.split(";"):
+            if piece.strip():
+                weight = tuple(_int_list(piece, "--weights"))
+                if len(weight) != 2:
+                    raise _UsageError(f"malformed --weights {piece!r}: each weight is a pair a,b")
+                weights.append(weight)
+        system = oracles.MonomialValuationSystem(tuple(weights))
         w = _int_list(args.w, "--w")
         print(oracles.monomial_codim(system, w))
     else:

@@ -30,10 +30,10 @@ here rounds.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import vec_mat
+from ._record import Record
 from .grothendieck import _exact, _frac_json
 from .resolution import Pair, ResolutionGraph
 
@@ -66,8 +66,7 @@ class ExponentVector(tuple):
         return all(a <= b for a, b in zip(self, bound, strict=True))
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """Index of one connected piece of the image of the initial-form map.
 
     ``pair_mults[k]`` is the pair (n', n'') attached to ``pairs[k]``;
@@ -75,23 +74,34 @@ class Stratum:
     Divisorial strata simply carry ``branches = ()``.
     """
 
-    pairs: tuple[Pair, ...]
-    branches: tuple[int, ...]
-    point_mults: tuple[int, ...]
-    pair_mults: tuple[tuple[int, int], ...] = ()
-    branch_mults: tuple[tuple[int, int], ...] = ()
+    _FIELDS = ("pairs", "branches", "point_mults", "pair_mults", "branch_mults")
 
-    def __post_init__(self):
-        if len(self.pair_mults) != len(self.pairs):
+    def __init__(
+        self,
+        pairs: tuple[Pair, ...],
+        branches: tuple[int, ...],
+        point_mults: tuple[int, ...],
+        pair_mults: tuple[tuple[int, int], ...] = (),
+        branch_mults: tuple[tuple[int, int], ...] = (),
+    ):
+        if len(pair_mults) != len(pairs):
             raise ValueError("pair_mults must align with pairs")
-        if len(self.branch_mults) != len(self.branches):
+        if len(branch_mults) != len(branches):
             raise ValueError("branch_mults must align with branches")
-        if min(self.point_mults, default=0) < 0:
+        if min(point_mults, default=0) < 0:
             raise ValueError("point multiplicities must be nonnegative")
-        if self.pair_mults and min(map(min, self.pair_mults)) < 1:
+        if pair_mults and min(map(min, pair_mults)) < 1:
             raise ValueError("pair multiplicities must be positive")
-        if self.branch_mults and min(map(min, self.branch_mults)) < 1:
+        if branch_mults and min(map(min, branch_mults)) < 1:
             raise ValueError("branch multiplicities must be positive")
+        # Stored directly rather than through Record.__init__, whose loop
+        # adds about a tenth to the stratum scan, which builds one per stratum.
+        _set = object.__setattr__
+        _set(self, "pairs", pairs)
+        _set(self, "branches", branches)
+        _set(self, "point_mults", point_mults)
+        _set(self, "pair_mults", pair_mults)
+        _set(self, "branch_mults", branch_mults)
 
     @property
     def is_divisorial(self) -> bool:
@@ -119,7 +129,15 @@ def w_of(nhat_vec, g: ResolutionGraph) -> ExponentVector:
 
 
 def v_of(st: Stratum, g: ResolutionGraph) -> ExponentVector:
-    w = w_of(nhat(st, g), g)
+    return _v_from_w(w_of(nhat(st, g), g), st, g)
+
+
+def _v_from_w(w, st: Stratum, g: ResolutionGraph) -> ExponentVector:
+    """``v`` of a stratum whose ``w`` is known.
+
+    ``w`` at each branch's attaching component, plus ``t'' h_attach`` on the
+    branches in ``J``.
+    """
     second = dict(zip(st.branches, st.branch_mults))
     values = []
     for j in range(1, g.r + 1):

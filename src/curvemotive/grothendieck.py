@@ -18,9 +18,10 @@ integers by construction (formulas that would produce ``e^(n-l)`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
+
+from ._record import Record
 
 # A monomial key is (L-exponent, ((label, exponent), ...)) with the L-exponent
 # normalised by _exact, the symbol part sorted by label and all symbol
@@ -305,18 +306,24 @@ def _frac_json(x: Fraction | int):
     return x.numerator if x.denominator == 1 else str(x)
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(Record):
     """Exact-rational target values for L and for the field symbols.
 
+    ``symbols`` maps labels to values and is empty when not given.
     ``default`` (when given) supplies a value for any symbol not listed
     explicitly; otherwise specializing an element with an unassigned symbol
     is an error.
     """
 
-    lefschetz: Fraction
-    symbols: Mapping[str, Fraction] = field(default_factory=dict)
-    default: Fraction | None = None
+    _FIELDS = ("lefschetz", "symbols", "default")
+
+    def __init__(
+        self,
+        lefschetz: Fraction,
+        symbols: Mapping[str, Fraction] | None = None,
+        default: Fraction | None = None,
+    ):
+        super().__init__(lefschetz, {} if symbols is None else symbols, default)
 
     def value_of(self, label: str) -> Fraction:
         if label in self.symbols:
@@ -331,26 +338,26 @@ def specialize(x: RingElement, spec: Specialization) -> Fraction:
     return x.specialize(spec)
 
 
-@dataclass(frozen=True)
-class SymbolTable:
+class SymbolTable(Record):
     """Registry of residue-field labels and their extension degrees.
 
     Degree-one labels are identified with the ring unit: ``class_of`` returns
     1 and ``units_class`` returns ``L - 1`` for them, matching the fact that
     the punctured affine line over the base field has class ``L - 1``.
+    ``degrees`` is stored sorted, without repeats.
     """
 
-    degrees: tuple[tuple[str, int], ...]
+    _FIELDS = ("degrees",)
 
-    def __post_init__(self):
+    def __init__(self, degrees: tuple[tuple[str, int], ...]):
         seen = {}
-        for label, deg in self.degrees:
+        for label, deg in degrees:
             if deg < 1:
                 raise ValueError(f"label {label!r} has nonpositive degree {deg}")
             if label in seen and seen[label] != deg:
                 raise ValueError(f"label {label!r} registered with two degrees")
             seen[label] = deg
-        object.__setattr__(self, "degrees", tuple(sorted(set(self.degrees))))
+        super().__init__(tuple(sorted(set(degrees))))
 
     def degree(self, label: str | None) -> int:
         if label is None:

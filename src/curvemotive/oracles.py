@@ -8,8 +8,9 @@ counts.  None of it imports the series machinery; independence is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+
+from ._record import Record
 
 
 def semigroup_gf(generators, bound: int):
@@ -32,17 +33,17 @@ def semigroup_gf(generators, bound: int):
     return [1 if hit else 0 for hit in reachable]
 
 
-@dataclass(frozen=True)
-class MonomialValuationSystem:
+class MonomialValuationSystem(Record):
     """Valuations v_i(x^p y^q) = a_i p + b_i q with positive integer weights."""
 
-    weights: tuple[tuple[int, int], ...]
+    _FIELDS = ("weights",)
 
-    def __post_init__(self):
-        if not self.weights:
+    def __init__(self, weights: tuple[tuple[int, int], ...]):
+        if not weights:
             raise ValueError("at least one valuation is required")
-        if any(a < 1 or b < 1 for a, b in self.weights):
+        if any(a < 1 or b < 1 for a, b in weights):
             raise ValueError("weights must be positive")
+        super().__init__(weights)
 
 
 def monomial_codim(sys: MonomialValuationSystem, w) -> int:

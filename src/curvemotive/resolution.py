@@ -27,34 +27,37 @@ as warnings on the built graph instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import _linalg
+from ._record import Record
 from .grothendieck import SymbolTable, _frac_json
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Center:
-    proximate_to: tuple[int, ...]
-    degree: int = 1
+class Center(Record):
+    _FIELDS = ("proximate_to", "degree")
+
+    def __init__(self, proximate_to: tuple[int, ...], degree: int = 1):
+        super().__init__(proximate_to, degree)
 
 
-@dataclass(frozen=True)
-class Branch:
-    attach: int
-    degree: int = 1
+class Branch(Record):
+    _FIELDS = ("attach", "degree")
+
+    def __init__(self, attach: int, degree: int = 1):
+        super().__init__(attach, degree)
 
 
-@dataclass(frozen=True)
-class PairSite:
+class PairSite(Record):
     """An unordered intersection pair sigma = (i1, i2) with its point degree."""
 
-    i1: int
-    i2: int
-    degree: int  # h_sigma, derived as N[i1][i2] unless overridden
+    _FIELDS = ("i1", "i2", "degree")
+
+    def __init__(self, i1: int, i2: int, degree: int):
+        # degree is h_sigma, derived as N[i1][i2] unless overridden
+        super().__init__(i1, i2, degree)
 
     @property
     def key(self) -> Pair:
@@ -81,23 +84,26 @@ def site_branch(j: int) -> str:
     return f"C{j}"
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(Record):
     """Validated resolution combinatorics plus derived matrices.
 
     All data is immutable after construction; every derived attribute is a
     pure function of the input, cached on first access.
     """
 
-    centers: tuple[Center, ...]
-    branches: tuple[Branch, ...] = ()
-    labels: tuple[tuple[str, str], ...] = ()  # (site key, field label)
-    h_sigma_overrides: tuple[tuple[Pair, int], ...] = ()
+    _FIELDS = ("centers", "branches", "labels", "h_sigma_overrides")
 
-    def __post_init__(self):
-        issues = _validate_input(self.centers, self.branches)
+    def __init__(
+        self,
+        centers: tuple[Center, ...],
+        branches: tuple[Branch, ...] = (),
+        labels: tuple[tuple[str, str], ...] = (),  # (site key, field label)
+        h_sigma_overrides: tuple[tuple[Pair, int], ...] = (),
+    ):
+        issues = _validate_input(centers, branches)
         if issues:
             raise GraphValidationError(issues)
+        super().__init__(centers, branches, labels, h_sigma_overrides)
         issues = self._validate_derived()
         if issues:
             raise GraphValidationError(issues)

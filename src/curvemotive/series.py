@@ -34,21 +34,21 @@ the bound loses nothing below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, floor, lcm
 from functools import cache, reduce
 from operator import le, mul
 
+from ._record import Record
 from .codim import (
     ExponentVector,
     Stratum,
     _branch_codim,
+    _v_from_w,
     nhat,
     nhat_codim,
     nhat_codim_literal,
-    v_of,
     w_of,
 )
 from .grothendieck import RingElement, _exact, _frac_json
@@ -78,14 +78,29 @@ def monomial_text(exp, var_prefix: str = "t") -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass
 class TruncatedSeries:
-    """Finite slab of a multivariate series under a per-variable bound."""
+    """Finite slab of a multivariate series under a per-variable bound.
 
-    arity: int
-    bound: tuple[int | Fraction, ...]
-    terms: dict[ExponentVector, RingElement] = field(default_factory=dict)
-    skipped_nonintegral: int = 0
+    Mutable, and so unhashable: routes build a series term by term.
+    """
+
+    def __init__(
+        self,
+        arity: int,
+        bound: tuple[int | Fraction, ...],
+        terms: dict[ExponentVector, RingElement] | None = None,
+        skipped_nonintegral: int = 0,
+    ):
+        self.arity = arity
+        self.bound = bound
+        self.terms = {} if terms is None else terms
+        self.skipped_nonintegral = skipped_nonintegral
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(arity={self.arity!r}, bound={self.bound!r}, "
+            f"terms={self.terms!r}, skipped_nonintegral={self.skipped_nonintegral!r})"
+        )
 
     @classmethod
     def zero(cls, arity, bound) -> "TruncatedSeries":
@@ -586,8 +601,7 @@ def divisorial_semigroup_stratum_sum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormExpr:
+class ClosedFormExpr(Record):
     """Rational closed form of the extended-semigroup series.
 
     ``denominator``: one pair of factors ``(1 - t^{m_i}) (1 - e_i L t^{m_i})``
@@ -599,10 +613,16 @@ class ClosedFormExpr:
     ``e`` the pair's field symbol.
     """
 
-    arity: int
-    m_rows: tuple[ExponentVector, ...]
-    component_classes: tuple[RingElement, ...]  # e_i, per component
-    pair_data: tuple[tuple[int, int, int, RingElement], ...]  # (i1, i2, h, eL-1)
+    _FIELDS = ("arity", "m_rows", "component_classes", "pair_data")
+
+    def __init__(
+        self,
+        arity: int,
+        m_rows: tuple[ExponentVector, ...],
+        component_classes: tuple[RingElement, ...],  # e_i, per component
+        pair_data: tuple[tuple[int, int, int, RingElement], ...],  # (i1, i2, h, eL-1)
+    ):
+        super().__init__(arity, m_rows, component_classes, pair_data)
 
     @property
     def has_integral_exponents(self) -> bool:
@@ -746,14 +766,15 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
     (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.  The sum
-    runs stratum by stratum; the part of ``F`` fixed by ``nhat``, each
-    binomial factor and each power of ``1 - L^{-1}`` are computed once.
+    runs stratum by stratum; ``w`` and the part of ``F`` fixed by ``nhat``,
+    each binomial factor and each power of ``1 - L^{-1}`` are computed once.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
     strata, skipped = _scan_strata(g, bound, "full", "literal")
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
+    w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = cache(lambda nh: nhat_codim(nh, g))
     unit_power = cache(lambda count: unit_factor**count)
 
@@ -770,9 +791,10 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
         return out
 
     def term(st: Stratum):
-        exp = v_of(st, g)
+        nh = nhat(st, g)
+        exp = _v_from_w(w_at(nh), st, g)
         count = len(st.pairs) + len(st.branches)
-        codim = nhat_part(nhat(st, g)) + _branch_codim(st, g)
+        codim = nhat_part(nh) + _branch_codim(st, g)
         value = unit_power(count)
         for n_i, nu in zip(st.point_mults, g.nu_circ):
             if n_i:

@@ -363,12 +363,16 @@ def test_oracle_subcommands(capsys):
         ("semigroup-gf", "--generators", "2,x", "--bound", "7"),
         ("monomial-codim", "--weights", "1,1;1,x", "--w", "2,3"),
         ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,1.5"),
+        ("monomial-codim", "--weights", "1,2,3", "--w", "2"),
+        ("monomial-codim", "--weights", "1", "--w", "2"),
     ],
 )
 def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
     code, out, err = run(capsys, "oracle", *args)
     assert code == 2
     assert out == "" and err.startswith("usage error: ")
+    if args[2] in ("1,2,3", "1"):  # a weight that is not a pair is named
+        assert f"malformed --weights {args[2]!r}" in err
 
 
 def test_byte_identical_output_across_runs(capsys, cusp_file):

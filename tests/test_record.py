@@ -1,0 +1,181 @@
+"""The value types: equality, hashing, immutability and ``repr``; and the
+start-up cost they keep out of ``import curvemotive``."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from curvemotive import (
+    Branch,
+    Center,
+    ClosedFormExpr,
+    MonomialValuationSystem,
+    PairSite,
+    ResolutionGraph,
+    Specialization,
+    Stratum,
+    SymbolTable,
+    TruncatedSeries,
+    divisorial_closed_form,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cusp():
+    return ResolutionGraph(
+        centers=(Center(()), Center((1,)), Center((1, 2))), branches=(Branch(3),)
+    )
+
+
+# name -> (two ways of building equal objects, field names in order).  The
+# second way spells out defaults or uses keywords where the type allows it.
+CASES = {
+    "Center": (
+        (lambda: Center((1,)), lambda: Center(proximate_to=(1,), degree=1)),
+        ("proximate_to", "degree"),
+    ),
+    "Branch": (
+        (lambda: Branch(3, 2), lambda: Branch(attach=3, degree=2)),
+        ("attach", "degree"),
+    ),
+    "PairSite": (
+        (lambda: PairSite(1, 3, 2), lambda: PairSite(i1=1, i2=3, degree=2)),
+        ("i1", "i2", "degree"),
+    ),
+    "ResolutionGraph": (
+        (_cusp, lambda: ResolutionGraph(_cusp().centers, _cusp().branches, (), ())),
+        ("centers", "branches", "labels", "h_sigma_overrides"),
+    ),
+    "Stratum": (
+        (
+            lambda: Stratum((), (1,), (0, 0, 1), (), ((1, 1),)),
+            lambda: Stratum(pairs=(), branches=(1,), point_mults=(0, 0, 1), branch_mults=((1, 1),)),
+        ),
+        ("pairs", "branches", "point_mults", "pair_mults", "branch_mults"),
+    ),
+    "Specialization": (
+        (
+            lambda: Specialization(Fraction(1), {"a": Fraction(2)}),
+            lambda: Specialization(lefschetz=Fraction(1), symbols={"a": Fraction(2)}, default=None),
+        ),
+        ("lefschetz", "symbols", "default"),
+    ),
+    "SymbolTable": (
+        (
+            lambda: SymbolTable((("b", 2), ("a", 3), ("b", 2))),
+            lambda: SymbolTable(degrees=(("a", 3), ("b", 2))),
+        ),
+        ("degrees",),
+    ),
+    "MonomialValuationSystem": (
+        (
+            lambda: MonomialValuationSystem(((1, 1), (1, 2))),
+            lambda: MonomialValuationSystem(weights=((1, 1), (1, 2))),
+        ),
+        ("weights",),
+    ),
+    "ClosedFormExpr": (
+        (
+            lambda: divisorial_closed_form(_cusp()),
+            lambda: ClosedFormExpr(**vars(divisorial_closed_form(_cusp()))),
+        ),
+        ("arity", "m_rows", "component_classes", "pair_data"),
+    ),
+    "TruncatedSeries": (
+        (
+            lambda: TruncatedSeries.one(1, (3,)),
+            lambda: TruncatedSeries(1, (3,), TruncatedSeries.one(1, (3,)).terms),
+        ),
+        ("arity", "bound", "terms", "skipped_nonintegral"),
+    ),
+}
+# Specialization holds its symbols in a dict, and TruncatedSeries is mutable:
+# neither can be hashed.
+UNHASHABLE = {"Specialization", "TruncatedSeries"}
+MUTABLE = {"TruncatedSeries"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equal_fields_give_equal_objects(name):
+    (make_a, make_b), _fields = CASES[name]
+    a, b = make_a(), make_b()
+    assert a is not b and a == b and not a != b
+    assert type(a).__name__ == name
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_repr_lists_the_fields(name):
+    (make, _), fields = CASES[name]
+    obj = make()
+    shown = ", ".join(f"{field}={getattr(obj, field)!r}" for field in fields)
+    assert repr(obj) == f"{name}({shown})"
+
+
+@pytest.mark.parametrize("name", sorted(CASES.keys() - MUTABLE))
+def test_fields_cannot_be_assigned(name):
+    (make, _), fields = CASES[name]
+    obj = make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj == make()
+
+
+def test_objects_of_different_types_never_compare_equal():
+    objects = [make() for (make, _), _fields in CASES.values()]
+    for i, a in enumerate(objects):
+        for b in objects[i + 1 :]:
+            assert a != b and b != a
+    # the same field values in another type
+    assert Center(1, 2) != Branch(1, 2)
+    assert Branch(1, 2) != (1, 2)
+    assert MonomialValuationSystem(((1, 1),)) != SymbolTable((("a", 1),))
+
+
+def test_field_values_decide_equality():
+    assert Center((1,), 2) != Center((1,), 1)
+    assert Stratum((), (), (0, 1)) != Stratum((), (), (1, 0))
+    assert repr(Center((1,), 2)) == "Center(proximate_to=(1,), degree=2)"
+    assert SymbolTable((("b", 2), ("a", 3), ("b", 2))).degrees == (("a", 3), ("b", 2))
+    assert Specialization(Fraction(1)).symbols == {}
+    assert Specialization(Fraction(1)).default is None
+
+
+def test_truncated_series_stays_mutable():
+    series = TruncatedSeries.zero(1, (3,))
+    other = TruncatedSeries.zero(1, (3,))
+    assert series == other and series.terms is not other.terms
+    series.skipped_nonintegral = 2
+    assert series == other  # equality compares arity and terms only
+    series.terms = TruncatedSeries.one(1, (3,)).terms
+    assert series != other
+
+
+def test_importing_the_cli_loads_neither_dataclasses_inspect_nor_typing():
+    # -S: a site-packages hook may import typing itself.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import curvemotive.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
