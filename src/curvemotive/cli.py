@@ -502,7 +502,11 @@ def main(argv=None) -> int:
     except GraphValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError quotes its message, as the repr of a missing key
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -17,28 +17,34 @@ exponents:
 The first two series are stratum sums, built without visiting strata one by
 one: codimension and exponent depend on a stratum only through ``nhat`` and
 the branch multiplicities ``t''``, so one generating-function product sums
-the classes per ``nhat`` and ``L^(-F) t^v`` is applied once per key; a
-second product counts the strata, which must match a direct enumeration.
-The factored display differs from the stratum sum in two ingredients only,
-so those are checked one by one: every symmetric-power factor and every
-composed codimension against the display's expanded form.
+the classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per key;
+the geometric factor in each branch's ``t''`` is then summed as a running
+sum.  A second product counts the strata, which must match a direct
+enumeration.  The factored display differs from the stratum sum in two
+ingredients only, so those are checked one by one: every symmetric-power
+factor and every composed codimension against the display's expanded form.
 The closed form is cross-checked against its own stratum sum by
 ``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
-this module's core self-verification.
+this module's core self-verification.  ``expand`` multiplies out the
+numerator and divides by each denominator factor ``1 - c t^m`` as a running
+sum ``out[e] = in[e] + c out[e - m]``.
+
+Both running sums work on int exponent tuples on the lattice ``d * M``
+(``_lattice``), which every exponent lies on, and convert to
+``ExponentVector`` once per output term.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
-of strictly positive contributions, truncating all intermediate products at
-the bound loses nothing below it.
+of nonnegative contributions, truncating all intermediate products and sums
+at the bound loses nothing below it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, floor, lcm
+from math import comb, floor, lcm, prod
 from functools import cache, reduce
-from operator import le, mul
+from operator import add, le, mul
 
 from ._record import Record
 from .codim import (
@@ -114,43 +120,15 @@ class TruncatedSeries:
 
     def add_term(self, exp: ExponentVector, value: RingElement) -> None:
         if exp.leq(self.bound):
-            self._accumulate(exp, value)
-
-    def _accumulate(self, exp: ExponentVector, value: RingElement) -> None:
-        """``add_term`` for an exponent already known to fit under the bound."""
-        current = self.terms.get(exp)
-        total = value if current is None else current + value
-        if total.is_zero:
-            self.terms.pop(exp, None)
-        else:
-            self.terms[exp] = total
+            current = self.terms.get(exp)
+            total = value if current is None else current + value
+            if total.is_zero:
+                self.terms.pop(exp, None)
+            else:
+                self.terms[exp] = total
 
     def coefficient(self, exp) -> RingElement:
         return self.terms.get(ExponentVector(exp), RingElement.zero())
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.arity == other.arity
-        out = TruncatedSeries.zero(self.arity, self.bound)
-        out.terms = dict(self.terms)
-        for exp, value in other.terms.items():
-            out.add_term(exp, value)
-        return out
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.arity == other.arity
-        out = TruncatedSeries.zero(self.arity, self.bound)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = e1 + e2
-                if exp.leq(self.bound):
-                    out._accumulate(exp, c1 * c2)
-        return out
-
-    def power(self, n: int) -> "TruncatedSeries":
-        result = TruncatedSeries.one(self.arity, self.bound)
-        for _ in range(n):
-            result = result.mul(self)
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -292,23 +270,84 @@ def _subsets(items):
         yield tuple(items[k] for k in range(len(items)) if mask >> k & 1)
 
 
-def _lattice(g: ResolutionGraph, bound, mode: str):
-    """Exponents and bound on the integer lattice ``d * M``, for ``_walk``.
+def _lattice(m, bound, attach=()):
+    """Exponents and bound on the integer lattice ``d * M``.
 
-    Returns ``(d, nhat_step, caps)``.  A unit of ``nhat_i`` raises ``d`` times
-    (exponent vector, then ``w`` for the branch series) by ``nhat_step[i]``;
-    the exponent vector is ``w`` itself for the divisorial series.  An
-    exponent fits under the bound exactly when it is at most ``caps``.
+    Returns ``(d, steps, caps)``.  A unit of ``nhat_i`` raises ``d`` times
+    (exponent vector, then ``w``) by ``steps[i]``: the columns of ``M`` named
+    by the 1-based ``attach`` are the branch series' exponents, and without
+    them the exponent vector is ``w`` itself.  An exponent fits under the
+    bound exactly when its leading ``len(bound)`` entries are at most ``caps``.
     """
-    m = g.m_matrix
     d = lcm(*(Fraction(x).denominator for row in m for x in row))
-    rows = [[int(Fraction(x) * d) for x in row] for row in m]
-    if mode == "full":
-        cols = [g.branch(j).attach - 1 for j in range(1, g.r + 1)]
-        nhat_step = [[row[c] for c in cols] + row for row in rows]
-    else:
-        nhat_step = rows
-    return d, nhat_step, [floor(Fraction(b) * d) for b in bound]
+    rows = [tuple(int(Fraction(x) * d) for x in row) for row in m]
+    caps = [floor(Fraction(b) * d) for b in bound]
+    arity = len(attach) or len(rows[0])
+    if len(caps) != arity:
+        raise ValueError(f"bound arity {len(caps)} does not match {arity} variables")
+    return d, [tuple(row[a - 1] for a in attach) + row for row in rows], caps
+
+
+def _times(poly, factor, caps):
+    """``poly * factor`` on the lattice, truncated at ``caps``.
+
+    Both map int exponent tuples to ring values; zero values are dropped.
+    """
+    out = {}
+    for e1, c1 in poly.items():
+        for e2, c2 in factor.items():
+            e = tuple(map(add, e1, e2))
+            if all(map(le, e, caps)):
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: value for e, value in out.items() if value}
+
+
+def _divide(poly, step, c: RingElement, caps):
+    """``poly / (1 - c t^step)`` on the lattice, truncated at ``caps``.
+
+    ``poly`` maps int exponent tuples, each at most ``caps``, to ring values;
+    ``step`` is nonnegative and not zero.  The quotient is the running sum
+    ``out[e] = poly[e] + c * out[e - step]``.  It walks each chain ``base + k
+    * step`` from the chain's first term up to the bound, through the
+    positions where ``poly`` has no term as well.  Zero values are dropped.
+    """
+    axis = next((a for a, x in enumerate(step) if x), None)
+    if axis is None:
+        raise ValueError("geometric expansion needs a nonzero exponent step")
+    chains = {}
+    for e, value in poly.items():
+        k = e[axis] // step[axis]
+        chains.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = value
+    scale = not c.is_one
+    out = {}
+    for base, terms in chains.items():
+        first = min(terms)
+        last = min((cap - b) // s for b, s, cap in zip(base, step, caps) if s)
+        e = tuple(b + first * s for b, s in zip(base, step))
+        acc = RingElement.zero()
+        for k in range(first, last + 1):
+            if scale:
+                acc = c * acc
+            if k in terms:
+                acc = acc + terms[k]
+            if acc:
+                out[e] = acc
+            e = tuple(map(add, e, step))
+    return out
+
+
+def _from_lattice(arity, bound, d, poly) -> TruncatedSeries:
+    """The series whose terms are those of ``poly``, exponents divided by ``d``."""
+    series = TruncatedSeries.zero(arity, bound)
+    for e, value in poly.items():
+        if value:
+            series.terms[ExponentVector(e if d == 1 else (Fraction(x, d) for x in e))] = value
+    return series
+
+
+def _attachments(g: ResolutionGraph, mode: str):
+    """The components the branches attach to, for ``_lattice`` in ``full`` mode."""
+    return [g.branch(j).attach for j in range(1, g.r + 1)] if mode == "full" else ()
 
 
 def _walk(steps, mins, caps, visit):
@@ -349,17 +388,14 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
         raise ValueError(f"unknown mode {mode!r}")
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
-    arity = g.r if mode == "full" else g.s
     if mode == "full" and g.r < 1:
         raise ValueError("branch-variable enumeration needs at least one branch")
     bound = tuple(Fraction(b) for b in bound)
-    if len(bound) != arity:
-        raise ValueError(f"bound arity {len(bound)} does not match {arity} variables")
+    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
     if any(b < 0 for b in bound):
         raise ValueError("bounds must be nonnegative")
 
     s = g.s
-    d, nhat_step, caps = _lattice(g, bound, mode)
     # A unit of t''_j adds d * h to exponent j, h the degree of its attaching
     # component.  Integral mode checks the exponent vector and w.
     width = len(nhat_step[0])
@@ -463,15 +499,19 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
 
     ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
     branch second multiplicities ``t''``, so ``_coefficients`` sums the
-    stratum classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per
-    ``(nhat, J, t'')``.  Each site factor must equal ``_display_inner_factor
-    L^n`` and each key's composed codimension the literal one.  A second
-    product with every class set to 1 counts the strata per key; the totals
-    must match the stratum enumeration, and in ``integral`` mode a dropped
-    key adds its count to ``skipped_nonintegral``.
+    stratum classes per ``(nhat, J)``.  Each key's sum is placed at ``t'' =
+    (1, ..., 1)`` with ``L^(-F - sum_J deg_j)``, and the factor
+    ``sum_{t''_j >= 1} L^(-deg_j (t''_j - 1)) t_j^(h (t''_j - 1))`` of each
+    ``j`` in ``J`` is a running sum (``_divide``).  Each site factor must equal
+    ``_display_inner_factor L^n`` and each key's composed codimension the
+    literal one.  A second product with every class set to 1 counts the
+    strata per key; times the number of ``t''`` that fit, the totals must
+    match the stratum enumeration.  In ``integral`` mode a key is decided by
+    its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
+    ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
     strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
-    d, nhat_step, caps = _lattice(g, bound, mode)
+    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
     # every nhat whose exponent fits, lexicographically, with d * (exponent, w)
     found = []
     _walk(nhat_step, [0] * g.s, caps, lambda n, z: found.append((tuple(n), z)))
@@ -500,29 +540,37 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     ones = [[1] * len(row) for row in sites]
     count_by_subset = _coefficients(g, mode, keys, below, ones, lambda _label: 1, 0)
 
-    series = TruncatedSeries.zero(len(caps), bound)
+    width = len(caps)
+    terms = {}
     total = skipped = 0
     subsets = list(_subsets(list(range(1, g.r + 1)))) if mode == "full" else [()]
     # d * v_j grows by t_step[j - 1] per unit of t''_j
     t_step = [d * g.degree_of(g.branch(j).attach) for j in range(1, g.r + 1)]
     for branches, counts, values in zip(subsets, count_by_subset, class_by_subset):
+        degree = sum(g.branch(j).degree for j in branches)
+        placed = {}
         for k, count in enumerate(counts):
             if not count:
                 continue
             z = found[k][1]
-            ranges = [range(1, (caps[j - 1] - z[j - 1]) // t_step[j - 1] + 1) for j in branches]
-            for seconds in product(*ranges):
-                exp = list(z)
-                extra = 0
-                for j, t in zip(branches, seconds):
-                    exp[j - 1] += t * t_step[j - 1]
-                    extra += t * g.branch(j).degree
-                total += count
-                if strictness == "integral" and any(x % d for x in exp):
-                    skipped += count
-                    continue
-                exp = ExponentVector(Fraction(x, d) for x in exp[: len(caps)])
-                series.add_term(exp, values[k].lefschetz_shift(-(codims[k] + extra)))
+            fits = prod((caps[j - 1] - z[j - 1]) // t_step[j - 1] for j in branches)
+            if not fits:
+                continue
+            total += count * fits
+            if strictness == "integral" and any(x % d for x in z):
+                skipped += count * fits
+                continue
+            exp = list(z[:width])
+            for j in branches:
+                exp[j - 1] += t_step[j - 1]
+            exp = tuple(exp)
+            value = values[k].lefschetz_shift(-(codims[k] + degree))
+            placed[exp] = placed[exp] + value if exp in placed else value
+        for j in branches:
+            step = tuple(t_step[j - 1] if a == j - 1 else 0 for a in range(width))
+            placed = _divide(placed, step, RingElement.lefschetz(-g.branch(j).degree), caps)
+        for exp, value in placed.items():
+            terms[exp] = terms[exp] + value if exp in terms else value
 
     if total != len(strata) + scan_skipped or skipped != scan_skipped:
         raise SeriesCrossCheckError(
@@ -530,6 +578,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
             f"({skipped} non-integral), the enumeration {len(strata) + scan_skipped} "
             f"({scan_skipped} non-integral)"
         )
+    series = _from_lattice(width, bound, d, terms)
     series.skipped_nonintegral = skipped
     return series
 
@@ -678,57 +727,30 @@ def divisorial_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
     )
 
 
-def _geometric_series(arity, bound, step: ExponentVector, ratio: RingElement) -> TruncatedSeries:
-    """``sum_k ratio^k t^(k * step)`` truncated at ``bound``."""
-    if all(x == 0 for x in step):
-        raise ValueError("geometric expansion needs a nonzero exponent step")
-    series = TruncatedSeries.zero(arity, bound)
-    bound = series.bound
-    k = 0
-    power = RingElement.one()
-    while True:
-        exp = ExponentVector(k * x for x in step)
-        if not exp.leq(bound):
-            break
-        series.add_term(exp, power)
-        power = power * ratio
-        k += 1
-    return series
-
-
 def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     """Exact truncated expansion of the closed form.
 
-    The numerator is a finite polynomial multiplication; each denominator
-    factor expands by a geometric series, ``(1 - e L t^m)^{-1}`` with ratio
-    ``e L``.  Exponents live on the rational lattice spanned by the rows of
-    ``M``.
+    Exponents live on the integer lattice ``d * M`` (see ``_lattice``).  The
+    numerator is a truncated polynomial product; dividing by each
+    denominator factor, ``(1 - t^m)`` and ``(1 - e L t^m)``, is a running sum
+    along ``m`` (``_divide``).
     """
-    arity = cf.arity
-    series = TruncatedSeries.one(arity, bound)
-    bound = series.bound
-    zero = ExponentVector((0,) * arity)
+    d, rows, caps = _lattice(cf.m_rows, bound)
+    zero = (0,) * cf.arity
     one = RingElement.one()
+    poly = {zero: one} if min(caps) >= 0 else {}
     for i1, i2, h, units in cf.pair_data:
-        a = cf.m_rows[i1 - 1]
-        b = cf.m_rows[i2 - 1]
-        d = TruncatedSeries.zero(arity, bound)
-        d.add_term(zero, one)
-        d.add_term(a, -one)
-        d.add_term(b, -one)
-        d.add_term(a + b, one)
-        # D^h + D^(h-1) U t^(a+b) = D^(h-1) (D + U t^(a+b))
-        factor = d.power(h - 1)
-        d.add_term(a + b, units)
-        series = series.mul(factor.mul(d))
+        a, b = rows[i1 - 1], rows[i2 - 1]
+        # D^h + D^(h-1) U t^(a+b) = D^(h-1) (D + U t^(a+b)), D = (1 - t^a)(1 - t^b)
+        for _ in range(h - 1):
+            poly = _times(poly, {zero: one, a: -one}, caps)
+            poly = _times(poly, {zero: one, b: -one}, caps)
+        poly = _times(poly, {zero: one, a: -one, b: -one, tuple(map(add, a, b)): one + units}, caps)
     lef = RingElement.lefschetz()
-    for i in range(arity):
-        step = cf.m_rows[i]
-        series = series.mul(_geometric_series(arity, bound, step, one))
-        series = series.mul(
-            _geometric_series(arity, bound, step, cf.component_classes[i] * lef)
-        )
-    return series
+    for row, e in zip(rows, cf.component_classes):
+        poly = _divide(poly, row, one, caps)
+        poly = _divide(poly, row, e * lef, caps)
+    return _from_lattice(cf.arity, bound, d, poly)
 
 
 def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
@@ -739,26 +761,18 @@ def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
-    arity = g.s
-    rows = tuple(ExponentVector(row) for row in g.m_matrix)
-    series = TruncatedSeries.one(arity, bound)
-    bound = series.bound
-    zero = ExponentVector((0,) * arity)
-    lef = RingElement.lefschetz()
-    for site in g.pairs:
-        a = rows[site.i1 - 1]
-        b = rows[site.i2 - 1]
-        factor = TruncatedSeries.zero(arity, bound)
-        factor.add_term(zero, RingElement.one())
-        factor.add_term(a, -RingElement.one())
-        factor.add_term(b, -RingElement.one())
-        factor.add_term(a + b, lef)
-        series = series.mul(factor)
+    d, rows, caps = _lattice(g.m_matrix, bound)
+    zero = (0,) * g.s
     one = RingElement.one()
-    for i in range(arity):
-        series = series.mul(_geometric_series(arity, bound, rows[i], one))
-        series = series.mul(_geometric_series(arity, bound, rows[i], lef))
-    return series
+    lef = RingElement.lefschetz()
+    poly = {zero: one} if min(caps) >= 0 else {}
+    for site in g.pairs:
+        a, b = rows[site.i1 - 1], rows[site.i2 - 1]
+        poly = _times(poly, {zero: one, a: -one, b: -one, tuple(map(add, a, b)): lef}, caps)
+    for row in rows:
+        poly = _divide(poly, row, one, caps)
+        poly = _divide(poly, row, lef, caps)
+    return _from_lattice(g.s, bound, d, poly)
 
 
 def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
@@ -767,7 +781,8 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
     (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.  The sum
     runs stratum by stratum; ``w`` and the part of ``F`` fixed by ``nhat``,
-    each binomial factor and each power of ``1 - L^{-1}`` are computed once.
+    each binomial factor, and the class ``(1 - L^{-1})^(#I + #J) prod_i
+    inner(nu_i, n_i)`` of each ``(#I + #J, n)`` are computed once.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
@@ -776,7 +791,6 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = cache(lambda nh: nhat_codim(nh, g))
-    unit_power = cache(lambda count: unit_factor**count)
 
     @cache
     def inner(nu: int, n_i: int) -> RingElement:
@@ -790,15 +804,20 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
                 out = out + RingElement.lefschetz(-l)
         return out
 
+    @cache
+    def stratum_value(count: int, point_mults: tuple[int, ...]) -> RingElement:
+        value = unit_factor**count
+        for n_i, nu in zip(point_mults, g.nu_circ):
+            if n_i:
+                value = value * inner(nu, n_i)
+        return value
+
     def term(st: Stratum):
         nh = nhat(st, g)
         exp = _v_from_w(w_at(nh), st, g)
         count = len(st.pairs) + len(st.branches)
         codim = nhat_part(nh) + _branch_codim(st, g)
-        value = unit_power(count)
-        for n_i, nu in zip(st.point_mults, g.nu_circ):
-            if n_i:
-                value = value * inner(nu, n_i)
+        value = stratum_value(count, st.point_mults)
         return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 
     return _mapreduce(g.r, bound, strata, skipped, term)

@@ -150,6 +150,14 @@ def test_specialize_lefschetz_to_zero_is_a_clean_data_error(capsys, cusp_file):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    # a field symbol left without a value is named without the quotes of a KeyError
+    code, out, err = run(
+        capsys, "compute", "--series", "pg", "--bound", "4", "--specialize", "L=1",
+        "--input", str(DEMOS / "graphs" / "chain2_h12.json"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: no specialization value for symbol e[k2]"
 
 
 def test_check_malformed_bound_is_usage_error(capsys, cusp_file):

@@ -1,8 +1,10 @@
 """Symmetric powers, stratum enumeration, the three series and their identities."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from curvemotive import (
     Specialization,
     Stratum,
     TruncatedSeries,
+    build,
     divisorial_closed_form,
     divisorial_semigroup_stratum_sum,
     enumerate_strata,
@@ -30,6 +33,10 @@ from curvemotive import (
     w_of,
 )
 
+ROOT = Path(__file__).parent.parent
+GRAPH_FILES = sorted((ROOT / "demos" / "graphs").glob("*.json")) + sorted(
+    (ROOT / "perfbench" / "graphs").glob("*.json")
+)
 L = RingElement.lefschetz
 one = RingElement.one()
 
@@ -372,6 +379,97 @@ def test_cusp_closed_form_first_coefficients(cusp):
     assert series.coefficient(ev(1, 2, 3)) == L()
     # w = (2,2,4) = 2 * row1
     assert series.coefficient(ev(2, 2, 4)) == L(2)
+
+
+def truncated_product(f, g, bound):
+    """``f * g`` for dicts from exponent vectors to ring values, truncated at ``bound``."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exp = ExponentVector(e1) + ExponentVector(e2)
+            if exp.leq(bound):
+                out[exp] = out.get(exp, RingElement.zero()) + c1 * c2
+    return {exp: value for exp, value in out.items() if value}
+
+
+def truncated_geometric(step, ratio, bound):
+    """``sum_k ratio^k t^(k * step)``, truncated at ``bound``."""
+    out, k, power = {}, 0, one
+    while (exp := ExponentVector(k * x for x in step)).leq(bound):
+        out[exp] = power
+        power, k = power * ratio, k + 1
+    return out
+
+
+def reference_expansion(cf, bound):
+    """The closed form expanded as a product of truncated geometric series."""
+    bound = tuple(Fraction(b) for b in bound)
+    zero = ExponentVector((0,) * cf.arity)
+    series = {zero: one} if zero.leq(bound) else {}
+    for i1, i2, h, units in cf.pair_data:
+        a, b = cf.m_rows[i1 - 1], cf.m_rows[i2 - 1]
+        d = {zero: one, a: -one, b: -one, a + b: one}
+        for _ in range(h - 1):
+            series = truncated_product(series, d, bound)
+        series = truncated_product(series, {zero: one, a: -one, b: -one, a + b: one + units}, bound)
+    for row, e in zip(cf.m_rows, cf.component_classes):
+        series = truncated_product(series, truncated_geometric(row, one, bound), bound)
+        series = truncated_product(series, truncated_geometric(row, e * L(), bound), bound)
+    return series
+
+
+def assert_expansions_match_reference(g, bound):
+    want = reference_expansion(divisorial_closed_form(g), bound)
+    assert expand(divisorial_closed_form(g), bound).terms == want, bound
+    if g.is_totally_rational:
+        assert expand_totally_rational(g, bound).terms == want, bound
+
+
+@pytest.mark.parametrize("path", GRAPH_FILES, ids=lambda p: f"{p.parent.parent.name}-{p.stem}")
+def test_expansions_match_product_of_geometric_series(path):
+    g = build(json.loads(path.read_text(encoding="utf-8")))
+    for b in range(15):
+        assert_expansions_match_reference(g, (b,) * g.s)
+
+
+def test_expansions_match_reference_on_random_graphs_with_fields():
+    from conftest import random_graph
+
+    rng = random.Random(20261018)
+    graphs = []
+    while len(graphs) < 6:
+        g = random_graph(rng, max_centers=5)
+        if any(site.degree > 1 for site in g.pairs) and not g.is_totally_rational:
+            graphs.append(g)
+    for g in graphs:
+        for bound in ((5,) * g.s, tuple(rng.randint(0, 7) for _ in range(g.s))):
+            assert_expansions_match_reference(g, bound)
+
+
+def test_expansions_reject_a_bound_of_the_wrong_length(cusp):
+    for bound in ((4, 4), (4, 4, 4, 4)):
+        with pytest.raises(ValueError):
+            expand(divisorial_closed_form(cusp), bound)
+        with pytest.raises(ValueError):
+            expand_totally_rational(cusp, bound)
+
+
+@pytest.mark.parametrize("step", [(0, 2), (1, 2)], ids=["zero-entry", "positive"])
+@pytest.mark.parametrize(
+    "c",
+    [one, RingElement.symbol("k") * L(), L(-2)],
+    ids=["one", "eL", "L^-2"],
+)
+def test_running_sum_is_division_by_the_geometric_factor(step, c):
+    e = RingElement.symbol("k")
+    # (0, 1) and (0, 5) lie on one chain of either step; the chain through
+    # (0, 5) runs three positions past it, where the input has no term
+    poly = {(0, 1): one, (0, 5): e * L() - one, (1, 0): 3 * one, (2, 3): L(-1)}
+    caps = [9, 11]
+    want = truncated_product(poly, truncated_geometric(step, c, caps), caps)
+    got = series_module._divide(poly, step, c, caps)
+    assert got == want
+    assert all((k * step[0], 5 + k * step[1]) in got for k in (1, 2, 3))
 
 
 # -- series infrastructure ----------------------------------------------------
