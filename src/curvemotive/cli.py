@@ -351,12 +351,15 @@ def _cmd_check(args) -> int:
     p = g.proximity_matrix
     n = g.intersection_matrix
     m = g.m_matrix
-    ok = _linalg.determinant(p) == 1
+    # an integral unitriangular P^-1 with P P^-1 = I certifies det P = 1
+    p_inv = _linalg.unitriangular_inverse(p)
+    ok = _linalg.mat_mul(p, p_inv) == _linalg.identity(g.s)
+    ok = ok and all(type(x) is int for row in p_inv for x in row)
     ok = ok and n == _linalg.transpose(n)
     ok = ok and m == _linalg.transpose(m)
     ok = ok and _linalg.mat_mul(m, _linalg.neg(n)) == _linalg.identity(g.s)
     ok = ok and all(x > 0 for row in m for x in row)
-    ok = ok and all(x >= 0 for row in _linalg.inverse(p) for x in row)
+    ok = ok and all(x >= 0 for row in p_inv for x in row)
     report("matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)", ok)
 
     def checked(name, compute):
@@ -429,12 +432,11 @@ def _cmd_check(args) -> int:
 
 
 def _semigroup_check(g, pg_series, scalar) -> bool:
+    # each curvette value M[i][a] is an intersection multiplicity with the
+    # branch, so it lies in the semigroup; the maximal-contact values, which
+    # generate it, are among them
     attach = g.branch(1).attach
-    generators = {g.m_matrix[i][attach - 1] for i in range(g.s)}
-    generators.add(g.m_matrix[attach - 1][attach - 1] + 1)
-    extra = {g.m_matrix[attach - 1][attach - 1] + k for k in range(1, scalar + 1)}
-    gens = sorted(int(x) for x in generators | extra)
-    gf = oracles.semigroup_gf(gens, scalar)
+    gf = oracles.semigroup_gf([g.m_matrix[i][attach - 1] for i in range(g.s)], scalar)
     spec = Specialization(lefschetz=Fraction(1), default=Fraction(1))
     specialized = pg_series.specialize(spec)
     support = {int(exp[0]) for exp, value in specialized.items() if value != 0}
@@ -453,25 +455,27 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def _cmd_oracle(args) -> int:
-    if args.oracle_name == "semigroup-gf":
-        gens = _int_list(args.generators, "--generators")
-        if args.bound < 0:
-            raise _UsageError("bounds must be nonnegative")
-        coeffs = oracles.semigroup_gf(gens, args.bound)
-        print(" ".join(str(c) for c in coeffs))
-    elif args.oracle_name == "monomial-codim":
-        weights = []
-        for piece in args.weights.split(";"):
-            if piece.strip():
-                weight = tuple(_int_list(piece, "--weights"))
-                if len(weight) != 2:
-                    raise _UsageError(f"malformed --weights {piece!r}: each weight is a pair a,b")
-                weights.append(weight)
-        system = oracles.MonomialValuationSystem(tuple(weights))
-        w = _int_list(args.w, "--w")
-        print(oracles.monomial_codim(system, w))
-    else:
-        print(oracles.count_divisors_open_line(args.q, args.removed, args.n))
+    # an oracle rejects an out-of-range argument with ValueError
+    try:
+        if args.oracle_name == "semigroup-gf":
+            gens = _int_list(args.generators, "--generators")
+            coeffs = oracles.semigroup_gf(gens, args.bound)
+            print(" ".join(str(c) for c in coeffs))
+        elif args.oracle_name == "monomial-codim":
+            weights = []
+            for piece in args.weights.split(";"):
+                if piece.strip():
+                    weight = tuple(_int_list(piece, "--weights"))
+                    if len(weight) != 2:
+                        raise _UsageError(f"malformed --weights {piece!r}: each weight is a pair a,b")
+                    weights.append(weight)
+            system = oracles.MonomialValuationSystem(tuple(weights))
+            w = _int_list(args.w, "--w")
+            print(oracles.monomial_codim(system, w))
+        else:
+            print(oracles.count_divisors_open_line(args.q, args.removed, args.n))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ transform meets.  From that the module derives
 * ``Delta = diag(h_1, ..., h_s)`` and the intersection matrix
   ``N = -P Delta P^t``,
 * the exact rational matrix ``M = -N^{-1}`` whose rows are curvette value
-  vectors,
+  vectors, built as ``P^-t Delta^-1 P^-1`` from the integer inverse of ``P``
+  and checked against ``-N``,
 * the intersection pairs ``I0`` with their point degrees ``h_sigma``, the
   neighbor counts ``nu_bullet`` / ``nu_circ``, and ``epsilon_i = 2 h_i -
   nu_bullet_i``.
@@ -27,11 +28,12 @@ as warnings on the built graph instead.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import cached_property
 
 from . import _linalg
 from ._record import Record
-from .grothendieck import SymbolTable, _frac_json
+from .grothendieck import SymbolTable, _exact, _frac_json
 
 Pair = tuple[int, int]
 
@@ -152,8 +154,20 @@ class ResolutionGraph(Record):
 
     @cached_property
     def m_matrix(self):
-        # M = -N^{-1}; -N is positive definite, so no pivoting trouble.
-        return _linalg.inverse(_linalg.neg(self.intersection_matrix))
+        # -N = P Delta P^t, so M = -N^{-1} = P^-t Delta^-1 P^-1, where P^-1 is
+        # an integer matrix; integral entries are ints, the others Fractions.
+        q = _linalg.unitriangular_inverse(self.proximity_matrix)
+        scaled = tuple(
+            tuple(_exact(Fraction(x, center.degree)) for x in row)
+            for row, center in zip(q, self.centers)
+        )
+        m = tuple(
+            tuple(_exact(x) for x in row)
+            for row in _linalg.mat_mul(_linalg.transpose(q), scaled)
+        )
+        if _linalg.mat_mul(m, _linalg.neg(self.intersection_matrix)) != _linalg.identity(self.s):
+            raise ValueError("M verification failed: M times -N is not the identity")
+        return m
 
     def m_row(self, i: int):
         return self.m_matrix[i - 1]
@@ -221,10 +235,7 @@ class ResolutionGraph(Record):
         return {site: label for site, label in self.labels}
 
     def _site_label(self, site: str, degree: int) -> str | None:
-        explicit = self._label_map.get(site)
-        if explicit is not None:
-            return None if degree == 1 else explicit
-        return None if degree == 1 else site
+        return None if degree == 1 else self._label_map.get(site, site)
 
     def component_label(self, i: int) -> str | None:
         return self._site_label(site_component(i), self.degree_of(i))
@@ -306,9 +317,6 @@ class ResolutionGraph(Record):
                         f"derived intersection number N[{i + 1}][{j + 1}] = {n[i][j]} "
                         "is negative: the proximity data is not realizable"
                     )
-        minors = _linalg.leading_principal_minors(_linalg.neg(n))
-        if any(m <= 0 for m in minors):
-            issues.append("-N is not positive definite")
         known_pairs = {site.key for site in self.pairs}
         for pair, value in self.h_sigma_overrides:
             if pair not in known_pairs:

@@ -69,12 +69,12 @@ def _grlex_key(exp: ExponentVector):
     return (sum(exp), tuple(exp))
 
 
-def monomial_text(exp, var_prefix: str = "t") -> str:
+def monomial_text(exp) -> str:
     parts = []
     for idx, e in enumerate(exp, start=1):
         if e == 0:
             continue
-        name = f"{var_prefix}{idx}"
+        name = f"t{idx}"
         if e == 1:
             parts.append(name)
         elif isinstance(e, Fraction) and e.denominator != 1:
@@ -152,11 +152,11 @@ class TruncatedSeries:
                 out[exp] = v
         return out
 
-    def to_text(self, var_prefix: str = "t") -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
         lines = [
-            f"{monomial_text(exp, var_prefix)}: {value.to_text()}"
+            f"{monomial_text(exp)}: {value.to_text()}"
             for exp, value in self.sorted_items()
         ]
         return "\n".join(lines)

@@ -35,6 +35,7 @@ from curvemotive import (
 from curvemotive import _linalg
 
 from conftest import cusp_description, random_stratum
+from test_linalg import gauss_jordan_inverse
 
 
 def _report(number: int, description: str, ok: bool, elapsed: float, limit: float):
@@ -54,7 +55,11 @@ def test_criterion_1_matrix_layer(corpus):
         p = g.proximity_matrix
         n = g.intersection_matrix
         m = g.m_matrix
-        ok = ok and _linalg.determinant(p) == 1
+        p_inv = gauss_jordan_inverse(p)
+        # unitriangular with an integral inverse: det P = 1
+        ok = ok and all(p[i][i] == 1 for i in range(g.s))
+        ok = ok and all(p[i][j] == 0 for i in range(g.s) for j in range(i))
+        ok = ok and all(x.denominator == 1 for row in p_inv for x in row)
         ok = ok and n == _linalg.transpose(n)
         ok = ok and _linalg.mat_mul(m, _linalg.neg(n)) == _linalg.identity(g.s)
         ok = ok and all(x > 0 for row in m for x in row)

@@ -9,7 +9,11 @@ from curvemotive import build, cli
 from curvemotive.cli import main
 from curvemotive.codim import ExponentVector
 from curvemotive.grothendieck import RingElement
-from curvemotive.series import TruncatedSeries, divisorial_semigroup_stratum_sum
+from curvemotive.series import (
+    TruncatedSeries,
+    divisorial_semigroup_stratum_sum,
+    poincare_generalised,
+)
 
 from conftest import cusp_description
 
@@ -373,6 +377,13 @@ def test_oracle_subcommands(capsys):
         ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,1.5"),
         ("monomial-codim", "--weights", "1,2,3", "--w", "2"),
         ("monomial-codim", "--weights", "1", "--w", "2"),
+        # well formed, but out of the oracle's range
+        ("count-divisors", "--q", "7", "--removed", "1", "--n", "2"),
+        ("count-divisors", "--q", "2", "--removed", "1", "--n", "-1"),
+        ("count-divisors", "--q", "2", "--removed", "9", "--n", "2"),
+        ("monomial-codim", "--weights", "0,1", "--w", "1"),
+        ("monomial-codim", "--weights", "1,1", "--w", "1,2"),
+        ("semigroup-gf", "--generators", "0,2", "--bound", "5"),
     ],
 )
 def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
@@ -381,6 +392,19 @@ def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
     assert out == "" and err.startswith("usage error: ")
     if args[2] in ("1,2,3", "1"):  # a weight that is not a pair is named
         assert f"malformed --weights {args[2]!r}" in err
+
+
+def test_semigroup_check_compares_support_with_the_semigroup(cusp_file):
+    # the cusp's value semigroup is <2, 3>: its only gap is 1
+    g = cli._load_graph(cusp_file)
+    pg = poincare_generalised(g, (10,))
+    assert cli._semigroup_check(g, pg, 10)
+    missing = TruncatedSeries(1, pg.bound, dict(pg.terms))
+    del missing.terms[ExponentVector((4,))]
+    assert not cli._semigroup_check(g, missing, 10)
+    extra = TruncatedSeries(1, pg.bound, dict(pg.terms))
+    extra.add_term(ExponentVector((1,)), RingElement.one())
+    assert not cli._semigroup_check(g, extra, 10)
 
 
 def test_byte_identical_output_across_runs(capsys, cusp_file):

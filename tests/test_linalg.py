@@ -1,9 +1,7 @@
-"""Fraction-free elimination against a plain Gauss-Jordan oracle."""
+"""Small exact matrix helpers, the inverse against a plain Gauss-Jordan oracle."""
 
 import random
 from fractions import Fraction
-
-import pytest
 
 from curvemotive import _linalg
 
@@ -26,6 +24,20 @@ def gauss_jordan_inverse(a):
     return tuple(tuple(row[n:]) for row in m)
 
 
+def is_positive_definite(a):
+    """Unpivoted LDL^t of a symmetric matrix: every pivot must be positive."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= factor * m[k][j]
+    return True
+
+
 def test_identity_and_transpose():
     assert _linalg.identity(2) == ((1, 0), (0, 1))
     assert _linalg.transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
@@ -38,30 +50,20 @@ def test_mat_mul_small():
     assert _linalg.vec_mat((1, 1), a) == (4, 6)
 
 
-def test_determinant_known():
-    assert _linalg.determinant(((2,),)) == 2
-    assert _linalg.determinant(((1, 2), (3, 4))) == -2
-    assert _linalg.determinant(((0, 1), (1, 0))) == -1
-    assert _linalg.determinant(((1, 1), (1, 1))) == 0
-
-
-def test_inverse_matches_gauss_jordan_on_random_matrices():
+def test_unitriangular_inverse_matches_gauss_jordan():
     rng = random.Random(20260809)
-    inverted = 0
     for _ in range(200):
-        n = rng.randint(1, 6)
-        a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
-        try:
-            expected = gauss_jordan_inverse(a)
-        except ZeroDivisionError:
-            with pytest.raises(_linalg.SingularMatrixError):
-                _linalg.inverse(a)
-            continue
-        assert _linalg.inverse(a) == expected
-        inverted += 1
-    assert inverted > 100
+        n = rng.randint(1, 7)
+        a = tuple(
+            tuple(rng.randint(-3, 3) if j > i else int(i == j) for j in range(n))
+            for i in range(n)
+        )
+        inverse = _linalg.unitriangular_inverse(a)
+        assert inverse == gauss_jordan_inverse(a)
+        assert all(type(x) is int for row in inverse for x in row)
 
 
-def test_leading_principal_minors():
-    a = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
-    assert _linalg.leading_principal_minors(a) == (2, 3, 4)
+def test_positive_definite_oracle():
+    assert is_positive_definite(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
+    assert not is_positive_definite(((1, 2), (2, 1)))
+    assert not is_positive_definite(((0, 0), (0, 1)))

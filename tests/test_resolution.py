@@ -1,6 +1,9 @@
 """Graph validation and the derived matrix layer."""
 
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from curvemotive import (
 from curvemotive import _linalg
 
 from conftest import random_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_single_center_is_valid():
@@ -92,8 +97,6 @@ def test_two_center_matrices():
 
 
 def test_chain2_h12_matrices(chain2_h12):
-    from fractions import Fraction
-
     assert intersection_matrix(chain2_h12) == ((-3, 2), (2, -2))
     assert m_matrix(chain2_h12) == (
         (1, 1),
@@ -174,6 +177,8 @@ def test_m_matrix_against_gauss_jordan_oracle(corpus):
 
 
 def test_matrix_invariants_on_random_graphs():
+    from test_linalg import gauss_jordan_inverse, is_positive_definite
+
     rng = random.Random(1139)
     for _ in range(60):
         g = random_graph(rng)
@@ -181,14 +186,17 @@ def test_matrix_invariants_on_random_graphs():
         n = g.intersection_matrix
         m = g.m_matrix
         s = g.s
-        assert _linalg.determinant(p) == 1
+        p_inv = gauss_jordan_inverse(p)
+        # unitriangular with an integral inverse: det P = 1
+        assert all(p[i][i] == 1 for i in range(s))
         assert all(p[i][j] == 0 for i in range(s) for j in range(i))
+        assert all(x.denominator == 1 for row in p_inv for x in row)
         assert n == _linalg.transpose(n)
         assert m == _linalg.transpose(m)
         assert _linalg.mat_mul(m, _linalg.neg(n)) == _linalg.identity(s)
         assert all(x > 0 for row in m for x in row)
-        assert all(x >= 0 for row in _linalg.inverse(p) for x in row)
-        assert all(x > 0 for x in _linalg.leading_principal_minors(_linalg.neg(n)))
+        assert all(x >= 0 for row in p_inv for x in row)
+        assert is_positive_definite(_linalg.neg(n))
         assert all(
             nc >= nb for nc, nb in zip(g.nu_circ, g.nu_bullet)
         )
@@ -197,6 +205,23 @@ def test_matrix_invariants_on_random_graphs():
         )
         if g.is_totally_rational:
             assert all(x.denominator == 1 for row in m for x in row)
+
+
+def test_m_inverts_minus_n_on_graph_files():
+    # M (-N) = I with a local product; an entry is an int exactly when integral
+    paths = sorted((ROOT / "demos" / "graphs").glob("*.json"))
+    paths += sorted((ROOT / "perfbench" / "graphs").glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        g = build(json.loads(path.read_text()))
+        m, n, s = g.m_matrix, g.intersection_matrix, g.s
+        assert [
+            [sum(-m[i][k] * n[k][j] for k in range(s)) for j in range(s)]
+            for i in range(s)
+        ] == [[int(i == j) for j in range(s)] for i in range(s)], path.name
+        for row in m:
+            for x in row:
+                assert type(x) is (int if x.denominator == 1 else Fraction), path.name
 
 
 def test_proximity_cardinality_beyond_two_is_unrealizable():
