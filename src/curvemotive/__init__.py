@@ -26,8 +26,7 @@ from .codim import (
 from .grothendieck import (
     RingElement,
     Specialization,
-    SymbolTable,
-    specialize,
+    field_class,
     units_class,
 )
 from .oracles import (
@@ -43,10 +42,7 @@ from .resolution import (
     PairSite,
     ResolutionGraph,
     build,
-    intersection_matrix,
-    m_matrix,
     matrices_report,
-    proximity_matrix,
 )
 from .series import (
     ClosedFormExpr,
@@ -80,7 +76,6 @@ __all__ = [
     "SeriesCrossCheckError",
     "Specialization",
     "Stratum",
-    "SymbolTable",
     "TruncatedSeries",
     "alpha_of",
     "build",
@@ -95,18 +90,15 @@ __all__ = [
     "enumerate_strata",
     "expand",
     "expand_totally_rational",
+    "field_class",
     "hoskin_deligne",
-    "intersection_matrix",
-    "m_matrix",
     "matrices_report",
     "monomial_codim",
     "nhat",
     "poincare_divisorial",
     "poincare_generalised",
     "poincare_generalised_totally_rational",
-    "proximity_matrix",
     "semigroup_gf",
-    "specialize",
     "stratum_class",
     "sym_power_class",
     "units_class",

@@ -29,7 +29,7 @@ from .codim import (
     w_of,
 )
 from .grothendieck import Specialization, _frac_json
-from .resolution import GraphValidationError, build, matrices_report
+from .resolution import GraphValidationError, _json_int, build, matrices_report
 from .series import (
     SeriesCrossCheckError,
     divisorial_closed_form,
@@ -178,6 +178,13 @@ def _parse_specialization(text: str) -> Specialization:
     return Specialization(lefschetz=lefschetz, symbols=symbols, default=default)
 
 
+def _json_pair(x) -> tuple[int, int]:
+    """A two-element JSON list of integers, as a tuple."""
+    if type(x) is not list or len(x) != 2:
+        raise TypeError(f"expected a pair of integers, got {x!r}")
+    return (_json_int(x[0]), _json_int(x[1]))
+
+
 def _parse_stratum(raw: str, g) -> Stratum:
     if raw.lstrip().startswith("{"):
         data = json.loads(raw)
@@ -185,11 +192,11 @@ def _parse_stratum(raw: str, g) -> Stratum:
         with open(raw, encoding="utf-8") as handle:
             data = json.load(handle)
     try:
-        pairs = tuple(tuple(int(x) for x in pair) for pair in data.get("I", ()))
-        branches = tuple(int(j) for j in data.get("J", ()))
-        point_mults = tuple(int(x) for x in data.get("n", (0,) * g.s))
-        pair_mults = tuple(tuple(int(x) for x in pm) for pm in data.get("pair_mults", ()))
-        branch_mults = tuple(tuple(int(x) for x in bm) for bm in data.get("branch_mults", ()))
+        pairs = tuple(_json_pair(pair) for pair in data.get("I", ()))
+        branches = tuple(_json_int(j) for j in data.get("J", ()))
+        point_mults = tuple(_json_int(x) for x in data.get("n", (0,) * g.s))
+        pair_mults = tuple(_json_pair(pm) for pm in data.get("pair_mults", ()))
+        branch_mults = tuple(_json_pair(bm) for bm in data.get("branch_mults", ()))
     except (AttributeError, TypeError) as exc:
         raise GraphValidationError([f"malformed stratum: {exc}"]) from exc
     if len(point_mults) != g.s:

@@ -5,8 +5,9 @@ the affine line) whose coefficients are integer polynomials in opaque
 commuting symbols ``e[label]``, one per residue-field label.  The symbols
 stand for classes of spectra of finite field extensions; no relations among
 distinct symbols are imposed, so products like ``e[a]*e[b]`` stay formal.
-Degree-one labels are identified with the ring unit and never create a
-symbol.
+A site's field enters only through ``field_class(label)``: the unit when the
+label is ``None`` (the site's field is the base field), else ``e[label]``.
+``units_class(label)`` is the class of the punctured affine line over it.
 
 ``L``-exponents are exact rationals, stored as ``int`` when integral and as
 ``Fraction`` only when not (see ``_exact``): codimension exponents of strata
@@ -333,48 +334,11 @@ class Specialization(Record):
         raise KeyError(f"no specialization value for symbol e[{label}]")
 
 
-def specialize(x: RingElement, spec: Specialization) -> Fraction:
-    """Apply the ring homomorphism defined by ``spec`` to ``x``."""
-    return x.specialize(spec)
+def field_class(label: str | None) -> RingElement:
+    """The class of Spec of a site's residue field: 1 over the base field."""
+    return RingElement.one() if label is None else RingElement.symbol(label)
 
 
-class SymbolTable(Record):
-    """Registry of residue-field labels and their extension degrees.
-
-    Degree-one labels are identified with the ring unit: ``class_of`` returns
-    1 and ``units_class`` returns ``L - 1`` for them, matching the fact that
-    the punctured affine line over the base field has class ``L - 1``.
-    ``degrees`` is stored sorted, without repeats.
-    """
-
-    _FIELDS = ("degrees",)
-
-    def __init__(self, degrees: tuple[tuple[str, int], ...]):
-        seen = {}
-        for label, deg in degrees:
-            if deg < 1:
-                raise ValueError(f"label {label!r} has nonpositive degree {deg}")
-            if label in seen and seen[label] != deg:
-                raise ValueError(f"label {label!r} registered with two degrees")
-            seen[label] = deg
-        super().__init__(tuple(sorted(set(degrees))))
-
-    def degree(self, label: str | None) -> int:
-        if label is None:
-            return 1
-        for lbl, deg in self.degrees:
-            if lbl == label:
-                return deg
-        raise KeyError(f"unknown field label {label!r}")
-
-    def class_of(self, label: str | None) -> RingElement:
-        """The class of Spec of the labelled field: a symbol, or 1 in degree one."""
-        return RingElement.one() if self.degree(label) == 1 else RingElement.symbol(label)
-
-    def units_class(self, label: str | None) -> RingElement:
-        """Class of the punctured affine line over the labelled field."""
-        return self.class_of(label) * RingElement.lefschetz() - RingElement.one()
-
-
-def units_class(table: SymbolTable, label: str | None) -> RingElement:
-    return table.units_class(label)
+def units_class(label: str | None) -> RingElement:
+    """Class of the punctured affine line over the labelled field."""
+    return field_class(label) * RingElement.lefschetz() - RingElement.one()

@@ -64,101 +64,21 @@ def monomial_codim(sys: MonomialValuationSystem, w) -> int:
     return count
 
 
-class _SmallField:
-    """Arithmetic tables for GF(q), q = p^k a small prime power.
+# GF(4) = GF(2)[x]/(x^2 + x + 1), element a1*x + a0 written as the integer
+# 2*a1 + a0: addition is XOR, and x^2 = x + 1 gives this table.
+_GF4_MUL = (
+    (0, 0, 0, 0),
+    (0, 1, 2, 3),
+    (0, 2, 3, 1),
+    (0, 3, 1, 2),
+)
 
-    Elements are integers 0..q-1 read as base-p digit vectors, i.e. as
-    polynomials over GF(p) reduced modulo a brute-force-found irreducible.
-    """
 
-    def __init__(self, q: int):
-        p = None
-        for candidate in (2, 3, 5, 7):
-            k = 0
-            n = q
-            while n % candidate == 0:
-                n //= candidate
-                k += 1
-            if n == 1 and k >= 1:
-                p = candidate
-                deg = k
-                break
-        if p is None:
-            raise ValueError(f"{q} is not a small prime power")
-        self.q = q
-        self.p = p
-        self.deg = deg
-        if deg == 1:
-            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul_table = [[(a * b) % p for b in range(p)] for a in range(p)]
-            return
-        modulus = self._find_irreducible()
-        elems = [self._digits(n) for n in range(q)]
-        self.add_table = [
-            [self._encode([(x + y) % p for x, y in zip(u, v)]) for v in elems]
-            for u in elems
-        ]
-        self.mul_table = [
-            [self._encode(self._polymulmod(u, v, modulus)) for v in elems]
-            for u in elems
-        ]
-
-    def _digits(self, n):
-        out = []
-        for _ in range(self.deg):
-            out.append(n % self.p)
-            n //= self.p
-        return out
-
-    def _encode(self, digits):
-        n = 0
-        for d in reversed(digits[: self.deg]):
-            n = n * self.p + d
-        return n
-
-    def _polymulmod(self, u, v, modulus):
-        p = self.p
-        prod_coeffs = [0] * (2 * self.deg)
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in enumerate(v):
-                prod_coeffs[i + j] = (prod_coeffs[i + j] + x * y) % p
-        for top in range(2 * self.deg - 1, self.deg - 1, -1):
-            c = prod_coeffs[top]
-            if not c:
-                continue
-            prod_coeffs[top] = 0
-            for j, m in enumerate(modulus):
-                prod_coeffs[top - self.deg + j] = (
-                    prod_coeffs[top - self.deg + j] - c * m
-                ) % p
-        return prod_coeffs[: self.deg]
-
-    def _find_irreducible(self):
-        # monic x^deg + ... ; irreducible iff it has no root for deg <= 3,
-        # which covers every field this module ever builds.
-        assert self.deg <= 3
-        for tail in product(range(self.p), repeat=self.deg):
-            coeffs = list(tail)  # constant first
-            if coeffs[0] == 0:
-                continue
-
-            def value_at(x):
-                acc = 1
-                for c in reversed(coeffs):
-                    acc = (acc * x + c) % self.p
-                return acc
-
-            if all(value_at(x) != 0 for x in range(self.p)):
-                return coeffs
-        raise AssertionError("no irreducible polynomial found")
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
+def _field_ops(q: int):
+    """``(add, mul)`` on GF(q) for q in (2, 3, 4, 5), elements 0..q-1."""
+    if q == 4:
+        return (lambda a, b: a ^ b), (lambda a, b: _GF4_MUL[a][b])
+    return (lambda a, b: (a + b) % q), (lambda a, b: (a * b) % q)
 
 
 def count_divisors_open_line(q: int, removed: int, n: int) -> int:
@@ -182,7 +102,7 @@ def count_divisors_open_line(q: int, removed: int, n: int) -> int:
         return 1
     if removed == 0:
         return sum(q**d for d in range(n + 1))
-    gf = _SmallField(q)
+    add, mul = _field_ops(q)
     avoid = list(range(removed - 1))  # affine removed points; infinity is gone
     count = 0
     for lower in product(range(q), repeat=n):
@@ -191,7 +111,7 @@ def count_divisors_open_line(q: int, removed: int, n: int) -> int:
         for a in avoid:
             acc = 1
             for c in reversed(lower):
-                acc = gf.add(gf.mul(acc, a), c)
+                acc = add(mul(acc, a), c)
             if acc == 0:
                 ok = False
                 break

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from . import _linalg
 from ._record import Record
-from .grothendieck import SymbolTable, _exact, _frac_json
+from .grothendieck import _exact, _frac_json
 
 Pair = tuple[int, int]
 
@@ -246,30 +246,6 @@ class ResolutionGraph(Record):
     def branch_label(self, j: int) -> str | None:
         return self._site_label(site_branch(j), self.branch(j).degree)
 
-    @cached_property
-    def symbol_table(self) -> SymbolTable:
-        degrees: dict[str, int] = {}
-        entries = []
-        for i in range(1, self.s + 1):
-            entries.append((self.component_label(i), self.degree_of(i)))
-        for site in self.pairs:
-            entries.append((self.pair_label(site), site.degree))
-        for j in range(1, self.r + 1):
-            entries.append((self.branch_label(j), self.branch(j).degree))
-        issues = []
-        for label, deg in entries:
-            if label is None:
-                continue
-            if label in degrees and degrees[label] != deg:
-                issues.append(
-                    f"label {label!r} is shared by sites of degrees "
-                    f"{degrees[label]} and {deg}"
-                )
-            degrees[label] = deg
-        if issues:
-            raise GraphValidationError(issues)
-        return SymbolTable(tuple(degrees.items()))
-
     # -- diagnostics ---------------------------------------------------------
 
     @cached_property
@@ -331,8 +307,24 @@ class ResolutionGraph(Record):
         for site, _label in self.labels:
             if site not in valid_sites:
                 issues.append(f"label for unknown site {site!r}")
-        if not issues:
-            self.symbol_table  # degree-consistency check, raises on conflict
+        if issues:
+            return issues
+        # a label names one field, so every site carrying it has its degree
+        sites = (
+            [(self.component_label(i), self.degree_of(i)) for i in range(1, self.s + 1)]
+            + [(self.pair_label(site), site.degree) for site in self.pairs]
+            + [(self.branch_label(j), self.branch(j).degree) for j in range(1, self.r + 1)]
+        )
+        degrees: dict[str, int] = {}
+        for label, deg in sites:
+            if label is None:
+                continue
+            if label in degrees and degrees[label] != deg:
+                issues.append(
+                    f"label {label!r} is shared by sites of degrees "
+                    f"{degrees[label]} and {deg}"
+                )
+            degrees[label] = deg
         return issues
 
     @property
@@ -390,12 +382,17 @@ _PAIR_KEY = re.compile(r"^\s*\(?\s*(\d+)\s*[,;]\s*(\d+)\s*\)?\s*$")
 
 
 def _parse_pair(text) -> Pair:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return (int(text[0]), int(text[1]))
     match = _PAIR_KEY.match(str(text))
     if not match:
         raise GraphValidationError([f"malformed intersection pair {text!r}"])
     return (int(match.group(1)), int(match.group(2)))
+
+
+def _json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; a float or bool is not truncated."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def build(description: dict) -> ResolutionGraph:
@@ -414,19 +411,19 @@ def build(description: dict) -> ResolutionGraph:
     try:
         centers = tuple(
             Center(
-                proximate_to=tuple(sorted(int(x) for x in c.get("prox", ()))),
-                degree=int(c.get("h", 1)),
+                proximate_to=tuple(sorted(_json_int(x) for x in c.get("prox", ()))),
+                degree=_json_int(c.get("h", 1)),
             )
             for c in description.get("centers", ())
         )
         branches = tuple(
-            Branch(attach=int(b["attach"]), degree=int(b.get("h", 1)))
+            Branch(attach=_json_int(b["attach"]), degree=_json_int(b.get("h", 1)))
             for b in description.get("branches", ())
         )
         labels = tuple(sorted((str(k), str(v)) for k, v in description.get("labels", {}).items()))
         overrides = tuple(
             sorted(
-                (_parse_pair(k), int(v))
+                (_parse_pair(k), _json_int(v))
                 for k, v in description.get("h_sigma_overrides", {}).items()
             )
         )
@@ -438,18 +435,6 @@ def build(description: dict) -> ResolutionGraph:
         labels=labels,
         h_sigma_overrides=overrides,
     )
-
-
-def proximity_matrix(g: ResolutionGraph):
-    return g.proximity_matrix
-
-
-def intersection_matrix(g: ResolutionGraph):
-    return g.intersection_matrix
-
-
-def m_matrix(g: ResolutionGraph):
-    return g.m_matrix
 
 
 def matrices_report(g: ResolutionGraph) -> dict:

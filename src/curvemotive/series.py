@@ -57,7 +57,7 @@ from .codim import (
     nhat_codim_literal,
     w_of,
 )
-from .grothendieck import RingElement, _exact, _frac_json
+from .grothendieck import RingElement, _exact, _frac_json, field_class, units_class
 from .resolution import ResolutionGraph
 
 
@@ -236,7 +236,6 @@ def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> Rin
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "bullet" and st.branches:
         raise ValueError("bullet classes are defined for branch-free strata")
-    table = g.symbol_table
     nu = g.nu_circ if variant == "circ" else g.nu_bullet
     out = RingElement.one()
     for i in range(1, g.s + 1):
@@ -246,9 +245,9 @@ def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> Rin
                 g.component_label(i), g.degree_of(i), nu[i - 1], n_i
             )
     for i1, i2 in st.pairs:
-        out = out * table.units_class(g.pair_label(g.pair_site(i1, i2)))
+        out = out * units_class(g.pair_label(g.pair_site(i1, i2)))
     for j in st.branches:
-        out = out * table.units_class(g.branch_label(j))
+        out = out * units_class(g.branch_label(j))
     return out
 
 
@@ -521,13 +520,12 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
         [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
         for a in range(g.s)
     ]
-    table = g.symbol_table
     nu = g.nu_circ if mode == "full" else g.nu_bullet
 
     def site(i, n):
         label = g.component_label(i + 1)
         x = sym_power_class(label, g.degree_of(i + 1), nu[i], n)
-        y = _display_inner_factor(table.class_of(label), nu[i], n).lefschetz_shift(n)
+        y = _display_inner_factor(field_class(label), nu[i], n).lefschetz_shift(n)
         return _agree(what, f" at E{i + 1}, n = {n}", ("stratum sum", "factored display"), x, y)
 
     sites = [[site(i, n) for n in range(max(k[i] for k in keys) + 1)] for i in range(g.s)]
@@ -536,7 +534,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
         for n in keys
     ]
-    class_by_subset = _coefficients(g, mode, keys, below, sites, table.units_class, RingElement.zero())
+    class_by_subset = _coefficients(g, mode, keys, below, sites, units_class, RingElement.zero())
     ones = [[1] * len(row) for row in sites]
     count_by_subset = _coefficients(g, mode, keys, below, ones, lambda _label: 1, 0)
 
@@ -716,10 +714,9 @@ def divisorial_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
     for row in rows:
         if any(x <= 0 for x in row):
             raise ValueError("valuation matrix must be entrywise positive")
-    table = g.symbol_table
-    classes = tuple(table.class_of(g.component_label(i)) for i in range(1, g.s + 1))
+    classes = tuple(field_class(g.component_label(i)) for i in range(1, g.s + 1))
     pair_data = tuple(
-        (site.i1, site.i2, site.degree, table.units_class(g.pair_label(site)))
+        (site.i1, site.i2, site.degree, units_class(g.pair_label(site)))
         for site in g.pairs
     )
     return ClosedFormExpr(

@@ -276,6 +276,11 @@ def test_validation_error_exit_code(capsys, tmp_path):
         {"centers": [5]},
         {"centers": [{"prox": []}], "labels": [1, 2]},
         {"centers": [{"prox": []}], "h_sigma_overrides": [1]},
+        # numbers are JSON integers, never truncated to one
+        {"centers": [{"prox": []}, {"prox": [1.7]}]},
+        {"centers": [{"prox": [], "h": 2.9}]},
+        {"centers": [{"prox": [], "h": True}]},
+        {"centers": [{"prox": [], "h": 2}, {"prox": [1], "h": 4}], "labels": {"E1": "k", "E2": "k"}},
     ):
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "matrices", "--input", str(path))
@@ -284,7 +289,17 @@ def test_validation_error_exit_code(capsys, tmp_path):
 
 
 def test_malformed_stratum_fields_are_data_errors(capsys, cusp_file):
-    for stratum in ('{"I": 5}', '{"n": 5}', '{"J": [[1]]}', '{"branch_mults": [1]}'):
+    for stratum in (
+        '{"I": 5}',
+        '{"n": 5}',
+        '{"J": [[1]]}',
+        '{"branch_mults": [1]}',
+        '{"n": [1.5, 2, 3]}',
+        '{"I": [[1, 3]], "pair_mults": [[1]]}',
+        '{"I": [[1, 3, 2]], "pair_mults": [[1, 1]]}',
+        '{"J": [1], "branch_mults": [[1, 1, 1]]}',
+        '{"J": [true], "branch_mults": [[1, 1]]}',
+    ):
         code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
         assert (code, out) == (1, ""), stratum
         assert err.startswith("validation error: malformed stratum: "), stratum

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemotive import RingElement, Specialization, SymbolTable, specialize, units_class
+from curvemotive import RingElement, Specialization, field_class, units_class
 
 L = RingElement.lefschetz
 one = RingElement.one()
@@ -114,14 +114,13 @@ def test_specialize_fractional_exponent_rules():
 
 
 def test_units_class_variants():
-    table = SymbolTable((("k2", 2), ("plain", 1)))
-    assert table.units_class(None) == L() - one
-    assert table.units_class("plain") == L() - one
-    assert units_class(table, "k2") == RingElement.symbol("k2") * L() - one
-    with pytest.raises(KeyError):
-        table.units_class("nope")
+    # a site over the base field has no label; any label names a proper extension
+    assert field_class(None) == one
+    assert field_class("k2") == RingElement.symbol("k2")
+    assert units_class(None) == L() - one
+    assert units_class("k2") == RingElement.symbol("k2") * L() - one
     # product over a two-element degree-one index set
-    assert (table.units_class(None)) ** 2 == L(2) - 2 * L() + one
+    assert units_class(None) ** 2 == L(2) - 2 * L() + one
 
 
 def test_text_rendering():
@@ -143,9 +142,3 @@ def test_json_round_trip():
     for _ in range(50):
         x = random_element(rng, fractional=True)
         assert RingElement.from_json(x.to_json()) == x
-
-
-def test_specialize_module_function_matches_method():
-    x = L(2) - RingElement.symbol("a")
-    spec = Specialization(lefschetz=Fraction(2), symbols={"a": Fraction(3)})
-    assert specialize(x, spec) == x.specialize(spec) == 1

@@ -16,6 +16,7 @@ from curvemotive import (
     w_of,
 )
 from curvemotive import build
+from curvemotive.oracles import _field_ops
 
 
 def test_semigroup_gf_examples():
@@ -61,6 +62,25 @@ def test_count_divisors_full_projective_line():
     for q in (2, 3):
         for n in range(4):
             assert count_divisors_open_line(q, 0, n) == sum(q**d for d in range(n + 1))
+
+
+def test_gf4_is_a_field_with_x_a_root_of_x2_x_1():
+    add, mul = _field_ops(4)
+    elems = range(4)
+    for a in elems:
+        for b in elems:
+            assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+            for c in elems:
+                assert add(add(a, b), c) == add(a, add(b, c))
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    for a in elems:
+        assert add(a, 0) == a and mul(a, 1) == a
+        assert any(add(a, b) == 0 for b in elems)
+        if a:
+            assert any(mul(a, b) == 1 for b in elems)
+    x = 2
+    assert add(add(mul(x, x), x), 1) == 0
 
 
 def test_symmetric_power_counting_specialization():

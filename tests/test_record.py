@@ -17,7 +17,6 @@ from curvemotive import (
     ResolutionGraph,
     Specialization,
     Stratum,
-    SymbolTable,
     TruncatedSeries,
     divisorial_closed_form,
 )
@@ -63,13 +62,6 @@ CASES = {
             lambda: Specialization(lefschetz=Fraction(1), symbols={"a": Fraction(2)}, default=None),
         ),
         ("lefschetz", "symbols", "default"),
-    ),
-    "SymbolTable": (
-        (
-            lambda: SymbolTable((("b", 2), ("a", 3), ("b", 2))),
-            lambda: SymbolTable(degrees=(("a", 3), ("b", 2))),
-        ),
-        ("degrees",),
     ),
     "MonomialValuationSystem": (
         (
@@ -143,14 +135,12 @@ def test_objects_of_different_types_never_compare_equal():
     # the same field values in another type
     assert Center(1, 2) != Branch(1, 2)
     assert Branch(1, 2) != (1, 2)
-    assert MonomialValuationSystem(((1, 1),)) != SymbolTable((("a", 1),))
 
 
 def test_field_values_decide_equality():
     assert Center((1,), 2) != Center((1,), 1)
     assert Stratum((), (), (0, 1)) != Stratum((), (), (1, 0))
     assert repr(Center((1,), 2)) == "Center(proximate_to=(1,), degree=2)"
-    assert SymbolTable((("b", 2), ("a", 3), ("b", 2))).degrees == (("a", 3), ("b", 2))
     assert Specialization(Fraction(1)).symbols == {}
     assert Specialization(Fraction(1)).default is None
 
