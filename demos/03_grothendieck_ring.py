@@ -36,7 +36,7 @@ print()
 
 print("Symmetric powers of an open line assemble into explicit classes:")
 for n in range(4):
-    cls = sym_power_class(None, 1, 2, n)
+    cls = sym_power_class(None, 2, n)
     print(f"   n = {n}:  {cls}")
 print()
 
@@ -47,7 +47,7 @@ for q in (2, 3):
         row = []
         for n in range(5):
             spec = Specialization(lefschetz=Fraction(q), default=Fraction(1))
-            value = sym_power_class(None, 1, m, n).specialize(spec)
+            value = sym_power_class(None, m, n).specialize(spec)
             assert value == count_divisors_open_line(q, m, n)
             row.append(int(value))
         print(f"   q={q}, {m} points removed: {row}")

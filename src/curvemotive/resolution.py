@@ -13,9 +13,9 @@ transform meets.  From that the module derives
 * the exact rational matrix ``M = -N^{-1}`` whose rows are curvette value
   vectors, built as ``P^-t Delta^-1 P^-1`` from the integer inverse of ``P``
   and checked against ``-N``,
-* the intersection pairs ``I0`` with their point degrees ``h_sigma``, the
-  neighbor counts ``nu_bullet`` / ``nu_circ``, and ``epsilon_i = 2 h_i -
-  nu_bullet_i``.
+* the intersection pairs ``I0`` with their point degrees ``h_sigma =
+  N[i1][i2]``, the neighbor counts ``nu_bullet`` / ``nu_circ``, and
+  ``epsilon_i = 2 h_i - nu_bullet_i``.
 
 Construction validates the classical proximity constraints (earlier indices
 only, divisibility of residue degrees along infinitely near points, branch
@@ -27,7 +27,6 @@ as warnings on the built graph instead.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cached_property
 
@@ -58,7 +57,7 @@ class PairSite(Record):
     _FIELDS = ("i1", "i2", "degree")
 
     def __init__(self, i1: int, i2: int, degree: int):
-        # degree is h_sigma, derived as N[i1][i2] unless overridden
+        # degree is h_sigma = N[i1][i2], the degree of the intersection point
         super().__init__(i1, i2, degree)
 
     @property
@@ -93,19 +92,18 @@ class ResolutionGraph(Record):
     pure function of the input, cached on first access.
     """
 
-    _FIELDS = ("centers", "branches", "labels", "h_sigma_overrides")
+    _FIELDS = ("centers", "branches", "labels")
 
     def __init__(
         self,
         centers: tuple[Center, ...],
         branches: tuple[Branch, ...] = (),
         labels: tuple[tuple[str, str], ...] = (),  # (site key, field label)
-        h_sigma_overrides: tuple[tuple[Pair, int], ...] = (),
     ):
         issues = _validate_input(centers, branches)
         if issues:
             raise GraphValidationError(issues)
-        super().__init__(centers, branches, labels, h_sigma_overrides)
+        super().__init__(centers, branches, labels)
         issues = self._validate_derived()
         if issues:
             raise GraphValidationError(issues)
@@ -177,16 +175,12 @@ class ResolutionGraph(Record):
     @cached_property
     def pairs(self) -> tuple[PairSite, ...]:
         n = self.intersection_matrix
-        overrides = dict(self.h_sigma_overrides)
-        out = []
-        for i1 in range(1, self.s + 1):
-            for i2 in range(i1 + 1, self.s + 1):
-                deg = n[i1 - 1][i2 - 1]
-                if deg != 0:
-                    out.append(
-                        PairSite(i1, i2, overrides.get((i1, i2), deg))
-                    )
-        return tuple(out)
+        return tuple(
+            PairSite(i1, i2, n[i1 - 1][i2 - 1])
+            for i1 in range(1, self.s + 1)
+            for i2 in range(i1 + 1, self.s + 1)
+            if n[i1 - 1][i2 - 1] != 0
+        )
 
     def pair_site(self, i1: int, i2: int) -> PairSite:
         for site in self.pairs:
@@ -265,21 +259,14 @@ class ResolutionGraph(Record):
                     f"h_{i}*beta_{i} = {expected}: some intersection point on E{i} "
                     f"has degree other than h_{i}"
                 )
-        n = self.intersection_matrix
         for site in self.pairs:
-            derived = n[site.i1 - 1][site.i2 - 1]
             h1 = self.degree_of(site.i1)
             h2 = self.degree_of(site.i2)
-            if derived > h1 and derived > h2:
+            if site.degree > h1 and site.degree > h2:
                 out.append(
-                    f"pair {site.key}: intersection degree {derived} exceeds both "
+                    f"pair {site.key}: intersection degree {site.degree} exceeds both "
                     f"component degrees ({h1}, {h2}); possibly a multi-point "
                     "intersection"
-                )
-            if site.degree != derived:
-                out.append(
-                    f"pair {site.key}: h_sigma overridden to {site.degree} "
-                    f"(derived value {derived}); cross-form identities may fail"
                 )
         return tuple(out)
 
@@ -293,12 +280,6 @@ class ResolutionGraph(Record):
                         f"derived intersection number N[{i + 1}][{j + 1}] = {n[i][j]} "
                         "is negative: the proximity data is not realizable"
                     )
-        known_pairs = {site.key for site in self.pairs}
-        for pair, value in self.h_sigma_overrides:
-            if pair not in known_pairs:
-                issues.append(f"h_sigma override for non-intersecting pair {pair}")
-            elif value < 1:
-                issues.append(f"h_sigma override for pair {pair} must be positive")
         valid_sites = (
             {site_component(i) for i in range(1, self.s + 1)}
             | {site_pair(p.i1, p.i2) for p in self.pairs}
@@ -378,16 +359,6 @@ def _validate_input(centers, branches):
     return issues
 
 
-_PAIR_KEY = re.compile(r"^\s*\(?\s*(\d+)\s*[,;]\s*(\d+)\s*\)?\s*$")
-
-
-def _parse_pair(text) -> Pair:
-    match = _PAIR_KEY.match(str(text))
-    if not match:
-        raise GraphValidationError([f"malformed intersection pair {text!r}"])
-    return (int(match.group(1)), int(match.group(2)))
-
-
 def _json_int(x) -> int:
     """``x`` itself if it is a JSON integer; a float or bool is not truncated."""
     if type(x) is not int:
@@ -395,17 +366,29 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_label(x) -> str:
+    """``x`` itself if ``--specialize`` can name it as ``e[x]``.
+
+    That is a non-empty string without ``=`` (which ends the name) or
+    brackets (which decide where an assignment ends).
+    """
+    if type(x) is not str or not x or any(c in x for c in "=[]"):
+        raise TypeError(f"a label is a non-empty string without '=', '[' or ']', got {x!r}")
+    return x
+
+
 def build(description: dict) -> ResolutionGraph:
     """Build and validate a graph from its JSON-shaped description.
 
     Expected keys: ``centers`` (list of ``{"prox": [...], "h": int}`` in
-    blowup order), ``branches`` (list of ``{"attach": int, "h": int}``),
-    optional ``labels`` (site key -> field label) and ``h_sigma_overrides``
-    (pair key like ``"1,3"`` -> positive integer).
+    blowup order), ``branches`` (list of ``{"attach": int, "h": int}``) and
+    optional ``labels`` (site key such as ``"E2"``, ``"P(1,2)"`` or ``"C1"``
+    -> field label).  Every other site degree, a pair's ``h_sigma``
+    included, is derived from these.
     """
     if not isinstance(description, dict):
         raise GraphValidationError(["graph description must be a JSON object"])
-    unknown = set(description) - {"centers", "branches", "labels", "h_sigma_overrides"}
+    unknown = set(description) - {"centers", "branches", "labels"}
     if unknown:
         raise GraphValidationError([f"unknown top-level keys {sorted(unknown)}"])
     try:
@@ -420,21 +403,10 @@ def build(description: dict) -> ResolutionGraph:
             Branch(attach=_json_int(b["attach"]), degree=_json_int(b.get("h", 1)))
             for b in description.get("branches", ())
         )
-        labels = tuple(sorted((str(k), str(v)) for k, v in description.get("labels", {}).items()))
-        overrides = tuple(
-            sorted(
-                (_parse_pair(k), _json_int(v))
-                for k, v in description.get("h_sigma_overrides", {}).items()
-            )
-        )
+        labels = tuple(sorted((k, _json_label(v)) for k, v in description.get("labels", {}).items()))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphValidationError([f"malformed graph record: {exc}"]) from exc
-    return ResolutionGraph(
-        centers=centers,
-        branches=branches,
-        labels=labels,
-        h_sigma_overrides=overrides,
-    )
+    return ResolutionGraph(centers=centers, branches=branches, labels=labels)
 
 
 def matrices_report(g: ResolutionGraph) -> dict:

@@ -189,11 +189,12 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def sym_power_class(label: str | None, degree: int, nu: int, n: int) -> RingElement:
+def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     """Class of the n-th symmetric power of an open exceptional component.
 
     The component is a projective line over the field named by ``label``
-    (degree-one fields contribute no symbol) with ``nu`` points removed,
+    (``None`` for the base field, which contributes no symbol; see
+    ``field_class``) with ``nu`` points removed,
     counted with their degree weights.  The value is the coefficient of
     ``x^n`` in ``(1 - e L x)^{-1} (1 - x)^{nu - 1}``: for ``nu >= 1`` the
     second factor is the finite binomial polynomial, while ``nu = 0`` makes
@@ -203,7 +204,7 @@ def sym_power_class(label: str | None, degree: int, nu: int, n: int) -> RingElem
         raise ValueError("symmetric power index must be nonnegative")
     if nu < 0:
         raise ValueError("removed-point count must be nonnegative")
-    eL = (RingElement.one() if degree == 1 else RingElement.symbol(label)) * RingElement.lefschetz()
+    eL = field_class(label) * RingElement.lefschetz()
     return _binomial_sum(nu, n, lambda l: eL ** (n - l))
 
 
@@ -241,9 +242,7 @@ def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> Rin
     for i in range(1, g.s + 1):
         n_i = st.point_mults[i - 1]
         if n_i:
-            out = out * sym_power_class(
-                g.component_label(i), g.degree_of(i), nu[i - 1], n_i
-            )
+            out = out * sym_power_class(g.component_label(i), nu[i - 1], n_i)
     for i1, i2 in st.pairs:
         out = out * units_class(g.pair_label(g.pair_site(i1, i2)))
     for j in st.branches:
@@ -372,6 +371,20 @@ def _walk(steps, mins, caps, visit):
         values[k] = mins[k]
 
     rec(0, [sum(m * step[c] for m, step in zip(mins, steps)) for c in range(len(steps[0]))])
+
+
+def walk_nhats(g: ResolutionGraph, bound, mode: str):
+    """Every ``nhat`` whose exponent fits under ``bound``, lexicographically.
+
+    Returns ``(d, caps, found)`` with ``d`` and ``caps`` as in ``_lattice``
+    and ``found`` the list of ``(nhat, z)``, ``z = d * (exponent, w)``.  These
+    are exactly the ``nhat`` of the strata ``enumerate_strata`` yields, since
+    the stratum with ``n = nhat`` and nothing else has them.
+    """
+    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
+    found = []
+    _walk(nhat_step, [0] * g.s, caps, lambda n, z: found.append((tuple(n), z)))
+    return d, caps, found
 
 
 def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
@@ -510,10 +523,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
     strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
-    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
-    # every nhat whose exponent fits, lexicographically, with d * (exponent, w)
-    found = []
-    _walk(nhat_step, [0] * g.s, caps, lambda n, z: found.append((tuple(n), z)))
+    d, caps, found = walk_nhats(g, bound, mode)
     keys = [n for n, _z in found]
     position = {n: k for k, n in enumerate(keys)}
     below = [
@@ -524,7 +534,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
 
     def site(i, n):
         label = g.component_label(i + 1)
-        x = sym_power_class(label, g.degree_of(i + 1), nu[i], n)
+        x = sym_power_class(label, nu[i], n)
         y = _display_inner_factor(field_class(label), nu[i], n).lefschetz_shift(n)
         return _agree(what, f" at E{i + 1}, n = {n}", ("stratum sum", "factored display"), x, y)
 

@@ -151,7 +151,7 @@ def test_criterion_5_symmetric_power_counting():
         for m in (1, 2, 3):
             for n in range(5):
                 spec = Specialization(lefschetz=Fraction(q), default=Fraction(1))
-                lhs = sym_power_class(None, 1, m, n).specialize(spec)
+                lhs = sym_power_class(None, m, n).specialize(spec)
                 ok = ok and lhs == count_divisors_open_line(q, m, n)
     _report(
         5,

@@ -1,6 +1,9 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,56 @@ def test_specialize_lefschetz_to_zero_is_a_clean_data_error(capsys, cusp_file):
     assert err.splitlines()[-1] == "error: no specialization value for symbol e[k2]"
 
 
+def test_specialize_names_default_pair_labels(capsys):
+    argv = ["compute", "--series", "pg", "--bound", "6", "--input", str(DEMOS / "graphs" / "chain2_h12.json")]
+    code, default, _err = run(capsys, *argv, "--specialize", "L=1,all=0")
+    assert code == 0
+    code, out, _err = run(capsys, *argv, "--specialize", "L=1,e[k2]=0,e[P(1,2)]=0,e[C1]=0")
+    assert (code, out) == (0, default)
+
+
+def test_every_accepted_label_can_be_specialized(capsys, tmp_path):
+    # E2, P(1,2) and C1 all have degree 2 and so carry symbols in pg
+    graph = {"centers": [{"prox": []}, {"prox": [1], "h": 2}], "branches": [{"attach": 2, "h": 2}]}
+    awkward = ["E2", "P(1,2)", "C1", "a,b", " x ,", "L", "all", "e", "1/2", "(,)", "k\u00e9", "t1^2*L"]
+    labellings = [{}] + [
+        {"E2": awkward[k], "P(1,2)": awkward[k + 1], "C1": awkward[k + 2]} for k in range(0, len(awkward), 3)
+    ]
+    path = tmp_path / "labelled.json"
+    for labels in labellings:
+        path.write_text(json.dumps({**graph, "labels": labels}))
+        argv = ["compute", "--series", "pg", "--bound", "4", "--input", str(path)]
+        code, out, _err = run(capsys, *argv)
+        names = [labels.get(site, site) for site in ("E2", "P(1,2)", "C1")]
+        assert code == 0 and all(f"e[{name}]" in out for name in names), labels
+        code, default, _err = run(capsys, *argv, "--specialize", "L=1,all=0")
+        assert code == 0
+        spec = "L=1," + ",".join(f"e[{name}]=0" for name in names)
+        code, out, _err = run(capsys, *argv, "--specialize", spec)
+        assert (code, out) == (0, default), labels
+
+
+def test_closed_stdout_exits_141_quietly(cusp_file):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails; a cut-off check must not exit 0 as if every line passed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    for argv in (["compute", "--series", "pdg", "--bound", "2"], ["check", "--bound", "4"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvemotive", *argv, "--input", cusp_file],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv
+
+
 def test_check_malformed_bound_is_usage_error(capsys, cusp_file):
     for bound in ("abc", "-1", "3,4"):
         code, out, err = run(capsys, "check", "--input", cusp_file, "--bound", bound)
@@ -275,7 +328,6 @@ def test_validation_error_exit_code(capsys, tmp_path):
         {"centers": [{"prox": [3]}]},
         {"centers": [5]},
         {"centers": [{"prox": []}], "labels": [1, 2]},
-        {"centers": [{"prox": []}], "h_sigma_overrides": [1]},
         # numbers are JSON integers, never truncated to one
         {"centers": [{"prox": []}, {"prox": [1.7]}]},
         {"centers": [{"prox": [], "h": 2.9}]},
@@ -286,6 +338,12 @@ def test_validation_error_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, "matrices", "--input", str(path))
         assert (code, out) == (1, ""), bad
         assert err.startswith("validation error: "), bad
+    # a label that --specialize could not name as e[label]
+    for label in (None, 3, ["k"], "", "a=b", "a[b", "k]"):
+        path.write_text(json.dumps({"centers": [{"prox": [], "h": 2}], "labels": {"E1": label}}))
+        code, out, err = run(capsys, "matrices", "--input", str(path))
+        assert (code, out) == (1, ""), label
+        assert err.startswith("validation error: malformed graph record: a label is "), label
 
 
 def test_malformed_stratum_fields_are_data_errors(capsys, cusp_file):

@@ -88,7 +88,7 @@ def test_symmetric_power_counting_specialization():
         for m in range(0, min(4, q + 1) + 1):
             for n in range(7):
                 spec = Specialization(lefschetz=Fraction(q), default=Fraction(1))
-                lhs = sym_power_class(None, 1, m, n).specialize(spec)
+                lhs = sym_power_class(None, m, n).specialize(spec)
                 assert lhs == count_divisors_open_line(q, m, n), (q, m, n)
 
 

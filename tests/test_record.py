@@ -46,8 +46,8 @@ CASES = {
         ("i1", "i2", "degree"),
     ),
     "ResolutionGraph": (
-        (_cusp, lambda: ResolutionGraph(_cusp().centers, _cusp().branches, (), ())),
-        ("centers", "branches", "labels", "h_sigma_overrides"),
+        (_cusp, lambda: ResolutionGraph(_cusp().centers, _cusp().branches, ())),
+        ("centers", "branches", "labels"),
     ),
     "Stratum": (
         (

@@ -9,6 +9,7 @@ import pytest
 
 from curvemotive import GraphValidationError, build
 from curvemotive import _linalg
+from curvemotive.cli import main
 
 from conftest import random_graph
 
@@ -104,23 +105,24 @@ def test_chain2_h12_matrices(chain2_h12):
     assert [p.degree for p in chain2_h12.pairs] == [2]
 
 
-def test_h_sigma_override_flagged(cusp):
-    g = build(
-        {
-            "centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}],
-            "branches": [{"attach": 3}],
-            "h_sigma_overrides": {"1,3": 2},
-        }
-    )
-    assert g.pair_site(1, 3).degree == 2
-    assert any("overridden" in w for w in g.warnings)
-    with pytest.raises(GraphValidationError, match="non-intersecting"):
-        build(
-            {
-                "centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}],
-                "h_sigma_overrides": {"1,2": 2},
-            }
-        )
+def test_h_sigma_overrides_is_an_unknown_key(capsys, tmp_path):
+    # a pair's degree is derived from the graph alone, never entered
+    rng = random.Random(5)
+    for _ in range(50):
+        g = random_graph(rng)
+        n = g.intersection_matrix
+        assert all(site.degree == n[site.i1 - 1][site.i2 - 1] > 0 for site in g.pairs)
+    description = {
+        "centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}],
+        "branches": [{"attach": 3}],
+        "h_sigma_overrides": {"1,3": 2},
+    }
+    with pytest.raises(GraphValidationError, match=r"unknown top-level keys \['h_sigma_overrides'\]"):
+        build(description)
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(description))
+    assert main(["matrices", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", "validation error: unknown top-level keys ['h_sigma_overrides']\n")
 
 
 def test_labels_share_symbols():

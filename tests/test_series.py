@@ -49,20 +49,20 @@ def ev(*xs):
 
 
 def test_sym_power_trivial_cases():
-    assert sym_power_class(None, 1, 2, 0) == one
-    assert sym_power_class(None, 1, 2, 1) == L() + one - RingElement.integer(2)
-    assert sym_power_class("k2", 2, 3, 1) == RingElement.symbol("k2") * L() - 2 * one
+    assert sym_power_class(None, 2, 0) == one
+    assert sym_power_class(None, 2, 1) == L() + one - RingElement.integer(2)
+    assert sym_power_class("k2", 3, 1) == RingElement.symbol("k2") * L() - 2 * one
 
 
 def test_sym_power_binomial_example():
     # coefficient of t^2 in (1 - L t)^{-1} (1 - t): L^2 - L
-    assert sym_power_class(None, 1, 2, 2) == L(2) - L()
+    assert sym_power_class(None, 2, 2) == L(2) - L()
 
 
 def test_sym_power_no_removed_points():
     # nu = 0: the full projective line, sum of L-powers
     expected = one + L() + L(2) + L(3)
-    assert sym_power_class(None, 1, 0, 3) == expected
+    assert sym_power_class(None, 0, 3) == expected
 
 
 def test_sym_power_matches_convolution_oracle():
@@ -74,9 +74,8 @@ def test_sym_power_matches_convolution_oracle():
     for _ in range(60):
         nu = rng.randint(0, 4)
         n = rng.randint(0, 5)
-        degree = rng.choice((1, 2))
-        label = "k" if degree > 1 else None
-        e = one if degree == 1 else RingElement.symbol("k")
+        label = rng.choice((None, "k"))
+        e = one if label is None else RingElement.symbol("k")
         geometric = [(e * L()) ** k for k in range(n + 1)]
         if nu >= 1:
             binom = [
@@ -90,7 +89,7 @@ def test_sym_power_matches_convolution_oracle():
             l = n - k
             if 0 <= l < len(binom):
                 expected = expected + g_k * binom[l]
-        assert sym_power_class(label, degree, nu, n) == expected
+        assert sym_power_class(label, nu, n) == expected
 
 
 # -- stratum classes ---------------------------------------------------------
@@ -240,6 +239,24 @@ def test_integral_mode_drops_and_counts(chain2_h12):
     assert all(w_of(nhat(st, chain2_h12), chain2_h12).is_integral for st in integral)
     series = poincare_divisorial(chain2_h12, (4, 6), strictness="integral")
     assert series.skipped_nonintegral == len(literal) - len(integral)
+
+
+def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
+    # check's codimension line walks these keys instead of the strata
+    from conftest import random_graph
+
+    rng = random.Random(1200)
+    demos = [build(json.loads(path.read_text(encoding="utf-8"))) for path in GRAPH_FILES]
+    graphs = demos + [random_graph(rng, max_centers=5) for _ in range(30)]
+    for g in graphs:
+        for b in (0, 2, 4, 6):
+            modes = [("divisorial", g.s)] + ([("full", g.r)] if g in demos else [])
+            for mode, arity in modes:
+                bound = (b,) * arity
+                walked = [n for n, _z in series_module.walk_nhats(g, bound, mode)[2]]
+                assert walked == sorted(set(walked)), (g, b, mode)
+                strata = enumerate_strata(g, bound, mode=mode)
+                assert set(walked) == {nhat(st, g) for st in strata}, (g, b, mode)
 
 
 # -- the branch series -------------------------------------------------------
@@ -492,8 +509,9 @@ def test_series_rendering_orders_terms_graded_lex(single):
 
 
 def test_workers_do_not_change_results(cusp, capsys, monkeypatch, tmp_path):
-    # The library has no worker pool; the CLI still accepts --workers and
-    # CURVEMOTIVE_WORKERS, and neither changes a byte of the output.
+    # The library has no worker pool; the CLI still accepts --workers, and
+    # neither it nor CURVEMOTIVE_WORKERS, which nothing reads, changes a byte
+    # of the output.
     import json
 
     from conftest import cusp_description
