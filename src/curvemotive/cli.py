@@ -134,11 +134,7 @@ def _load_graph(path: str):
 def _parse_bound(text: str | None, arity: int, what: str):
     if text is None:
         raise _UsageError(f"--bound is required for {what}")
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        bound = [int(p) for p in parts]
-    except ValueError as exc:
-        raise _UsageError(f"malformed bound {text!r}") from exc
+    bound = _int_list(text, "bound")
     if any(b < 0 for b in bound):
         raise _UsageError("bounds must be nonnegative")
     if len(bound) == 1 and arity > 1:
@@ -150,7 +146,8 @@ def _parse_bound(text: str | None, arity: int, what: str):
     return tuple(bound)
 
 
-def _parse_specialization(text: str) -> Specialization:
+def _parse_specialization(text: str, labels) -> Specialization:
+    """``--specialize`` as a ``Specialization``; a symbol must be one of ``labels``."""
     lefschetz = None
     default = None
     symbols = {}
@@ -173,6 +170,11 @@ def _parse_specialization(text: str) -> Specialization:
         else:
             if key.startswith("e[") and key.endswith("]"):
                 key = key[2:-1]
+            if key not in labels:
+                known = ", ".join(labels) or "none"
+                raise _UsageError(
+                    f"--specialize names {key!r}, not a field label of the graph (labels: {known})"
+                )
             symbols[key] = value
     if lefschetz is None:
         raise _UsageError("a specialization must assign L")
@@ -321,11 +323,13 @@ def _cmd_compute(args) -> int:
         series = poincare_divisorial(g, bound, strictness=strictness)
     else:  # phatd: expansion, cross-checked against the stratum sum
         bound = _parse_bound(args.bound, g.s, "the extended-semigroup series")
-        series = expand(divisorial_closed_form(g), bound)
-        direct = divisorial_semigroup_stratum_sum(g, bound)
-        require_same_series(EXTENDED, "closed form", series, "stratum sum", direct)
+        closed = expand(divisorial_closed_form(g), bound)
+        series = divisorial_semigroup_stratum_sum(g, bound, strictness=strictness)
         if strictness == "integral":
-            series = divisorial_semigroup_stratum_sum(g, bound, strictness=strictness)
+            # a stratum's exponent is its w, so it is dropped exactly when
+            # its term of the closed form has a non-integral exponent
+            closed.terms = {exp: value for exp, value in closed.terms.items() if exp.is_integral}
+        require_same_series(EXTENDED, "closed form", closed, "stratum sum", series)
 
     if series.skipped_nonintegral:
         _warn(f"{series.skipped_nonintegral} strata with non-integral exponents dropped")
@@ -333,7 +337,8 @@ def _cmd_compute(args) -> int:
         _warn("non-integral exponents present; rendered as exact fractions")
 
     if args.specialize:
-        spec = _parse_specialization(args.specialize)
+        labels = dict.fromkeys(label for label, _h in g.labelled_sites)  # in site order, once each
+        spec = _parse_specialization(args.specialize, labels)
         payload = _specialized_payload(series, spec)
         if args.format == "json":
             print(json.dumps({"bound": [_frac_json(b) for b in series.bound], "terms": payload}, indent=2))
@@ -353,9 +358,10 @@ def _cmd_compute(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     _emit_graph_warnings(g)
-    if "," in (args.bound or "").strip(", "):
+    text = "8" if args.bound is None else args.bound
+    if "," in text.strip(", "):
         raise _UsageError("check takes a single scalar --bound")
-    (scalar,) = _parse_bound(args.bound or "8", 1, "check")
+    (scalar,) = _parse_bound(text, 1, "check")
 
     failures = []
 
@@ -375,8 +381,7 @@ def _cmd_check(args) -> int:
     ok = _linalg.mat_mul(p, p_inv) == _linalg.identity(g.s)
     ok = ok and all(type(x) is int for row in p_inv for x in row)
     ok = ok and n == _linalg.transpose(n)
-    ok = ok and m == _linalg.transpose(m)
-    ok = ok and _linalg.mat_mul(m, _linalg.neg(n)) == _linalg.identity(g.s)
+    ok = ok and m == _linalg.transpose(m)  # M * (-N) = I is verified where M is built
     ok = ok and all(x > 0 for row in m for x in row)
     ok = ok and all(x >= 0 for row in p_inv for x in row)
     report("matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)", ok)
@@ -467,7 +472,7 @@ def _semigroup_check(g, pg_series, scalar) -> bool:
 def _int_list(text: str, option: str) -> list[int]:
     """Comma-separated integers; anything else is a usage error."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"malformed {option} {text!r}") from exc
 
@@ -482,11 +487,10 @@ def _cmd_oracle(args) -> int:
         elif args.oracle_name == "monomial-codim":
             weights = []
             for piece in args.weights.split(";"):
-                if piece.strip():
-                    weight = tuple(_int_list(piece, "--weights"))
-                    if len(weight) != 2:
-                        raise _UsageError(f"malformed --weights {piece!r}: each weight is a pair a,b")
-                    weights.append(weight)
+                weight = tuple(_int_list(piece, "--weights"))
+                if len(weight) != 2:
+                    raise _UsageError(f"malformed --weights {piece!r}: each weight is a pair a,b")
+                weights.append(weight)
             system = oracles.MonomialValuationSystem(tuple(weights))
             w = _int_list(args.w, "--w")
             print(oracles.monomial_codim(system, w))

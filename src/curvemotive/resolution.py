@@ -240,6 +240,16 @@ class ResolutionGraph(Record):
     def branch_label(self, j: int) -> str | None:
         return self._site_label(site_branch(j), self.branch(j).degree)
 
+    @cached_property
+    def labelled_sites(self) -> tuple[tuple[str, int], ...]:
+        """``(label, degree)`` of every site of degree > 1, components first."""
+        sites = (
+            [(self.component_label(i), self.degree_of(i)) for i in range(1, self.s + 1)]
+            + [(self.pair_label(site), site.degree) for site in self.pairs]
+            + [(self.branch_label(j), self.branch(j).degree) for j in range(1, self.r + 1)]
+        )
+        return tuple((label, deg) for label, deg in sites if label is not None)
+
     # -- diagnostics ---------------------------------------------------------
 
     @cached_property
@@ -291,15 +301,8 @@ class ResolutionGraph(Record):
         if issues:
             return issues
         # a label names one field, so every site carrying it has its degree
-        sites = (
-            [(self.component_label(i), self.degree_of(i)) for i in range(1, self.s + 1)]
-            + [(self.pair_label(site), site.degree) for site in self.pairs]
-            + [(self.branch_label(j), self.branch(j).degree) for j in range(1, self.r + 1)]
-        )
         degrees: dict[str, int] = {}
-        for label, deg in sites:
-            if label is None:
-                continue
+        for label, deg in self.labelled_sites:
             if label in degrees and degrees[label] != deg:
                 issues.append(
                     f"label {label!r} is shared by sites of degrees "

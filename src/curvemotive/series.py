@@ -20,9 +20,10 @@ the branch multiplicities ``t''``, so one generating-function product sums
 the classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per key;
 the geometric factor in each branch's ``t''`` is then summed as a running
 sum.  A second product counts the strata, which must match a direct
-enumeration.  The factored display differs from the stratum sum in two
-ingredients only, so those are checked one by one: every symmetric-power
-factor and every composed codimension against the display's expanded form.
+enumeration, and every composed codimension in use is checked against the
+literal one.  The symmetric-power classes have no second copy here: they are
+checked by the independent routes, the closed form against its stratum sum
+and the totally rational branch series against the per-stratum reduction.
 The closed form is cross-checked against its own stratum sum by
 ``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
 this module's core self-verification.  ``expand`` multiplies out the
@@ -205,20 +206,11 @@ def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     if nu < 0:
         raise ValueError("removed-point count must be nonnegative")
     eL = field_class(label) * RingElement.lefschetz()
-    return _binomial_sum(nu, n, lambda l: eL ** (n - l))
-
-
-def _binomial_sum(nu: int, n: int, term) -> RingElement:
-    """``sum_{l<=n} c_l term(l)``, ``c_l`` the coefficients of ``(1 - x)^(nu - 1)``.
-
-    They are ``(-1)^l binom(nu - 1, l)`` for ``nu >= 1`` and all 1 for
-    ``nu = 0``, where the factor is the geometric series.
-    """
     if nu == 0:
-        return sum((term(l) for l in range(n + 1)), RingElement.zero())
+        return sum((eL ** (n - l) for l in range(n + 1)), RingElement.zero())
     return sum(
         (
-            RingElement.integer((-1) ** l * comb(nu - 1, l)) * term(l)
+            RingElement.integer((-1) ** l * comb(nu - 1, l)) * eL ** (n - l)
             for l in range(min(n, nu - 1) + 1)
         ),
         RingElement.zero(),
@@ -248,14 +240,6 @@ def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> Rin
     for j in st.branches:
         out = out * units_class(g.branch_label(j))
     return out
-
-
-def _display_inner_factor(e: RingElement, nu: int, n: int) -> RingElement:
-    # Per-component factor of the factored display, with the symbol power
-    # e^n folded in so exponents stay nonnegative:
-    #   sum_l (-1)^l binom(nu-1, l) e^(n-l) L^(-l)      (nu >= 1)
-    #   sum_l e^(n-l) L^(-l)                            (nu = 0)
-    return _binomial_sum(nu, n, lambda l: (e ** (n - l)).lefschetz_shift(-l))
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +498,10 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     stratum classes per ``(nhat, J)``.  Each key's sum is placed at ``t'' =
     (1, ..., 1)`` with ``L^(-F - sum_J deg_j)``, and the factor
     ``sum_{t''_j >= 1} L^(-deg_j (t''_j - 1)) t_j^(h (t''_j - 1))`` of each
-    ``j`` in ``J`` is a running sum (``_divide``).  Each site factor must equal
-    ``_display_inner_factor L^n`` and each key's composed codimension the
-    literal one.  A second product with every class set to 1 counts the
-    strata per key; times the number of ``t''`` that fit, the totals must
-    match the stratum enumeration.  In ``integral`` mode a key is decided by
+    ``j`` in ``J`` is a running sum (``_divide``).  Each key's composed
+    codimension must equal the literal one.  A second product with every
+    class set to 1 counts the strata per key; times the number of ``t''``
+    that fit, the totals must match the stratum enumeration.  In ``integral`` mode a key is decided by
     its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
@@ -531,14 +514,11 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
         for a in range(g.s)
     ]
     nu = g.nu_circ if mode == "full" else g.nu_bullet
-
-    def site(i, n):
-        label = g.component_label(i + 1)
-        x = sym_power_class(label, nu[i], n)
-        y = _display_inner_factor(field_class(label), nu[i], n).lefschetz_shift(n)
-        return _agree(what, f" at E{i + 1}, n = {n}", ("stratum sum", "factored display"), x, y)
-
-    sites = [[site(i, n) for n in range(max(k[i] for k in keys) + 1)] for i in range(g.s)]
+    # per component, its class for every n_i up to the largest in use
+    sites = [
+        [sym_power_class(g.component_label(i + 1), nu[i], n) for n in range(top + 1)]
+        for i, top in enumerate(map(max, zip(*keys)))
+    ]
     names = ("composed codimension", "literal codimension")
     codims = [
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
@@ -622,9 +602,9 @@ def poincare_generalised(
 ) -> TruncatedSeries:
     """The branch series, truncated coordinatewise at ``bound``.
 
-    The stratum sum ``sum L^(-F) [Y] t^v`` is checked against the factored
-    display ingredient by ingredient; a mismatch raises
-    ``SeriesCrossCheckError``.
+    The stratum sum ``sum L^(-F) [Y] t^v`` is built once; its composed
+    codimensions are checked against the literal ones and its stratum count
+    against the enumeration, and a mismatch raises ``SeriesCrossCheckError``.
     """
     require_branches(g)
     return _assemble(g, bound, "full", strictness, "branch series")
@@ -761,25 +741,24 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
 
 
 def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
-    """Independent expansion of the all-degrees-one closed form.
+    """Expansion of the all-degrees-one closed form, built from ``M`` alone.
 
     Numerator factors are ``1 - t^{m_{i1}} - t^{m_{i2}} + L t^{m_{i1}}
     t^{m_{i2}}``; the denominator is ``prod (1 - t^{m_i})(1 - L t^{m_i})``.
+    It shares ``expand`` with the general closed form, so comparing the two
+    checks what ``divisorial_closed_form`` reads off a totally rational graph.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
-    d, rows, caps = _lattice(g.m_matrix, bound)
-    zero = (0,) * g.s
     one = RingElement.one()
-    lef = RingElement.lefschetz()
-    poly = {zero: one} if min(caps) >= 0 else {}
-    for site in g.pairs:
-        a, b = rows[site.i1 - 1], rows[site.i2 - 1]
-        poly = _times(poly, {zero: one, a: -one, b: -one, tuple(map(add, a, b)): lef}, caps)
-    for row in rows:
-        poly = _divide(poly, row, one, caps)
-        poly = _divide(poly, row, lef, caps)
-    return _from_lattice(g.s, bound, d, poly)
+    units = RingElement.lefschetz() - one
+    cf = ClosedFormExpr(
+        arity=g.s,
+        m_rows=tuple(ExponentVector(row) for row in g.m_matrix),
+        component_classes=(one,) * g.s,
+        pair_data=tuple((site.i1, site.i2, 1, units) for site in g.pairs),
+    )
+    return expand(cf, bound)
 
 
 def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:

@@ -89,23 +89,6 @@ def test_random_multibranch_graphs_with_degrees_match_reference():
     assert skipped > 0, "integral mode must drop some strata on these graphs"
 
 
-def test_route_mismatch_names_first_exponent_and_both_values(cusp, monkeypatch):
-    original = series_module._display_inner_factor
-
-    def doubled_at_one(e, nu, n):
-        value = original(e, nu, n)
-        return 2 * value if n == 1 else value
-
-    monkeypatch.setattr(series_module, "_display_inner_factor", doubled_at_one)
-    with pytest.raises(SeriesCrossCheckError) as info:
-        poincare_generalised(cusp, (7,))
-    # the first differing ingredient: [Sym^1 E1°] = L, doubled in the display
-    assert str(info.value) == (
-        "branch series: stratum sum and factored display disagree at E1, n = 1: "
-        "stratum sum L, factored display 2*L"
-    )
-
-
 def test_codimension_mismatch_names_nhat_and_both_values(cusp, monkeypatch):
     original = series_module.nhat_codim_literal
 

@@ -218,29 +218,79 @@ def test_closed_stdout_exits_141_quietly(cusp_file):
 
 
 def test_check_malformed_bound_is_usage_error(capsys, cusp_file):
-    for bound in ("abc", "-1", "3,4"):
+    for bound in ("abc", "-1", "3,4", "6,", ",6", " ", ""):
         code, out, err = run(capsys, "check", "--input", cusp_file, "--bound", bound)
         assert code == 2, bound
         assert out == "" and err.startswith("usage error: "), bound
 
 
+def test_empty_bound_field_is_usage_error(capsys, cusp_file):
+    for bound in ("4,,", ",4", "4,", "4, ,4"):
+        code, out, err = run(capsys, "compute", "--series", "pg", "--bound", bound, "--input", cusp_file)
+        assert (code, out, err) == (2, "", f"usage error: malformed bound {bound!r}\n"), bound
+
+
 def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
     from curvemotive import series
 
-    original = series._display_inner_factor
+    original = series.nhat_codim_literal
 
-    def doubled_at_one(e, nu, n):
-        value = original(e, nu, n)
-        return 2 * value if n == 1 else value
+    def off_by_one_at(nh, g):
+        return original(nh, g) + (1 if nh == (0, 1, 0) else 0)
 
-    monkeypatch.setattr(series, "_display_inner_factor", doubled_at_one)
+    # the series see the patched literal codimension; check's own
+    # codimension line uses the binding in cli, which stays correct
+    monkeypatch.setattr(series, "nhat_codim_literal", off_by_one_at)
     code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
     assert code == 3
+    lines = out.splitlines()
     for what in ("divisorial", "branch"):
         assert (
-            f"FAIL: {what} series: stratum sum vs factored display ({what} series: stratum "
-            "sum and factored display disagree at E1, n = 1: stratum sum L, factored display 2*L)"
-        ) in out.splitlines()
+            f"FAIL: {what} series: stratum sum vs factored display ({what} series: composed "
+            "codimension and literal codimension disagree at nhat = (0, 1, 0): composed "
+            "codimension 3, literal codimension 4)"
+        ) in lines
+    assert "ok: codimensions: composed vs expanded form, genus identity" in lines
+
+
+def test_wrong_symmetric_power_coefficients_fail_the_independent_lines(capsys, cusp_file, monkeypatch):
+    from curvemotive import series
+
+    original = series.sym_power_class
+
+    def binomial_off_by_one(label, nu, n):
+        # the coefficients of (1 - x)^nu in place of (1 - x)^(nu - 1)
+        return original(label, nu + 1, n)
+
+    monkeypatch.setattr(series, "sym_power_class", binomial_off_by_one)
+    monkeypatch.setattr(cli, "sym_power_class", binomial_off_by_one)
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "6")
+    assert code == 3
+    failed = [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    for name in (
+        "extended-semigroup series: closed form vs stratum sum",
+        "symmetric-power classes count divisors over GF(2), GF(3)",
+        "totally rational: branch-series reduction",
+    ):
+        assert f"FAIL: {name}" in failed, name
+
+
+def test_wrong_pair_units_fail_the_extended_semigroup_reduction(capsys, cusp_file, monkeypatch):
+    from curvemotive.series import ClosedFormExpr
+
+    original = cli.divisorial_closed_form
+
+    def pair_units_off_by_one(g):
+        cf = original(g)
+        pairs = tuple((i1, i2, h, units - RingElement.one()) for i1, i2, h, units in cf.pair_data)
+        return ClosedFormExpr(cf.arity, cf.m_rows, cf.component_classes, pairs)
+
+    monkeypatch.setattr(cli, "divisorial_closed_form", pair_units_off_by_one)
+    # cusp's first pair term is t1^3*t2^4*t3^8, so bound 6 would not reach it
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "9")
+    assert code == 3
+    failed = [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert "FAIL: totally rational: extended-semigroup reduction" in failed
 
 
 @pytest.mark.parametrize("name", ["nhat_codim_literal", "deg_AK"])
@@ -315,6 +365,50 @@ def test_phatd_strict_integral_counts_dropped_strata(capsys):
     assert code == 0
     assert TruncatedSeries.from_json(json.loads(out)) == want
     assert json.loads(out)["skipped_nonintegral"] == 20
+
+
+def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkeypatch):
+    original = cli.divisorial_semigroup_stratum_sum
+
+    def bumped_when_integral(g, bound, *, strictness="literal"):
+        series = original(g, bound, strictness=strictness)
+        if strictness == "integral":
+            series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
+        return series
+
+    monkeypatch.setattr(cli, "divisorial_semigroup_stratum_sum", bumped_when_integral)
+    path = str(DEMOS / "graphs" / "chain2_h12.json")
+    argv = ["compute", "--series", "phatd", "--bound", "6", "--input", path]
+    code, _out, _err = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--strict-integral")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        "cross-check failure: extended-semigroup series: closed form and stratum sum disagree; "
+        "first at 1: closed form 1, stratum sum 2"
+    )
+
+
+def test_specialize_rejects_a_label_the_graph_does_not_carry(capsys, cusp_file):
+    chain = str(DEMOS / "graphs" / "chain2_h12.json")
+    argv = ["compute", "--series", "pdg", "--bound", "2", "--input", chain, "--specialize"]
+    for spec in ("L=1,all=1,e[kk2]=5", "L=1,all=1,kk2=5"):
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out) == (2, ""), spec
+        assert err.splitlines()[-1] == (
+            "usage error: --specialize names 'kk2', not a field label of the graph "
+            "(labels: k2, P(1,2), C1)"
+        ), spec
+    # a branch label is a label of the graph, though pdg has no branch symbol
+    code, default, _err = run(capsys, *argv, "L=1,all=1")
+    assert code == 0
+    code, out, _err = run(capsys, *argv, "L=1,all=1,e[k2]=0,e[C1]=0")
+    assert code == 0 and out != default
+    code, out, err = run(
+        capsys, "compute", "--series", "pg", "--bound", "4", "--input", cusp_file, "--specialize", "L=1,e[k]=3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: --specialize names 'k', not a field label of the graph (labels: none)\n"
 
 
 def test_unknown_flag_is_usage_error(capsys, cusp_file):
@@ -457,6 +551,11 @@ def test_oracle_subcommands(capsys):
         ("monomial-codim", "--weights", "0,1", "--w", "1"),
         ("monomial-codim", "--weights", "1,1", "--w", "1,2"),
         ("semigroup-gf", "--generators", "0,2", "--bound", "5"),
+        # an empty field
+        ("semigroup-gf", "--generators", "2,,3", "--bound", "7"),
+        ("semigroup-gf", "--generators", "2,3,", "--bound", "7"),
+        ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,,3"),
+        ("monomial-codim", "--weights", "1,1;;1,2", "--w", "2,3"),
     ],
 )
 def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
