@@ -66,9 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bound=False):
+    def add_common(p, bound=False, output_format=True):
         p.add_argument("--input", required=True, help="graph description (JSON file)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if output_format:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if bound:
             p.add_argument(
                 "--bound",
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_check = sub.add_parser("check", help="run all cross-form identities")
-    add_common(p_check, bound=True)
+    add_common(p_check, bound=True, output_format=False)
     p_check.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force validator directly")
@@ -305,6 +306,10 @@ def _cmd_compute(args) -> int:
     strictness = "integral" if args.strict_integral else "literal"
 
     if args.series == "phatd-closed":
+        given = (args.bound is not None, args.specialize is not None, args.strict_integral)
+        for option, on in zip(("--bound", "--specialize", "--strict-integral"), given):
+            if on:
+                raise _UsageError(f"phatd-closed reads only --input and --format, not {option}")
         cf = divisorial_closed_form(g)
         if not cf.has_integral_exponents:
             _warn("non-integral exponents present; rendered as exact fractions")
@@ -429,7 +434,7 @@ def _cmd_check(args) -> int:
     ok = all(
         nhat_codim(nh, g) == nhat_codim_literal(nh, g)
         and hoskin_deligne(w_of(nh, g), g) == Fraction(-(deg_AA(nh, g) + deg_AK(nh, g)), 2)
-        for nh, _z in walk_nhats(g, div_bound, "divisorial")[2]
+        for nh, _z in walk_nhats(g, div_bound, "divisorial")[3]
     )
     report("codimensions: composed vs expanded form, genus identity", ok)
 

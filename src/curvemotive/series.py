@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, lcm, prod
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import add, le, mul
 
 from ._record import Record
@@ -327,48 +327,45 @@ def _from_lattice(arity, bound, d, poly) -> TruncatedSeries:
     return series
 
 
-def _attachments(g: ResolutionGraph, mode: str):
-    """The components the branches attach to, for ``_lattice`` in ``full`` mode."""
-    return [g.branch(j).attach for j in range(1, g.r + 1)] if mode == "full" else ()
-
-
-def _walk(steps, mins, caps, visit):
-    """Call ``visit(values, z)`` for every ``values >= mins`` whose
-    ``z = sum_k values[k] * steps[k]`` fits under ``caps``, lexicographically.
+def _walk(steps, mins, start, caps, visit):
+    """Call ``visit(values, z)`` for every ``values >= mins`` whose ``z`` fits
+    under ``caps``, lexicographically.  ``z`` is ``start`` at ``values = mins``
+    and moves by ``steps[k]`` per unit of ``values[k]``.
 
     Only the leading ``len(caps)`` entries of ``z`` are bounded; the rest ride
-    along.  Every step raises at least one bounded entry, so the walk ends.
-    ``values`` is reused between calls.
+    along.  A step is taken only while ``z`` fits, so with no steps ``start``
+    is visited as it is.  Every step raises at least one bounded entry, so the
+    walk ends.  ``values`` is reused between calls.
     """
     values = list(mins)
-    last = len(steps) - 1
 
     def rec(k, z):
-        step = steps[k]
+        if k == len(steps):
+            visit(values, z)
+            return
         while all(map(le, z, caps)):  # map() stops at the end of caps
-            if k == last:
-                visit(values, z)
-            else:
-                rec(k + 1, z)
+            rec(k + 1, z)
             values[k] += 1
-            z = [a + b for a, b in zip(z, step)]
+            z = [a + b for a, b in zip(z, steps[k])]
         values[k] = mins[k]
 
-    rec(0, [sum(m * step[c] for m, step in zip(mins, steps)) for c in range(len(steps[0]))])
+    rec(0, start)
 
 
 def walk_nhats(g: ResolutionGraph, bound, mode: str):
     """Every ``nhat`` whose exponent fits under ``bound``, lexicographically.
 
-    Returns ``(d, caps, found)`` with ``d`` and ``caps`` as in ``_lattice``
-    and ``found`` the list of ``(nhat, z)``, ``z = d * (exponent, w)``.  These
-    are exactly the ``nhat`` of the strata ``enumerate_strata`` yields, since
-    the stratum with ``n = nhat`` and nothing else has them.
+    Returns ``(d, steps, caps, found)`` with ``d``, ``steps`` and ``caps`` as
+    in ``_lattice`` and ``found`` the list of ``(nhat, z)``, ``z = d *
+    (exponent, w)``.  These are exactly the ``nhat`` of the strata
+    ``enumerate_strata`` yields, since the stratum with ``n = nhat`` and
+    nothing else has them.
     """
-    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
+    attach = [g.branch(j).attach for j in range(1, g.r + 1)] if mode == "full" else ()
+    d, steps, caps = _lattice(g.m_matrix, bound, attach)
     found = []
-    _walk(nhat_step, [0] * g.s, caps, lambda n, z: found.append((tuple(n), z)))
-    return d, caps, found
+    _walk(steps, [0] * g.s, [0] * len(steps[0]), caps, lambda n, z: found.append((tuple(n), z)))
+    return d, steps, caps, found
 
 
 def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
@@ -376,9 +373,11 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
 
     Returns ``(strata, skipped)`` where ``skipped`` counts the strata dropped
     in ``integral`` mode for having a non-integral valuation or exponent
-    vector.  Termination relies on every entry of ``M`` being strictly
-    positive, which holds because the graph is connected: raising any
-    multiplicity strictly raises every valuation coordinate.
+    vector.  A stratum is a point ``n`` of the ``nhat`` walk plus its family's
+    legs, ``(n', n'')`` per chosen pair and ``(t', t'')`` per chosen branch,
+    each at least 1.  ``n`` is walked once; a family walks its legs from each
+    point with room for all of them at 1, and is passed over when ``n = 0``
+    has none.  The order is family, then ``n``, then legs.
     """
     if mode not in ("full", "divisorial"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,51 +386,42 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
     if mode == "full" and g.r < 1:
         raise ValueError("branch-variable enumeration needs at least one branch")
     bound = tuple(Fraction(b) for b in bound)
-    d, nhat_step, caps = _lattice(g.m_matrix, bound, _attachments(g, mode))
+    d, nhat_step, caps, points = walk_nhats(g, bound, mode)
     if any(b < 0 for b in bound):
         raise ValueError("bounds must be nonnegative")
 
-    s = g.s
-    # A unit of t''_j adds d * h to exponent j, h the degree of its attaching
-    # component.  Integral mode checks the exponent vector and w.
     width = len(nhat_step[0])
-    branch_step = [
-        [d * g.degree_of(g.branch(j).attach) if k == j - 1 else 0 for k in range(width)]
-        for j in range(1, g.r + 1)
-    ]
-
     strata: list[Stratum] = []
     skipped = 0
 
     for pair_subset in _subsets([site.key for site in g.pairs]):
         branch_subsets = _subsets(list(range(1, g.r + 1))) if mode == "full" else ((),)
         for branch_subset in branch_subsets:
-            # Independent variables in canonical order: n_i, then (n', n'')
-            # per pair, then (t', t'') per branch.
-            steps = list(nhat_step)
-            for i1, i2 in pair_subset:
-                steps += [nhat_step[i1 - 1], nhat_step[i2 - 1]]
+            legs = [nhat_step[i - 1] for pair in pair_subset for i in pair]
             for j in branch_subset:
-                steps += [nhat_step[g.branch(j).attach - 1], branch_step[j - 1]]
-            n_pairs = len(pair_subset)
+                # a unit of t''_j adds d * h to exponent j, h the degree of
+                # the component the branch attaches to
+                a = g.branch(j).attach
+                t_step = [d * g.degree_of(a) if k == j - 1 else 0 for k in range(width)]
+                legs += [nhat_step[a - 1], t_step]
+            least = list(map(sum, zip([0] * width, *legs)))  # every leg at 1
+            if not all(map(le, least, caps)):
+                continue  # not even n = 0 has room
+            cut = 2 * len(pair_subset)  # pair legs before it, branch legs after
 
-            def emit(values, z):
+            def emit(n, values, z):
                 nonlocal skipped
+                # integral mode checks the exponent vector and w
                 if strictness == "integral" and any(x % d for x in z):
                     skipped += 1
                     return
-                rest = values[s:]
-                strata.append(
-                    Stratum(
-                        pairs=pair_subset,
-                        branches=branch_subset,
-                        point_mults=tuple(values[:s]),
-                        pair_mults=tuple(zip(rest[0 : 2 * n_pairs : 2], rest[1 : 2 * n_pairs : 2])),
-                        branch_mults=tuple(zip(rest[2 * n_pairs :: 2], rest[2 * n_pairs + 1 :: 2])),
-                    )
-                )
+                p, b = iter(values[:cut]), iter(values[cut:])  # zip(p, p) pairs consecutive legs
+                strata.append(Stratum(pair_subset, branch_subset, n, tuple(zip(p, p)), tuple(zip(b, b))))
 
-            _walk(steps, [0] * s + [1] * (len(steps) - s), caps, emit)
+            for n, z in points:
+                start = list(map(add, z, least))
+                if all(map(le, start, caps)):
+                    _walk(legs, [1] * len(legs), start, caps, partial(emit, n))
     return strata, skipped
 
 
@@ -506,7 +496,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
     strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
-    d, caps, found = walk_nhats(g, bound, mode)
+    d, _steps, caps, found = walk_nhats(g, bound, mode)
     keys = [n for n, _z in found]
     position = {n: k for k, n in enumerate(keys)}
     below = [

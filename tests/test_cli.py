@@ -121,6 +121,17 @@ def test_compute_closed_form_single(capsys, single_file):
     assert out.strip() == "1 / ((1 - t1)*(1 - L*t1))"
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["--bound", "3"], ["--bound", ",,,"], ["--specialize", "L=1,all=5"], ["--strict-integral"]],
+)
+def test_closed_form_rejects_the_options_it_does_not_read(capsys, option):
+    argv = ["compute", "--series", "phatd-closed", "--input", str(DEMOS / "graphs" / "chain2_h12.json")]
+    code, out, err = run(capsys, *argv, *option)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"usage error: phatd-closed reads only --input and --format, not {option[0]}\n")
+
+
 def test_compute_pg_with_specialization(capsys, cusp_file):
     code, out, _err = run(
         capsys,
@@ -414,6 +425,12 @@ def test_specialize_rejects_a_label_the_graph_does_not_carry(capsys, cusp_file):
 def test_unknown_flag_is_usage_error(capsys, cusp_file):
     code, _out, _err = run(capsys, "compute", "--nope", "--input", cusp_file)
     assert code == 2
+
+
+def test_check_has_no_format_option(capsys, cusp_file):
+    code, out, err = run(capsys, "check", "--bound", "4", "--input", cusp_file, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format json" in err
 
 
 def test_validation_error_exit_code(capsys, tmp_path):

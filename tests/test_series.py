@@ -179,9 +179,31 @@ def naive_strata(g, bound, mode):
     return found
 
 
+def two_branch_graphs_with_degrees():
+    """Four random graphs, each with two branches and a site of degree > 1.
+
+    Their numbers of pairs run from 0 to 3, and the naive product over them
+    stays small at the bounds ``MIXED_BOUND`` gives.
+    """
+    from conftest import random_graph
+
+    rng = random.Random(6)
+    graphs = []
+    while len(graphs) < 4:
+        g = random_graph(rng, max_centers=4)
+        if g.r >= 2 and not g.is_totally_rational:
+            graphs.append(g)
+    return graphs
+
+
+MIXED_BOUND = {"full": 2, "divisorial": 3}
+
+
 @pytest.mark.parametrize("mode", ["full", "divisorial"])
 def test_enumeration_matches_naive_oracle(cusp, chain2_h12, mode):
-    for g, bound in ((cusp, 7), (chain2_h12, 5)):
+    cases = [(cusp, 7), (chain2_h12, 5)]
+    cases += [(g, MIXED_BOUND[mode]) for g in two_branch_graphs_with_degrees()]
+    for g, bound in cases:
         arity = g.r if mode == "full" else g.s
         got = list(enumerate_strata(g, (bound,) * arity, mode=mode))
         assert len(got) == len(set(got)), "strata must be emitted exactly once"
@@ -239,6 +261,24 @@ def test_integral_mode_drops_and_counts(chain2_h12):
     assert all(w_of(nhat(st, chain2_h12), chain2_h12).is_integral for st in integral)
     series = poincare_divisorial(chain2_h12, (4, 6), strictness="integral")
     assert series.skipped_nonintegral == len(literal) - len(integral)
+    # integral mode keeps the literal strata with integral w and exponent,
+    # in the literal order, and counts the rest
+    for mode, route in (("full", poincare_generalised), ("divisorial", poincare_divisorial)):
+        dropped = 0
+        for g in two_branch_graphs_with_degrees():
+            bound = (MIXED_BOUND[mode],) * (g.r if mode == "full" else g.s)
+            literal = list(enumerate_strata(g, bound, mode=mode))
+            integral = list(enumerate_strata(g, bound, mode=mode, strictness="integral"))
+            kept = [
+                st
+                for st in literal
+                if w_of(nhat(st, g), g).is_integral and (mode == "divisorial" or v_of(st, g).is_integral)
+            ]
+            assert integral == kept, (g, mode)
+            skipped = route(g, bound, strictness="integral").skipped_nonintegral
+            assert skipped == len(literal) - len(kept), (g, mode)
+            dropped += skipped
+        assert dropped > 0, mode
 
 
 def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
@@ -253,7 +293,7 @@ def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
             modes = [("divisorial", g.s)] + ([("full", g.r)] if g in demos else [])
             for mode, arity in modes:
                 bound = (b,) * arity
-                walked = [n for n, _z in series_module.walk_nhats(g, bound, mode)[2]]
+                walked = [n for n, _z in series_module.walk_nhats(g, bound, mode)[3]]
                 assert walked == sorted(set(walked)), (g, b, mode)
                 strata = enumerate_strata(g, bound, mode=mode)
                 assert set(walked) == {nhat(st, g) for st in strata}, (g, b, mode)
