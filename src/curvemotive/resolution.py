@@ -311,6 +311,14 @@ class ResolutionGraph(Record):
             degrees[label] = deg
         return issues
 
+    @cached_property
+    def without_branches(self) -> "ResolutionGraph":
+        """The same centers and component and pair labels, with no branches."""
+        if not self.r:
+            return self
+        labels = tuple((site, label) for site, label in self.labels if not site.startswith("C"))
+        return ResolutionGraph(self.centers, (), labels)
+
     @property
     def is_totally_rational(self) -> bool:
         return (

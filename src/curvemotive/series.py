@@ -7,15 +7,15 @@ exponents:
 * the branch series (one variable per curve branch), assembled from strata
   indexed by subsets of intersection points, subsets of branches, and
   multiplicity data;
-* the divisorial series (one variable per exceptional component), same
-  machinery with branch data removed and the open components taken relative
-  to the exceptional divisor only;
+* the divisorial series (one variable per exceptional component), the same
+  construction on the branch-free graph ``g.without_branches``;
 * the divisorial extended-semigroup series, which admits a closed rational
   form: a product of intersection-pair factors over the product of
   ``(1 - t^{m_i}) (1 - e_i L t^{m_i})`` with ``m_i`` the i-th row of ``M``.
 
-The first two series are stratum sums, built without visiting strata one by
-one: codimension and exponent depend on a stratum only through ``nhat`` and
+The first two series are one stratum sum, with exponent ``v`` on a graph with
+branches and ``w`` on a branch-free graph, built without visiting strata one
+by one: codimension and exponent depend on a stratum only through ``nhat`` and
 the branch multiplicities ``t''``, so one generating-function product sums
 the classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per key;
 the geometric factor in each branch's ``t''`` is then summed as a running
@@ -217,24 +217,18 @@ def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     )
 
 
-def stratum_class(st: Stratum, g: ResolutionGraph, variant: str = "circ") -> RingElement:
+def stratum_class(st: Stratum, g: ResolutionGraph) -> RingElement:
     """Grothendieck class of a stratum: symmetric powers times unit classes.
 
-    ``circ`` removes intersection points with the whole total transform
-    (branches included); ``bullet`` removes only the pairwise intersections
-    of exceptional components and is the divisorial variant, which forbids
-    branch data on the stratum.
+    Each open component loses its intersection points with the rest of the
+    total transform, ``g.nu_circ``: the other components and the branches of
+    ``g``.  On ``g.without_branches`` that is the divisorial class.
     """
-    if variant not in ("circ", "bullet"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "bullet" and st.branches:
-        raise ValueError("bullet classes are defined for branch-free strata")
-    nu = g.nu_circ if variant == "circ" else g.nu_bullet
     out = RingElement.one()
     for i in range(1, g.s + 1):
         n_i = st.point_mults[i - 1]
         if n_i:
-            out = out * sym_power_class(g.component_label(i), nu[i - 1], n_i)
+            out = out * sym_power_class(g.component_label(i), g.nu_circ[i - 1], n_i)
     for i1, i2 in st.pairs:
         out = out * units_class(g.pair_label(g.pair_site(i1, i2)))
     for j in st.branches:
@@ -352,23 +346,25 @@ def _walk(steps, mins, start, caps, visit):
     rec(0, start)
 
 
-def walk_nhats(g: ResolutionGraph, bound, mode: str):
-    """Every ``nhat`` whose exponent fits under ``bound``, lexicographically.
+def walk_nhats(g: ResolutionGraph, bound):
+    """Every ``nhat`` whose exponent (``v``, or ``w`` if ``g`` has no branches)
+    fits under ``bound``, lexicographically.
 
-    Returns ``(d, steps, caps, found)`` with ``d``, ``steps`` and ``caps`` as
-    in ``_lattice`` and ``found`` the list of ``(nhat, z)``, ``z = d *
-    (exponent, w)``.  These are exactly the ``nhat`` of the strata
-    ``enumerate_strata`` yields, since the stratum with ``n = nhat`` and
-    nothing else has them.
+    Returns ``(d, steps, caps, found, t_steps)`` with ``d``, ``steps`` and
+    ``caps`` as in ``_lattice``, ``found`` the list of ``(nhat, z)``, ``z = d *
+    (exponent, w)``, and ``t_steps[j - 1] = d * h``, what a unit of ``t''_j``
+    adds to ``d * v_j`` (``h`` the degree of the component branch ``j`` attaches
+    to).  These are exactly the ``nhat`` of the strata ``enumerate_strata``
+    yields, since the stratum with ``n = nhat`` and nothing else has them.
     """
-    attach = [g.branch(j).attach for j in range(1, g.r + 1)] if mode == "full" else ()
+    attach = [b.attach for b in g.branches]
     d, steps, caps = _lattice(g.m_matrix, bound, attach)
     found = []
     _walk(steps, [0] * g.s, [0] * len(steps[0]), caps, lambda n, z: found.append((tuple(n), z)))
-    return d, steps, caps, found
+    return d, steps, caps, found, [d * g.degree_of(a) for a in attach]
 
 
-def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
+def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     """All strata whose exponent vector fits under ``bound``, in a fixed order.
 
     Returns ``(strata, skipped)`` where ``skipped`` counts the strata dropped
@@ -379,14 +375,10 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
     point with room for all of them at 1, and is passed over when ``n = 0``
     has none.  The order is family, then ``n``, then legs.
     """
-    if mode not in ("full", "divisorial"):
-        raise ValueError(f"unknown mode {mode!r}")
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
-    if mode == "full" and g.r < 1:
-        raise ValueError("branch-variable enumeration needs at least one branch")
     bound = tuple(Fraction(b) for b in bound)
-    d, nhat_step, caps, points = walk_nhats(g, bound, mode)
+    d, nhat_step, caps, points, t_steps = walk_nhats(g, bound)
     if any(b < 0 for b in bound):
         raise ValueError("bounds must be nonnegative")
 
@@ -395,15 +387,11 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
     skipped = 0
 
     for pair_subset in _subsets([site.key for site in g.pairs]):
-        branch_subsets = _subsets(list(range(1, g.r + 1))) if mode == "full" else ((),)
-        for branch_subset in branch_subsets:
+        for branch_subset in _subsets(list(range(1, g.r + 1))):
             legs = [nhat_step[i - 1] for pair in pair_subset for i in pair]
             for j in branch_subset:
-                # a unit of t''_j adds d * h to exponent j, h the degree of
-                # the component the branch attaches to
-                a = g.branch(j).attach
-                t_step = [d * g.degree_of(a) if k == j - 1 else 0 for k in range(width)]
-                legs += [nhat_step[a - 1], t_step]
+                t_step = [t_steps[j - 1] if k == j - 1 else 0 for k in range(width)]
+                legs += [nhat_step[g.branch(j).attach - 1], t_step]
             least = list(map(sum, zip([0] * width, *legs)))  # every leg at 1
             if not all(map(le, least, caps)):
                 continue  # not even n = 0 has room
@@ -425,9 +413,9 @@ def _scan_strata(g: ResolutionGraph, bound, mode: str, strictness: str):
     return strata, skipped
 
 
-def enumerate_strata(g: ResolutionGraph, bound, mode: str = "full", strictness: str = "literal"):
-    """Every stratum whose exponent vector is coordinatewise at most ``bound``."""
-    yield from _scan_strata(g, bound, mode, strictness)[0]
+def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
+    """Every stratum whose exponent (as in ``walk_nhats``) is coordinatewise at most ``bound``."""
+    yield from _scan_strata(g, bound, strictness)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +443,7 @@ def _tail(values, below, zero):
     return out
 
 
-def _coefficients(g, mode, keys, below, site, unit, zero):
+def _coefficients(g, keys, below, site, unit, zero):
     """Per branch subset ``J`` (list index: its bit mask), the coefficient of ``x^nhat`` in
 
         ``prod_i sum_n site[i][n] x_i^n
@@ -472,16 +460,15 @@ def _coefficients(g, mode, keys, below, site, unit, zero):
         u = unit(g.pair_label(p))
         values = [a + u * b for a, b in zip(values, both)]
     per_subset = [values]
-    if mode == "full":
-        for j in range(1, g.r + 1):
-            u = unit(g.branch_label(j))
-            below_a = below[g.branch(j).attach - 1]
-            per_subset += [[u * b for b in _tail(c, below_a, zero)] for c in per_subset]
+    for j in range(1, g.r + 1):
+        u = unit(g.branch_label(j))
+        below_a = below[g.branch(j).attach - 1]
+        per_subset += [[u * b for b in _tail(c, below_a, zero)] for c in per_subset]
     return per_subset
 
 
-def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
-    """The branch (``full``) or divisorial series, summed per key.
+def _assemble(g: ResolutionGraph, bound, strictness: str):
+    """The branch series, or the divisorial one if ``g`` has no branch, per key.
 
     ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
     branch second multiplicities ``t''``, so ``_coefficients`` sums the
@@ -495,18 +482,18 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
     its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
-    strata, scan_skipped = _scan_strata(g, bound, mode, strictness)
-    d, _steps, caps, found = walk_nhats(g, bound, mode)
+    what = "branch series" if g.r else "divisorial series"
+    strata, scan_skipped = _scan_strata(g, bound, strictness)
+    d, _steps, caps, found, t_steps = walk_nhats(g, bound)
     keys = [n for n, _z in found]
     position = {n: k for k, n in enumerate(keys)}
     below = [
         [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
         for a in range(g.s)
     ]
-    nu = g.nu_circ if mode == "full" else g.nu_bullet
     # per component, its class for every n_i up to the largest in use
     sites = [
-        [sym_power_class(g.component_label(i + 1), nu[i], n) for n in range(top + 1)]
+        [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
         for i, top in enumerate(map(max, zip(*keys)))
     ]
     names = ("composed codimension", "literal codimension")
@@ -514,16 +501,14 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
         for n in keys
     ]
-    class_by_subset = _coefficients(g, mode, keys, below, sites, units_class, RingElement.zero())
+    class_by_subset = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
     ones = [[1] * len(row) for row in sites]
-    count_by_subset = _coefficients(g, mode, keys, below, ones, lambda _label: 1, 0)
+    count_by_subset = _coefficients(g, keys, below, ones, lambda _label: 1, 0)
 
     width = len(caps)
     terms = {}
     total = skipped = 0
-    subsets = list(_subsets(list(range(1, g.r + 1)))) if mode == "full" else [()]
-    # d * v_j grows by t_step[j - 1] per unit of t''_j
-    t_step = [d * g.degree_of(g.branch(j).attach) for j in range(1, g.r + 1)]
+    subsets = _subsets(list(range(1, g.r + 1)))
     for branches, counts, values in zip(subsets, count_by_subset, class_by_subset):
         degree = sum(g.branch(j).degree for j in branches)
         placed = {}
@@ -531,7 +516,7 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
             if not count:
                 continue
             z = found[k][1]
-            fits = prod((caps[j - 1] - z[j - 1]) // t_step[j - 1] for j in branches)
+            fits = prod((caps[j - 1] - z[j - 1]) // t_steps[j - 1] for j in branches)
             if not fits:
                 continue
             total += count * fits
@@ -540,12 +525,12 @@ def _assemble(g: ResolutionGraph, bound, mode: str, strictness: str, what: str):
                 continue
             exp = list(z[:width])
             for j in branches:
-                exp[j - 1] += t_step[j - 1]
+                exp[j - 1] += t_steps[j - 1]
             exp = tuple(exp)
             value = values[k].lefschetz_shift(-(codims[k] + degree))
             placed[exp] = placed[exp] + value if exp in placed else value
         for j in branches:
-            step = tuple(t_step[j - 1] if a == j - 1 else 0 for a in range(width))
+            step = tuple(t_steps[j - 1] if a == j - 1 else 0 for a in range(width))
             placed = _divide(placed, step, RingElement.lefschetz(-g.branch(j).degree), caps)
         for exp, value in placed.items():
             terms[exp] = terms[exp] + value if exp in terms else value
@@ -597,14 +582,15 @@ def poincare_generalised(
     against the enumeration, and a mismatch raises ``SeriesCrossCheckError``.
     """
     require_branches(g)
-    return _assemble(g, bound, "full", strictness, "branch series")
+    return _assemble(g, bound, strictness)
 
 
 def poincare_divisorial(
     g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
-    """The divisorial series, truncated coordinatewise at ``bound``."""
-    return _assemble(g, bound, "divisorial", strictness, "divisorial series")
+    """The divisorial series, truncated coordinatewise at ``bound``: the
+    branch series' construction on ``g.without_branches``."""
+    return _assemble(g.without_branches, bound, strictness)
 
 
 def divisorial_semigroup_stratum_sum(
@@ -615,10 +601,11 @@ def divisorial_semigroup_stratum_sum(
     This is the stratum-level description of the extended-semigroup series;
     it must reproduce ``expand(divisorial_closed_form(g), bound)`` exactly.
     """
-    strata, skipped = _scan_strata(g, bound, "divisorial", strictness)
+    g = g.without_branches
+    strata, skipped = _scan_strata(g, bound, strictness)
 
     def term(st: Stratum):
-        return w_of(nhat(st, g), g), stratum_class(st, g, "bullet")
+        return w_of(nhat(st, g), g), stratum_class(st, g)
 
     return _mapreduce(g.s, bound, strata, skipped, term)
 
@@ -763,7 +750,7 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
-    strata, skipped = _scan_strata(g, bound, "full", "literal")
+    strata, skipped = _scan_strata(g, bound, "literal")
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = cache(lambda nh: nhat_codim(nh, g))

@@ -28,38 +28,35 @@ DEMO_GRAPHS = sorted((Path(__file__).parent.parent / "demos" / "graphs").glob("*
 STRICTNESS = ("literal", "integral")
 
 
-def reference_series(g, bound, mode, strictness):
-    """``sum [Y] L^(-F) t^v`` term by term over the enumerated strata.
+def reference_series(g, bound, strictness):
+    """``sum [Y] L^(-F) t^v`` term by term over the enumerated strata, or
+    ``sum [Y] L^(-F_D) t^w`` when ``g`` has no branches.
 
     In ``integral`` mode a stratum with a non-integral ``w`` or exponent is
     counted in ``skipped_nonintegral`` instead of summed.
     """
-    arity = g.r if mode == "full" else g.s
-    out = TruncatedSeries.zero(arity, bound)
-    for st in enumerate_strata(g, bound, mode=mode):
+    out = TruncatedSeries.zero(g.r or g.s, bound)
+    for st in enumerate_strata(g, bound):
         w = w_of(nhat(st, g), g)
-        if mode == "full":
-            exp, value = v_of(st, g), stratum_class(st, g, "circ").lefschetz_shift(-codim_F(st, g))
-        else:
-            exp, value = w, stratum_class(st, g, "bullet").lefschetz_shift(-codim_FD(st, g))
+        exp, codim = (v_of(st, g), codim_F(st, g)) if g.r else (w, codim_FD(st, g))
         if strictness == "integral" and not (w.is_integral and exp.is_integral):
             out.skipped_nonintegral += 1
             continue
-        out.add_term(exp, value)
+        out.add_term(exp, stratum_class(st, g).lefschetz_shift(-codim))
     return out
 
 
 def assert_matches_reference(g, pg_bound, pdg_bound):
     skipped = 0
     for strictness in STRICTNESS:
-        cases = [(poincare_divisorial, "divisorial", (pdg_bound,) * g.s)]
+        cases = [(poincare_divisorial, g.without_branches, (pdg_bound,) * g.s)]
         if g.r >= 1:
-            cases.append((poincare_generalised, "full", (pg_bound,) * g.r))
-        for compute, mode, bound in cases:
+            cases.append((poincare_generalised, g, (pg_bound,) * g.r))
+        for compute, h, bound in cases:
             got = compute(g, bound, strictness=strictness)
-            want = reference_series(g, bound, mode, strictness)
-            assert got == want, (mode, strictness)
-            assert got.skipped_nonintegral == want.skipped_nonintegral, (mode, strictness)
+            want = reference_series(h, bound, strictness)
+            assert got == want, (compute, strictness)
+            assert got.skipped_nonintegral == want.skipped_nonintegral, (compute, strictness)
             skipped += got.skipped_nonintegral
     return skipped
 
@@ -75,7 +72,7 @@ def test_two_branch_cusp_matches_reference(cusp_two_branches):
     # non-uniform bounds, one of them zero
     g = cusp_two_branches
     for bound in ((9, 0), (3, 8)):
-        assert poincare_generalised(g, bound) == reference_series(g, bound, "full", "literal")
+        assert poincare_generalised(g, bound) == reference_series(g, bound, "literal")
 
 
 def test_random_multibranch_graphs_with_degrees_match_reference():

@@ -146,6 +146,24 @@ def test_labels_share_symbols():
     assert info.value.issues == ("label 'k' is shared by sites of degrees 2 and 4",)
 
 
+def test_without_branches_drops_exactly_the_branch_labels():
+    free = build({"centers": [{"prox": []}, {"prox": [1]}]})
+    assert free.without_branches is free
+    g = build(
+        {
+            "centers": [{"prox": []}, {"prox": [1], "h": 2}],
+            "branches": [{"attach": 2, "h": 2}, {"attach": 1, "h": 2}],
+            "labels": {"E2": "k", "C1": "k", "C2": "m", "P(1,2)": "p"},
+        }
+    )
+    bare = g.without_branches
+    assert bare is g.without_branches
+    assert (bare.centers, bare.branches) == (g.centers, ())
+    # "k" is shared by E2 and C1: it goes from C1 only
+    assert bare.labels == (("E2", "k"), ("P(1,2)", "p"))
+    assert bare.component_label(2) == "k"
+
+
 def test_unknown_label_site_rejected():
     with pytest.raises(GraphValidationError, match="unknown site"):
         build({"centers": [{"prox": []}], "labels": {"E7": "x"}})

@@ -29,6 +29,7 @@ from curvemotive import (
     semigroup_gf,
     stratum_class,
     sym_power_class,
+    units_class,
     v_of,
     w_of,
 )
@@ -100,21 +101,21 @@ def test_stratum_class_examples(cusp):
     st = Stratum(pairs=((1, 3),), branches=(), point_mults=(0, 0, 0), pair_mults=((1, 1),))
     assert stratum_class(st, cusp) == L() - one
     st = Stratum(pairs=(), branches=(), point_mults=(0, 0, 1))
-    assert stratum_class(st, cusp, "circ") == L() - 2 * one
-    assert stratum_class(st, cusp, "bullet") == L() - one
-    with pytest.raises(ValueError):
-        stratum_class(
-            Stratum(pairs=(), branches=(1,), point_mults=(0, 0, 0), branch_mults=((1, 1),)),
-            cusp,
-            "bullet",
-        )
+    # E3 loses the branch point too, unless the graph has no branch
+    assert stratum_class(st, cusp) == L() - 2 * one
+    assert stratum_class(st, cusp.without_branches) == L() - one
+    st = Stratum(pairs=(), branches=(1,), point_mults=(0, 0, 1), branch_mults=((1, 1),))
+    assert stratum_class(st, cusp) == (L() - 2 * one) * (L() - one)
 
 
 # -- enumeration -------------------------------------------------------------
 
 
-def naive_strata(g, bound, mode):
-    """Nested-loop enumeration: box per variable, then exact filtering."""
+def naive_strata(g, bound):
+    """Nested-loop enumeration: box per variable, then exact filtering.
+
+    The exponent is ``v`` on a graph with branches and ``w`` on one without.
+    """
     bound = tuple(Fraction(b) for b in bound)
     pairs0 = [site.key for site in g.pairs]
     branch_range = range(1, g.r + 1)
@@ -124,7 +125,7 @@ def naive_strata(g, bound, mode):
         # unit of nhat at idx raises exponent coordinate c by m[idx][c]
         caps = []
         for c, b in enumerate(bound):
-            col = c if mode == "divisorial" else g.branch(c + 1).attach - 1
+            col = g.branch(c + 1).attach - 1 if g.r else c
             caps.append(b / m[idx][col])
         return int(min(caps))
 
@@ -133,14 +134,10 @@ def naive_strata(g, bound, mode):
         tuple(p for p, keep in zip(pairs0, flags) if keep)
         for flags in product((False, True), repeat=len(pairs0))
     ]
-    branch_subsets = (
-        [
-            tuple(j for j, keep in zip(branch_range, flags) if keep)
-            for flags in product((False, True), repeat=g.r)
-        ]
-        if mode == "full"
-        else [()]
-    )
+    branch_subsets = [
+        tuple(j for j, keep in zip(branch_range, flags) if keep)
+        for flags in product((False, True), repeat=g.r)
+    ]
     for pairs in pair_subsets:
         for branches in branch_subsets:
             ranges = [range(var_cap(i) + 1) for i in range(g.s)]
@@ -150,7 +147,8 @@ def naive_strata(g, bound, mode):
             for j in branches:
                 attach = g.branch(j).attach
                 ranges.append(range(1, var_cap(attach - 1) + 1))
-                ranges.append(range(1, int(max(bound)) + 1))
+                # a unit of t''_j raises v_j by the degree of E_attach
+                ranges.append(range(1, bound[j - 1] // g.degree_of(attach) + 1))
             for values in product(*ranges):
                 point_mults = values[: g.s]
                 rest = values[g.s :]
@@ -169,11 +167,7 @@ def naive_strata(g, bound, mode):
                     pair_mults=pair_mults,
                     branch_mults=branch_mults,
                 )
-                exp = (
-                    w_of(nhat(st, g), g)
-                    if mode == "divisorial"
-                    else v_of(st, g)
-                )
+                exp = v_of(st, g) if g.r else w_of(nhat(st, g), g)
                 if exp.leq(bound):
                     found.add(st)
     return found
@@ -183,7 +177,7 @@ def two_branch_graphs_with_degrees():
     """Four random graphs, each with two branches and a site of degree > 1.
 
     Their numbers of pairs run from 0 to 3, and the naive product over them
-    stays small at the bounds ``MIXED_BOUND`` gives.
+    stays small at the bound ``MIXED_BOUND``.
     """
     from conftest import random_graph
 
@@ -196,40 +190,41 @@ def two_branch_graphs_with_degrees():
     return graphs
 
 
-MIXED_BOUND = {"full": 2, "divisorial": 3}
+MIXED_BOUND = 3
 
 
-@pytest.mark.parametrize("mode", ["full", "divisorial"])
-def test_enumeration_matches_naive_oracle(cusp, chain2_h12, mode):
+@pytest.mark.parametrize(
+    "series_graph",
+    [pytest.param(lambda g: g, id="full"), pytest.param(lambda g: g.without_branches, id="divisorial")],
+)
+def test_enumeration_matches_naive_oracle(cusp, chain2_h12, series_graph):
     cases = [(cusp, 7), (chain2_h12, 5)]
-    cases += [(g, MIXED_BOUND[mode]) for g in two_branch_graphs_with_degrees()]
+    cases += [(g, MIXED_BOUND) for g in two_branch_graphs_with_degrees()]
     for g, bound in cases:
-        arity = g.r if mode == "full" else g.s
-        got = list(enumerate_strata(g, (bound,) * arity, mode=mode))
+        g = series_graph(g)
+        got = list(enumerate_strata(g, (bound,) * (g.r or g.s)))
         assert len(got) == len(set(got)), "strata must be emitted exactly once"
-        assert set(got) == naive_strata(g, (bound,) * arity, mode)
+        assert set(got) == naive_strata(g, (bound,) * (g.r or g.s))
 
 
 def test_enumeration_zero_bound(cusp):
-    assert list(enumerate_strata(cusp, (0,), mode="full")) == [Stratum.zero(3)]
-    assert list(enumerate_strata(cusp, (0, 0, 0), mode="divisorial")) == [
-        Stratum.zero(3)
-    ]
+    assert list(enumerate_strata(cusp, (0,))) == [Stratum.zero(3)]
+    assert list(enumerate_strata(cusp.without_branches, (0, 0, 0))) == [Stratum.zero(3)]
 
 
 def test_enumeration_single_divisorial(single):
-    strata = list(enumerate_strata(single, (3,), mode="divisorial"))
+    strata = list(enumerate_strata(single.without_branches, (3,)))
     assert sorted(st.point_mults[0] for st in strata) == [0, 1, 2, 3]
 
 
 def test_enumeration_cusp_excludes_branch_stratum_beyond_bound(cusp):
-    strata = list(enumerate_strata(cusp, (6,), mode="full"))
+    strata = list(enumerate_strata(cusp, (6,)))
     assert Stratum(pairs=(), branches=(), point_mults=(0, 0, 1)) in strata
     barely = Stratum(
         pairs=(), branches=(1,), point_mults=(0, 0, 0), branch_mults=((1, 1),)
     )
     assert barely not in strata  # v = 7 > 6
-    assert barely in enumerate_strata(cusp, (7,), mode="full")
+    assert barely in enumerate_strata(cusp, (7,))
 
 
 def test_integral_mode_checks_w_not_just_exponents():
@@ -253,32 +248,35 @@ def test_integral_mode_checks_w_not_just_exponents():
 
 
 def test_integral_mode_drops_and_counts(chain2_h12):
-    literal = list(enumerate_strata(chain2_h12, (4, 6), mode="divisorial"))
-    integral = list(
-        enumerate_strata(chain2_h12, (4, 6), mode="divisorial", strictness="integral")
-    )
+    g = chain2_h12.without_branches
+    literal = list(enumerate_strata(g, (4, 6)))
+    integral = list(enumerate_strata(g, (4, 6), strictness="integral"))
     assert len(integral) < len(literal)
-    assert all(w_of(nhat(st, chain2_h12), chain2_h12).is_integral for st in integral)
+    assert all(w_of(nhat(st, g), g).is_integral for st in integral)
     series = poincare_divisorial(chain2_h12, (4, 6), strictness="integral")
     assert series.skipped_nonintegral == len(literal) - len(integral)
     # integral mode keeps the literal strata with integral w and exponent,
     # in the literal order, and counts the rest
-    for mode, route in (("full", poincare_generalised), ("divisorial", poincare_divisorial)):
+    for route, series_graph in (
+        (poincare_generalised, lambda g: g),
+        (poincare_divisorial, lambda g: g.without_branches),
+    ):
         dropped = 0
         for g in two_branch_graphs_with_degrees():
-            bound = (MIXED_BOUND[mode],) * (g.r if mode == "full" else g.s)
-            literal = list(enumerate_strata(g, bound, mode=mode))
-            integral = list(enumerate_strata(g, bound, mode=mode, strictness="integral"))
+            h = series_graph(g)
+            bound = (MIXED_BOUND,) * (h.r or h.s)
+            literal = list(enumerate_strata(h, bound))
+            integral = list(enumerate_strata(h, bound, strictness="integral"))
             kept = [
                 st
                 for st in literal
-                if w_of(nhat(st, g), g).is_integral and (mode == "divisorial" or v_of(st, g).is_integral)
+                if w_of(nhat(st, h), h).is_integral and (not h.r or v_of(st, h).is_integral)
             ]
-            assert integral == kept, (g, mode)
+            assert integral == kept, (g, route)
             skipped = route(g, bound, strictness="integral").skipped_nonintegral
-            assert skipped == len(literal) - len(kept), (g, mode)
+            assert skipped == len(literal) - len(kept), (g, route)
             dropped += skipped
-        assert dropped > 0, mode
+        assert dropped > 0, route
 
 
 def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
@@ -290,13 +288,12 @@ def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
     graphs = demos + [random_graph(rng, max_centers=5) for _ in range(30)]
     for g in graphs:
         for b in (0, 2, 4, 6):
-            modes = [("divisorial", g.s)] + ([("full", g.r)] if g in demos else [])
-            for mode, arity in modes:
-                bound = (b,) * arity
-                walked = [n for n, _z in series_module.walk_nhats(g, bound, mode)[3]]
-                assert walked == sorted(set(walked)), (g, b, mode)
-                strata = enumerate_strata(g, bound, mode=mode)
-                assert set(walked) == {nhat(st, g) for st in strata}, (g, b, mode)
+            for h in [g.without_branches] + ([g] if g in demos else []):
+                bound = (b,) * (h.r or h.s)
+                walked = [n for n, _z in series_module.walk_nhats(h, bound)[3]]
+                assert walked == sorted(set(walked)), (h, b)
+                strata = enumerate_strata(h, bound)
+                assert set(walked) == {nhat(st, h) for st in strata}, (h, b)
 
 
 # -- the branch series -------------------------------------------------------
@@ -360,6 +357,32 @@ def test_pdg_single_blowup_frozen(single):
 def test_pdg_zero_bound_is_one(cusp):
     series = poincare_divisorial(cusp, (0, 0, 0))
     assert series.terms == {ev(0, 0, 0): one}
+
+
+def test_divisorial_series_ignore_branches():
+    # both divisorial routes run on the branch-free graph, whose open
+    # components lose only their pairwise intersections, nu_bullet
+    from conftest import random_graph, random_stratum
+
+    rng = random.Random(14)
+    graphs = []
+    while len(graphs) < 30:
+        g = random_graph(rng, max_centers=5)
+        if g.r:
+            graphs.append(g)
+    for g in graphs:
+        bare = build({"centers": [{"prox": list(c.proximate_to), "h": c.degree} for c in g.centers]})
+        bound = (3,) * g.s
+        assert poincare_divisorial(g, bound) == poincare_divisorial(bare, bound)
+        assert divisorial_semigroup_stratum_sum(g, bound) == divisorial_semigroup_stratum_sum(bare, bound)
+        st = random_stratum(rng, g, divisorial=True)
+        bullet = one
+        for i, n_i in enumerate(st.point_mults, start=1):
+            if n_i:
+                bullet = bullet * sym_power_class(g.component_label(i), g.nu_bullet[i - 1], n_i)
+        for i1, i2 in st.pairs:
+            bullet = bullet * units_class(g.pair_label(g.pair_site(i1, i2)))
+        assert stratum_class(st, g.without_branches) == bullet
 
 
 # -- the extended-semigroup series -------------------------------------------
@@ -593,8 +616,8 @@ def test_two_branch_series(cusp_two_branches):
     assert series == poincare_generalised_totally_rational(g, (6, 6))
     # branch 2 sits on E1, so t2 tracks the multiplicity filtration
     assert series.coefficient(ev(2, 1)) != RingElement.zero()
-    naive = naive_strata(g, (6, 6), "full")
-    assert set(enumerate_strata(g, (6, 6), mode="full")) == naive
+    naive = naive_strata(g, (6, 6))
+    assert set(enumerate_strata(g, (6, 6))) == naive
 
 
 def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two_branches, monkeypatch):
