@@ -34,6 +34,13 @@ Both running sums work on int exponent tuples on the lattice ``d * M``
 (``_lattice``), which every exponent lies on, and convert to
 ``ExponentVector`` once per output term.
 
+Each (graph, bound)'s strata are enumerated once per process:
+``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
+the count checks inside the two stratum sums and the per-stratum references
+(``divisorial_semigroup_stratum_sum``, the totally rational branch series)
+all read one enumeration.  No cross-check loses its independence by this:
+each consumer gets the result the same deterministic function would give it.
+
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
 of nonnegative contributions, truncating all intermediate products and sums
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, lcm, prod
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce, wraps
 from operator import add, le, mul
 
 from ._record import Record
@@ -190,6 +197,7 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)  # check at bound 30 asks for under 100 on each benchmark graph
 def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     """Class of the n-th symmetric power of an open exceptional component.
 
@@ -199,7 +207,8 @@ def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     counted with their degree weights.  The value is the coefficient of
     ``x^n`` in ``(1 - e L x)^{-1} (1 - x)^{nu - 1}``: for ``nu >= 1`` the
     second factor is the finite binomial polynomial, while ``nu = 0`` makes
-    it a geometric series, giving ``sum_{k<=n} (e L)^k``.
+    it a geometric series, giving ``sum_{k<=n} (e L)^k``.  Pure, so the
+    last 1024 values asked for are kept.
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
@@ -254,14 +263,18 @@ def _lattice(m, bound, attach=()):
     by the 1-based ``attach`` are the branch series' exponents, and without
     them the exponent vector is ``w`` itself.  An exponent fits under the
     bound exactly when its leading ``len(bound)`` entries are at most ``caps``.
+    Every route reads its bound through here, so this is where a bound of the
+    wrong length or with a negative entry is rejected.
     """
     d = lcm(*(Fraction(x).denominator for row in m for x in row))
     rows = [tuple(int(Fraction(x) * d) for x in row) for row in m]
-    caps = [floor(Fraction(b) * d) for b in bound]
+    caps = tuple(floor(Fraction(b) * d) for b in bound)
     arity = len(attach) or len(rows[0])
     if len(caps) != arity:
         raise ValueError(f"bound arity {len(caps)} does not match {arity} variables")
-    return d, [tuple(row[a - 1] for a in attach) + row for row in rows], caps
+    if any(cap < 0 for cap in caps):
+        raise ValueError("bounds must be nonnegative")
+    return d, tuple(tuple(row[a - 1] for a in attach) + row for row in rows), caps
 
 
 def _times(poly, factor, caps):
@@ -346,41 +359,64 @@ def _walk(steps, mins, start, caps, visit):
     rec(0, start)
 
 
+def _memo(maxsize: int):
+    """``lru_cache(maxsize)`` for a pure ``fn(g, bound, *rest)``.
+
+    The key holds ``bound`` as a tuple, so a list works as well as a tuple;
+    equal ints and ``Fraction``s hash alike and share an entry.  ``fn`` must
+    return only immutable values, since every hit hands out the same object.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize)(fn)
+
+        @wraps(fn)
+        def call(g, bound, *rest):
+            return cached(g, tuple(bound), *rest)
+
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return decorate
+
+
+@_memo(maxsize=2)  # check walks the branch-free graph and the graph itself
 def walk_nhats(g: ResolutionGraph, bound):
     """Every ``nhat`` whose exponent (``v``, or ``w`` if ``g`` has no branches)
     fits under ``bound``, lexicographically.
 
     Returns ``(d, steps, caps, found, t_steps)`` with ``d``, ``steps`` and
-    ``caps`` as in ``_lattice``, ``found`` the list of ``(nhat, z)``, ``z = d *
+    ``caps`` as in ``_lattice``, ``found`` the tuple of ``(nhat, z)``, ``z = d *
     (exponent, w)``, and ``t_steps[j - 1] = d * h``, what a unit of ``t''_j``
     adds to ``d * v_j`` (``h`` the degree of the component branch ``j`` attaches
     to).  These are exactly the ``nhat`` of the strata ``enumerate_strata``
     yields, since the stratum with ``n = nhat`` and nothing else has them.
+    The last two results per process are kept.
     """
     attach = [b.attach for b in g.branches]
     d, steps, caps = _lattice(g.m_matrix, bound, attach)
     found = []
-    _walk(steps, [0] * g.s, [0] * len(steps[0]), caps, lambda n, z: found.append((tuple(n), z)))
-    return d, steps, caps, found, [d * g.degree_of(a) for a in attach]
+    _walk(steps, [0] * g.s, [0] * len(steps[0]), caps, lambda n, z: found.append((tuple(n), tuple(z))))
+    return d, steps, caps, tuple(found), tuple(d * g.degree_of(a) for a in attach)
 
 
+@_memo(maxsize=1)  # a graph's routes run one after another in check
 def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     """All strata whose exponent vector fits under ``bound``, in a fixed order.
 
-    Returns ``(strata, skipped)`` where ``skipped`` counts the strata dropped
-    in ``integral`` mode for having a non-integral valuation or exponent
-    vector.  A stratum is a point ``n`` of the ``nhat`` walk plus its family's
-    legs, ``(n', n'')`` per chosen pair and ``(t', t'')`` per chosen branch,
-    each at least 1.  ``n`` is walked once; a family walks its legs from each
-    point with room for all of them at 1, and is passed over when ``n = 0``
-    has none.  The order is family, then ``n``, then legs.
+    Returns ``(strata, skipped)`` where ``strata`` is a tuple and ``skipped``
+    counts the strata dropped in ``integral`` mode for having a non-integral
+    valuation or exponent vector.  A stratum is a point ``n`` of the ``nhat``
+    walk plus its family's legs, ``(n', n'')`` per chosen pair and ``(t',
+    t'')`` per chosen branch, each at least 1.  ``n`` is walked once; a family
+    walks its legs from each point with room for all of them at 1, and is
+    passed over when ``n = 0`` has none.  The order is family, then ``n``,
+    then legs.  The last result per process is kept, so the count checks and
+    the per-stratum references on one graph and bound share one enumeration.
     """
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
-    bound = tuple(Fraction(b) for b in bound)
     d, nhat_step, caps, points, t_steps = walk_nhats(g, bound)
-    if any(b < 0 for b in bound):
-        raise ValueError("bounds must be nonnegative")
 
     width = len(nhat_step[0])
     strata: list[Stratum] = []
@@ -410,7 +446,7 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
                 start = list(map(add, z, least))
                 if all(map(le, start, caps)):
                     _walk(legs, [1] * len(legs), start, caps, partial(emit, n))
-    return strata, skipped
+    return tuple(strata), skipped
 
 
 def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
@@ -600,12 +636,18 @@ def divisorial_semigroup_stratum_sum(
 
     This is the stratum-level description of the extended-semigroup series;
     it must reproduce ``expand(divisorial_closed_form(g), bound)`` exactly.
+    A branch-free stratum's class depends on it only through its point
+    multiplicities and its pairs, so each such class is built once.
     """
     g = g.without_branches
     strata, skipped = _scan_strata(g, bound, strictness)
+    classes = {}
 
     def term(st: Stratum):
-        return w_of(nhat(st, g), g), stratum_class(st, g)
+        key = st.point_mults, st.pairs
+        if key not in classes:
+            classes[key] = stratum_class(st, g)
+        return w_of(nhat(st, g), g), classes[key]
 
     return _mapreduce(g.s, bound, strata, skipped, term)
 
@@ -702,7 +744,7 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     d, rows, caps = _lattice(cf.m_rows, bound)
     zero = (0,) * cf.arity
     one = RingElement.one()
-    poly = {zero: one} if min(caps) >= 0 else {}
+    poly = {zero: one}
     for i1, i2, h, units in cf.pair_data:
         a, b = rows[i1 - 1], rows[i2 - 1]
         # D^h + D^(h-1) U t^(a+b) = D^(h-1) (D + U t^(a+b)), D = (1 - t^a)(1 - t^b)

@@ -264,6 +264,28 @@ def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
     assert "ok: codimensions: composed vs expanded form, genus identity" in lines
 
 
+def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
+    from curvemotive import series
+
+    built = []
+    original = series.Stratum
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, "Stratum", counted)
+    code, out, _err = run(capsys, "check", "--bound", "6", "--input", cusp_file)
+    assert code == 0, out
+    in_check = len(built)
+    g = build(cusp_description())
+    distinct = len(list(series.enumerate_strata(g, (6,)))) + len(
+        list(series.enumerate_strata(g.without_branches, (6,) * 3))
+    )
+    # at most: a memo filled before this test may save some of them
+    assert in_check <= distinct
+
+
 def test_wrong_symmetric_power_coefficients_fail_the_independent_lines(capsys, cusp_file, monkeypatch):
     from curvemotive import series
 

@@ -527,11 +527,14 @@ def test_expansions_match_reference_on_random_graphs_with_fields():
 
 
 def test_expansions_reject_a_bound_of_the_wrong_length(cusp):
-    for bound in ((4, 4), (4, 4, 4, 4)):
+    # a negative entry is rejected too, as by the stratum enumeration
+    for bound in ((4, 4), (4, 4, 4, 4), (-1, -1, -1), (4, -1, 4), (Fraction(-1, 3),) * 3):
         with pytest.raises(ValueError):
             expand(divisorial_closed_form(cusp), bound)
         with pytest.raises(ValueError):
             expand_totally_rational(cusp, bound)
+    with pytest.raises(ValueError, match="bounds must be nonnegative"):
+        series_module.walk_nhats(cusp, (-1,))
 
 
 @pytest.mark.parametrize("step", [(0, 2), (1, 2)], ids=["zero-entry", "positive"])
@@ -634,6 +637,71 @@ def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two
     strata = list(enumerate_strata(g, (8, 8)))
     assert sorted(calls) == sorted({nhat(st, g) for st in strata})
     assert len(calls) < len(strata)
+
+
+def test_stratum_sum_builds_each_class_once(cusp, monkeypatch):
+    g = cusp.without_branches
+    bound = (16, 16, 16)  # reaches the strata with a pair
+    strata = list(enumerate_strata(g, bound))
+    expected = TruncatedSeries.zero(g.s, bound)
+    for st in strata:
+        expected.add_term(w_of(nhat(st, g), g), stratum_class(st, g))
+    calls = []
+
+    def counted(st, graph):
+        calls.append((st.point_mults, st.pairs))
+        return stratum_class(st, graph)
+
+    monkeypatch.setattr(series_module, "stratum_class", counted)
+    assert divisorial_semigroup_stratum_sum(cusp, bound) == expected
+    assert sorted(calls) == sorted({(st.point_mults, st.pairs) for st in strata})
+    assert len(calls) < len(strata)
+
+
+def _assert_immutable(value):
+    if isinstance(value, tuple):
+        for item in value:
+            _assert_immutable(item)
+    elif isinstance(value, Stratum):
+        _assert_immutable(value._values())
+    else:
+        assert isinstance(value, (int, Fraction)), value
+
+
+def test_every_bound_form_gives_the_same_results(cusp):
+    g = cusp
+    h = g.without_branches
+    routes = {
+        "walk_nhats branch": lambda b: series_module.walk_nhats(g, b[:1]),
+        "walk_nhats divisorial": lambda b: series_module.walk_nhats(h, b),
+        "enumerate_strata branch": lambda b: list(enumerate_strata(g, b[:1])),
+        "enumerate_strata divisorial": lambda b: list(enumerate_strata(h, b)),
+        "pg": lambda b: poincare_generalised(g, b[:1]).to_json(),
+        "pdg": lambda b: poincare_divisorial(g, b).to_json(),
+        "stratum sum": lambda b: divisorial_semigroup_stratum_sum(g, b).to_json(),
+    }
+    forms = ([6, 6, 6], (6, 6, 6), (Fraction(6),) * 3)
+    fresh, reused = [], []
+    for bound in forms:
+        series_module._scan_strata.cache_clear()
+        series_module.walk_nhats.cache_clear()
+        fresh.append({name: route(bound) for name, route in routes.items()})
+    for bound in forms:  # now each form may be served what another one left
+        reused.append({name: route(bound) for name, route in routes.items()})
+    assert all(results == fresh[0] for results in fresh + reused)
+
+    # what a caller gets back, or passes in, cannot change a later call's result
+    bound = [6, 6, 6]
+    walked = series_module.walk_nhats(h, bound)
+    scanned = series_module._scan_strata(h, bound, "literal")
+    _assert_immutable(walked)
+    _assert_immutable(scanned)
+    bound[0] = 0
+    assert series_module.walk_nhats(h, (6, 6, 6)) is walked
+    assert series_module._scan_strata(h, (6, 6, 6), "literal") is scanned
+    pdg = poincare_divisorial(g, (6, 6, 6))
+    pdg.terms.clear()
+    assert poincare_divisorial(g, (6, 6, 6)).to_json() == fresh[0]["pdg"]
 
 
 def test_cross_checks_on_random_graphs():
