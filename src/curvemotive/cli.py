@@ -217,12 +217,17 @@ def _parse_stratum(raw: str, g) -> Stratum:
     if len(point_mults) != g.s:
         raise GraphValidationError([f"stratum n must have {g.s} entries"])
     known = {site.key for site in g.pairs}
-    for pair in pairs:
+    # I and J are sets; the scan never builds a stratum that repeats one
+    for k, pair in enumerate(pairs):
         if pair not in known:
             raise GraphValidationError([f"stratum names non-intersecting pair {pair}"])
-    for j in branches:
+        if pair in pairs[:k]:
+            raise GraphValidationError([f"stratum names pair {pair} twice"])
+    for k, j in enumerate(branches):
         if not 1 <= j <= g.r:
             raise GraphValidationError([f"stratum names unknown branch {j}"])
+        if j in branches[:k]:
+            raise GraphValidationError([f"stratum names branch {j} twice"])
     return Stratum(
         pairs=pairs,
         branches=branches,

@@ -8,7 +8,7 @@ counts.  None of it imports the series machinery; independence is the point.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 
 from ._record import Record
 
@@ -31,6 +31,51 @@ def semigroup_gf(generators, bound: int):
             if reachable[value - gen]:
                 reachable[value] = True
     return [1 if hit else 0 for hit in reachable]
+
+
+def one_branch_series(values, bound: int) -> dict[int, int]:
+    """The branch series of one degree-one branch, as ``{v: c}`` for ``L^(-c) t^v``.
+
+    ``values`` generate the branch's value semigroup ``S`` (the curvette
+    values, a column of ``M``, contain its generators).  ``dim O/J(v)`` is the
+    number of elements of ``S`` below ``v``, so the series is ``sum_{v in S}
+    L^(-#{s in S : s < v}) t^v``; this lists its terms with ``v <= bound``.
+    """
+    out = {}
+    for v, hit in enumerate(semigroup_gf(values, bound)):
+        if hit:
+            out[v] = len(out)
+    return out
+
+
+def branch_series_at_one(exponents, chis, bound) -> dict[tuple[int, ...], int]:
+    """``prod_i (1 - t^(m_i))^(-chi_i)``, truncated coordinatewise at ``bound``.
+
+    ``exponents[i]`` is ``m_i``, a vector of positive integers with one entry
+    per branch.  With ``m_i = (M[i][attach_j])_j`` and ``chi_i = 2 -
+    nu_circ_i`` this is the branch series of a degree-one graph with ``L``
+    and every symbol set to 1, the Poincare series of Campillo, Delgado and
+    Gusein-Zade.  Each factor is applied ``|chi_i|`` times: a product with
+    ``1 - t^(m_i)``, or a geometric series in ``t^(m_i)``.  Zero coefficients
+    are left out.
+    """
+    bound = tuple(bound)
+    out = {(0,) * len(bound): 1}
+    for m, chi in zip(exponents, chis, strict=True):
+        if len(m) != len(bound) or any(type(x) is not int or x < 1 for x in m):
+            raise ValueError(f"exponent {m} is not a vector of positive integers, one per bound")
+        for _ in range(abs(chi)):
+            step = out
+            out = {}
+            for e, c in step.items():
+                # (k, coefficient of t^(k m)) in 1 / (1 - t^m), or in 1 - t^m
+                terms = ((k, c) for k in count()) if chi > 0 else ((0, c), (1, -c))
+                for k, coeff in terms:
+                    shifted = tuple(x + k * y for x, y in zip(e, m))
+                    if any(x > b for x, b in zip(shifted, bound)):
+                        break
+                    out[shifted] = out.get(shifted, 0) + coeff
+    return {e: c for e, c in out.items() if c}
 
 
 class MonomialValuationSystem(Record):

@@ -38,7 +38,10 @@ Each (graph, bound)'s strata are enumerated once per process:
 ``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
 the count checks inside the two stratum sums and the per-stratum references
 (``divisorial_semigroup_stratum_sum``, the totally rational branch series)
-all read one enumeration.  No cross-check loses its independence by this:
+all read one enumeration.  Likewise each ``nhat``'s two codimensions are
+computed once per matrix layer (see ``codim``), and ``expand`` keeps its last
+expansion, so a closed form equal to the last one is expanded once; it hands
+out a new series each time.  No cross-check loses its independence by this:
 each consumer gets the result the same deterministic function would give it.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
@@ -739,8 +742,16 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     Exponents live on the integer lattice ``d * M`` (see ``_lattice``).  The
     numerator is a truncated polynomial product; dividing by each
     denominator factor, ``(1 - t^m)`` and ``(1 - e L t^m)``, is a running sum
-    along ``m`` (``_divide``).
+    along ``m`` (``_divide``).  The last expansion is kept, keyed on the
+    closed form and the bound as a tuple; every call returns a new series,
+    since a series is mutable.
     """
+    kept = _expand(cf, tuple(bound))
+    return TruncatedSeries(kept.arity, kept.bound, dict(kept.terms))
+
+
+@lru_cache(maxsize=1)  # check expands one closed form twice on a totally rational graph
+def _expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     d, rows, caps = _lattice(cf.m_rows, bound)
     zero = (0,) * cf.arity
     one = RingElement.one()
@@ -765,7 +776,9 @@ def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
     Numerator factors are ``1 - t^{m_{i1}} - t^{m_{i2}} + L t^{m_{i1}}
     t^{m_{i2}}``; the denominator is ``prod (1 - t^{m_i})(1 - L t^{m_i})``.
     It shares ``expand`` with the general closed form, so comparing the two
-    checks what ``divisorial_closed_form`` reads off a totally rational graph.
+    checks what ``divisorial_closed_form`` reads off a totally rational graph:
+    when the two closed forms are equal, ``expand`` computes the expansion
+    once.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")

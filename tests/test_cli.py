@@ -286,6 +286,36 @@ def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
     assert in_check <= distinct
 
 
+def test_check_does_the_centers_work_once(capsys, monkeypatch):
+    from curvemotive import _linalg, codim, resolution, series
+
+    calls = {"composed": 0, "literal": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    resolution.matrix_layer.cache_clear()
+    series._expand.cache_clear()
+    monkeypatch.setattr(codim, "_NHAT_CODIMS", {})
+    monkeypatch.setattr(codim, "_composed", counted("composed", codim._composed))
+    monkeypatch.setattr(codim, "_literal", counted("literal", codim._literal))
+    monkeypatch.setattr(
+        _linalg, "unitriangular_inverse", counted("inverse", _linalg.unitriangular_inverse)
+    )
+    satellite5 = str(DEMOS / "graphs" / "satellite5.json")
+    code, out, _err = run(capsys, "check", "--bound", "40", "--input", satellite5)
+    assert code == 0, out
+    # 54 distinct nhat on the graph and on its branch-free copy; one inverse
+    # builds the shared M, the other is check's own matrix line
+    assert calls == {"composed": 54, "literal": 54, "inverse": 2}
+    # the general and the totally rational closed form are equal: one expansion
+    assert series._expand.cache_info().misses == 1
+
+
 def test_wrong_symmetric_power_coefficients_fail_the_independent_lines(capsys, cusp_file, monkeypatch):
     from curvemotive import series
 
@@ -494,6 +524,15 @@ def test_malformed_stratum_fields_are_data_errors(capsys, cusp_file):
         code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
         assert (code, out) == (1, ""), stratum
         assert err.startswith("validation error: malformed stratum: "), stratum
+
+
+def test_stratum_repeating_a_pair_or_branch_is_a_data_error(capsys, cusp_file):
+    for stratum, message in (
+        ('{"J": [1, 1], "branch_mults": [[1, 1], [1, 1]]}', "stratum names branch 1 twice"),
+        ('{"I": [[1, 3], [1, 3]], "pair_mults": [[1, 1], [1, 1]]}', "stratum names pair (1, 3) twice"),
+    ):
+        code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
+        assert (code, out, err) == (1, "", f"validation error: {message}\n"), stratum
 
 
 def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from curvemotive import codim
 from curvemotive import (
     ExponentVector,
     SemigroupMembershipWarning,
     Stratum,
     alpha_of,
+    build,
     codim_F,
     codim_F_literal,
     codim_FD,
@@ -188,3 +190,36 @@ def test_stratum_validation():
             ),
             None,
         )
+
+
+def test_nhat_codimensions_are_computed_once_per_set_of_centers(monkeypatch):
+    composed, literal = codim._composed, codim._literal
+    calls = []
+
+    def counted(name, compute):
+        def call(nh, g):
+            calls.append((name, g.centers))
+            return compute(nh, g)
+
+        return call
+
+    monkeypatch.setattr(codim, "_NHAT_CODIMS", {})
+    monkeypatch.setattr(codim, "_composed", counted("composed", composed))
+    monkeypatch.setattr(codim, "_literal", counted("literal", literal))
+    cusp_centers = [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]
+    cusp = build({"centers": cusp_centers, "branches": [{"attach": 3}]})
+    cusp2 = build({"centers": cusp_centers, "branches": [{"attach": 3}, {"attach": 1}]})
+    chain3 = build({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [2]}]})
+    nh = (1, 2, 1)
+    values = {}
+    for g in (cusp, cusp2, cusp.without_branches, chain3, cusp, chain3):
+        pair = codim.nhat_codim(nh, g), codim.nhat_codim_literal(nh, g)
+        values.setdefault(g.centers, set()).add(pair)
+    # graphs on the same centers share each entry; other centers never do
+    assert calls == [
+        (name, g.centers) for g in (cusp, chain3) for name in ("composed", "literal")
+    ]
+    assert values == {
+        g.centers: {(composed(nh, g), literal(nh, g))} for g in (cusp, chain3)
+    }
+    assert values[cusp.centers] != values[chain3.centers]

@@ -1,5 +1,6 @@
 """The brute-force validators themselves, plus their ties to the main code."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from curvemotive import (
     sym_power_class,
     w_of,
 )
-from curvemotive import build
-from curvemotive.oracles import _field_ops
+from curvemotive import ExponentVector, build, poincare_generalised
+from curvemotive.oracles import _field_ops, branch_series_at_one, one_branch_series
+
+from conftest import random_graph
 
 
 def test_semigroup_gf_examples():
@@ -139,3 +142,51 @@ def test_hoskin_deligne_matches_monomial_oracle_on_chain_and_cusp():
                 rec(candidate)
         rec(())
         assert seen, name
+
+
+def test_branch_series_oracles_examples():
+    # the cusp's semigroup <2, 3>
+    assert one_branch_series([2, 3], 6) == {0: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+    # the cusp at L = 1: (1 - t^2)^-1 (1 - t^3)^-1 (1 - t^6), <2, 3> once more
+    assert branch_series_at_one([(2,), (3,), (6,)], [1, 1, -1], (7,)) == {
+        (k,): 1 for k in (0, 2, 3, 4, 5, 6, 7)
+    }
+    # chi = 0 leaves a factor out; two variables
+    assert branch_series_at_one([(1, 2), (5, 5)], [-1, 0], (3, 3)) == {(0, 0): 1, (1, 2): -1}
+    with pytest.raises(ValueError):
+        branch_series_at_one([(0, 1)], [1], (3, 3))
+    with pytest.raises(ValueError):
+        branch_series_at_one([(1,)], [1], (3, 3))
+
+
+def assert_branch_series_oracles(g, bound):
+    """``pg`` of a degree-one graph against both closed formulas of ``oracles``."""
+    pg = poincare_generalised(g, (bound,) * g.r)
+    exponents = [tuple(row[b.attach - 1] for b in g.branches) for row in g.m_matrix]
+    at_one = branch_series_at_one(exponents, [2 - nu for nu in g.nu_circ], (bound,) * g.r)
+    assert pg.specialize(Specialization(lefschetz=Fraction(1), default=Fraction(1))) == at_one
+    if g.r == 1:
+        column = [row[g.branch(1).attach - 1] for row in g.m_matrix]
+        expected = {
+            ExponentVector((v,)): RingElement.lefschetz(-c)
+            for v, c in one_branch_series(column, bound).items()
+        }
+        assert pg.terms == expected
+
+
+def test_branch_series_oracles_on_totally_rational_corpus(corpus, cusp_two_branches):
+    graphs = [g for g in corpus.values() if g.is_totally_rational] + [cusp_two_branches]
+    assert len(graphs) == 4
+    for g in graphs:
+        assert_branch_series_oracles(g, 12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_branch_series_oracles_on_random_graphs(seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 8:
+        g = random_graph(rng, max_centers=4, max_branches=2, allow_degrees=False)
+        if g.r:
+            assert_branch_series_oracles(g, 10 if g.r == 1 else 6)
+            checked += 1

@@ -164,6 +164,17 @@ def test_without_branches_drops_exactly_the_branch_labels():
     assert bare.component_label(2) == "k"
 
 
+def test_graphs_on_the_same_centers_share_one_matrix_layer():
+    centers = [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]
+    g = build({"centers": centers, "branches": [{"attach": 3}]})
+    g2 = build({"centers": centers, "branches": [{"attach": 3}, {"attach": 1}]})
+    assert g.layer is g2.layer is g.without_branches.layer
+    assert g.m_matrix is g2.m_matrix is g.layer.m_matrix
+    chain = build({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [2]}]})
+    assert chain.layer is not g.layer
+    assert chain.m_matrix != g.m_matrix
+
+
 def test_unknown_label_site_rejected():
     with pytest.raises(GraphValidationError, match="unknown site"):
         build({"centers": [{"prox": []}], "labels": {"E7": "x"}})

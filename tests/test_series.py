@@ -658,6 +658,17 @@ def test_stratum_sum_builds_each_class_once(cusp, monkeypatch):
     assert len(calls) < len(strata)
 
 
+def test_expand_hands_out_a_fresh_series(cusp):
+    cf = divisorial_closed_form(cusp)
+    first = expand(cf, (6, 6, 6))
+    expected = first.to_json()
+    first.add_term(ev(0, 0, 0), one)
+    first.terms.pop(ev(1, 1, 2))
+    again = expand(cf, [6, 6, 6])
+    assert again is not first
+    assert again.to_json() == expected
+
+
 def _assert_immutable(value):
     if isinstance(value, tuple):
         for item in value:
@@ -679,12 +690,14 @@ def test_every_bound_form_gives_the_same_results(cusp):
         "pg": lambda b: poincare_generalised(g, b[:1]).to_json(),
         "pdg": lambda b: poincare_divisorial(g, b).to_json(),
         "stratum sum": lambda b: divisorial_semigroup_stratum_sum(g, b).to_json(),
+        "expand": lambda b: expand(divisorial_closed_form(g), b).to_json(),
     }
     forms = ([6, 6, 6], (6, 6, 6), (Fraction(6),) * 3)
     fresh, reused = [], []
     for bound in forms:
         series_module._scan_strata.cache_clear()
         series_module.walk_nhats.cache_clear()
+        series_module._expand.cache_clear()
         fresh.append({name: route(bound) for name, route in routes.items()})
     for bound in forms:  # now each form may be served what another one left
         reused.append({name: route(bound) for name, route in routes.items()})
