@@ -152,6 +152,7 @@ def _parse_specialization(text: str, labels) -> Specialization:
     lefschetz = None
     default = None
     symbols = {}
+    assigned = set()
     for chunk in _split_assignments(text):
         chunk = chunk.strip()
         if not chunk:
@@ -177,6 +178,10 @@ def _parse_specialization(text: str, labels) -> Specialization:
                     f"--specialize names {key!r}, not a field label of the graph (labels: {known})"
                 )
             symbols[key] = value
+            key = f"e[{key}]"  # k=... and e[k]=... assign the same symbol
+        if key in assigned:
+            raise _UsageError(f"--specialize assigns {key} twice")
+        assigned.add(key)
     if lefschetz is None:
         raise _UsageError("a specialization must assign L")
     return Specialization(lefschetz=lefschetz, symbols=symbols, default=default)
@@ -214,6 +219,9 @@ def _parse_stratum(raw: str, g) -> Stratum:
         branch_mults = tuple(_json_pair(bm) for bm in data.get("branch_mults", ()))
     except (AttributeError, TypeError) as exc:
         raise GraphValidationError([f"malformed stratum: {exc}"]) from exc
+    unknown = set(data) - {"I", "J", "n", "pair_mults", "branch_mults"}
+    if unknown:
+        raise GraphValidationError([f"unknown stratum keys {sorted(unknown)}"])
     if len(point_mults) != g.s:
         raise GraphValidationError([f"stratum n must have {g.s} entries"])
     known = {site.key for site in g.pairs}

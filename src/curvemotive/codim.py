@@ -20,9 +20,9 @@ The derived quantities:
 * the stratum codimensions ``F`` and ``F^D``; the primary route composes
   ``hoskin_deligne`` with the symmetric-product dimension terms, and a
   literal transcription of the expanded quadratic form is kept alongside as
-  a cross-check.  Both parts fixed by ``nhat`` read only the matrix layer,
-  so each is computed once per (layer, ``nhat``) and shared by every graph
-  on the same centers.
+  a cross-check.  Both parts fixed by ``nhat`` depend on the centers alone,
+  so each is an ``lru_cache`` function of ``nhat`` and the branch-free graph
+  ``g.without_branches``, shared by every graph on the same centers.
 
 Values are exact: integral ones are ``int``s and non-integral ones
 ``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from fractions import Fraction
+from functools import lru_cache
 
 from ._linalg import vec_mat
 from ._record import Record
@@ -195,13 +196,21 @@ def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
 def nhat_codim(nh, g: ResolutionGraph) -> int | Fraction:
     """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition.
 
-    ``hoskin_deligne(w) + sum nhat_i h_i``, computed once per matrix layer
-    and ``nhat`` (see ``_remembered``).
+    ``hoskin_deligne(w) + sum nhat_i h_i``, memoized on the branch-free graph
+    (see ``_composed``).
     """
-    return _remembered(_composed, nh, g)
+    return _composed(tuple(nh), g.without_branches)
 
 
-def _composed(nh, g: ResolutionGraph) -> int | Fraction:
+@lru_cache(maxsize=1 << 15)  # check at b60 keeps at most 2,662 on a benchmark graph
+def _composed(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
+    """``nhat_codim`` on a branch-free graph.
+
+    It reads only ``M``, ``P`` and the degrees, which the centers fix, so
+    graphs on the same centers share one entry per ``nhat``: ``check`` asks
+    for each ``nhat`` on the graph and on its ``without_branches`` from four
+    places.
+    """
     total = hoskin_deligne(w_of(nh, g), g)
     return total + sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
 
@@ -210,13 +219,14 @@ def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
     """The expanded quadratic-form expression for ``nhat_codim``.
 
     The trailing linear term reads ``(2 h_i - 1)`` with the outer index, which
-    is what the composition forces.  Computed once per matrix layer and
-    ``nhat``, apart from ``nhat_codim``, whose independent check it is.
+    is what the composition forces.  Memoized like ``nhat_codim`` but in a
+    cache of its own, since it is that function's independent check.
     """
-    return _remembered(_literal, nh, g)
+    return _literal(tuple(nh), g.without_branches)
 
 
-def _literal(nh, g: ResolutionGraph) -> int | Fraction:
+@lru_cache(maxsize=1 << 15)
+def _literal(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
     m = g.m_matrix
     eps = g.epsilon
     s = g.s
@@ -230,30 +240,6 @@ def _literal(nh, g: ResolutionGraph) -> int | Fraction:
         for i in range(s)
     )
     return _exact(Fraction(quad + lin, 2))
-
-
-# (computation, matrix layer, nhat) -> codimension
-_NHAT_CODIMS: dict = {}
-_NHAT_CODIMS_MAX = 1 << 15  # check at b60 keeps at most 2,662 on a benchmark graph
-
-
-def _remembered(compute, nh, g: ResolutionGraph) -> int | Fraction:
-    """``compute(nh, g)``, computed once per (``compute``, ``g.layer``, ``nhat``).
-
-    Both codimensions read only ``M``, ``P``, ``epsilon`` and the degrees,
-    which the centers fix, so every graph on the same centers shares the
-    entries: ``check`` asks for each ``nhat`` on the graph and on its
-    ``without_branches`` from four places.  The layer hashes by identity,
-    which is cheap where hashing the graph is not.  The memo is emptied when
-    it reaches ``_NHAT_CODIMS_MAX`` entries.
-    """
-    key = compute, g.layer, tuple(nh)
-    value = _NHAT_CODIMS.get(key)
-    if value is None:
-        if len(_NHAT_CODIMS) >= _NHAT_CODIMS_MAX:
-            _NHAT_CODIMS.clear()
-        value = _NHAT_CODIMS[key] = compute(nh, g)
-    return value
 
 
 def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:

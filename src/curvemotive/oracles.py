@@ -95,12 +95,15 @@ def monomial_codim(sys: MonomialValuationSystem, w) -> int:
     """Number of monomials x^p y^q with a_i p + b_i q < w_i for some i.
 
     This is the codimension of the monomial ideal cut out by the valuation
-    inequalities, counted by bounded enumeration.
+    inequalities, counted by bounded enumeration of ``(max w + 1)^2``
+    monomials; meant for desk scale (every ``w_i <= 1000``).
     """
     w = [int(x) for x in w]
     if len(w) != len(sys.weights):
         raise ValueError("w must have one entry per valuation")
     top = max(w, default=0)
+    if top > 1000:
+        raise ValueError(f"w entries above 1000 are out of this oracle's range, got {top}")
     count = 0
     for p in range(top + 1):
         for q in range(top + 1):
@@ -134,13 +137,13 @@ def count_divisors_open_line(q: int, removed: int, n: int) -> int:
     polynomials, so for ``removed >= 1`` (the point at infinity goes first)
     this counts monic degree-``n`` polynomials not vanishing at any of the
     remaining removed points; ``removed = 0`` adds back divisors supported
-    partly at infinity.  Brute force throughout; meant for desk scale
-    (q <= 5, n <= 6).
+    partly at infinity.  Brute force over ``q^n`` polynomials; meant for desk
+    scale (q <= 5, n <= 6).
     """
     if q not in (2, 3, 4, 5):
         raise ValueError("q must be one of 2, 3, 4, 5")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    if not 0 <= n <= 6:
+        raise ValueError(f"degree must be between 0 and 6, got {n}")
     if removed < 0 or removed > q + 1:
         raise ValueError(f"cannot remove {removed} rational points from a line over GF({q})")
     if n == 0:

@@ -17,10 +17,10 @@ transform meets.  From that the module derives
   N[i1][i2]``, the neighbor counts ``nu_bullet`` / ``nu_circ``, and
   ``epsilon_i = 2 h_i - nu_bullet_i``.
 
-``P``, ``Delta``, ``N`` and ``M`` depend on the centers alone, so they live in
-a ``MatrixLayer`` that every graph on the same tuple of centers shares, a
-graph and its ``without_branches`` in particular: each set of centers builds
-its matrices, and checks ``M``, once per process.
+A graph is immutable and computes its hash once, so work that depends on
+the centers alone is memoized by one rule: a bounded ``functools.lru_cache``
+keyed on values.  ``M`` is one such function of the centers, so a graph and
+its ``without_branches`` share one ``M``, built and checked once per process.
 
 Construction validates the classical proximity constraints (earlier indices
 only, divisibility of residue degrees along infinitely near points, branch
@@ -90,68 +90,6 @@ def site_branch(j: int) -> str:
     return f"C{j}"
 
 
-class MatrixLayer:
-    """``P``, ``Delta``, ``N`` and ``M`` of one tuple of centers.
-
-    They depend on the centers alone, so graphs on the same centers (a graph
-    and its ``without_branches``) share one layer, which ``matrix_layer``
-    hands out.  Each matrix is computed on first use.  A layer hashes by
-    identity, so it is a cheap memo key for work that reads only these
-    matrices and the degrees.
-    """
-
-    def __init__(self, centers: tuple[Center, ...]):
-        self.centers = centers
-
-    @cached_property
-    def proximity_matrix(self):
-        s = len(self.centers)
-        p = [[0] * s for _ in range(s)]
-        for j, center in enumerate(self.centers):
-            p[j][j] = 1
-            for i in center.proximate_to:
-                p[i - 1][j] = -1
-        return _linalg.mat(p)
-
-    @cached_property
-    def delta(self):
-        return tuple(
-            tuple(center.degree if i == j else 0 for j in range(len(self.centers)))
-            for i, center in enumerate(self.centers)
-        )
-
-    @cached_property
-    def intersection_matrix(self):
-        p = self.proximity_matrix
-        return _linalg.neg(
-            _linalg.mat_mul(_linalg.mat_mul(p, self.delta), _linalg.transpose(p))
-        )
-
-    @cached_property
-    def m_matrix(self):
-        # -N = P Delta P^t, so M = -N^{-1} = P^-t Delta^-1 P^-1, where P^-1 is
-        # an integer matrix; integral entries are ints, the others Fractions.
-        q = _linalg.unitriangular_inverse(self.proximity_matrix)
-        scaled = tuple(
-            tuple(_exact(Fraction(x, center.degree)) for x in row)
-            for row, center in zip(q, self.centers)
-        )
-        m = tuple(
-            tuple(_exact(x) for x in row)
-            for row in _linalg.mat_mul(_linalg.transpose(q), scaled)
-        )
-        identity = _linalg.identity(len(self.centers))
-        if _linalg.mat_mul(m, _linalg.neg(self.intersection_matrix)) != identity:
-            raise ValueError("M verification failed: M times -N is not the identity")
-        return m
-
-
-@lru_cache(maxsize=8)  # check reads one tuple of centers; the tests build many
-def matrix_layer(centers: tuple[Center, ...]) -> MatrixLayer:
-    """The shared ``MatrixLayer`` of ``centers``; the last 8 are kept."""
-    return MatrixLayer(centers)
-
-
 class ResolutionGraph(Record):
     """Validated resolution combinatorics plus derived matrices.
 
@@ -175,6 +113,15 @@ class ResolutionGraph(Record):
         if issues:
             raise GraphValidationError(issues)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed once: hashing the fields takes microseconds, which every
+        # memo keyed on a graph would otherwise pay per call
+        return super().__hash__()
+
     # -- sizes -------------------------------------------------------------
 
     @property
@@ -194,24 +141,32 @@ class ResolutionGraph(Record):
     # -- matrices ----------------------------------------------------------
 
     @cached_property
-    def layer(self) -> MatrixLayer:
-        return matrix_layer(self.centers)
-
-    @cached_property
     def proximity_matrix(self):
-        return self.layer.proximity_matrix
+        s = self.s
+        p = [[0] * s for _ in range(s)]
+        for j in range(1, s + 1):
+            p[j - 1][j - 1] = 1
+            for i in self.centers[j - 1].proximate_to:
+                p[i - 1][j - 1] = -1
+        return _linalg.mat(p)
 
     @cached_property
     def delta(self):
-        return self.layer.delta
+        return tuple(
+            tuple(self.centers[i].degree if i == j else 0 for j in range(self.s))
+            for i in range(self.s)
+        )
 
     @cached_property
     def intersection_matrix(self):
-        return self.layer.intersection_matrix
+        p = self.proximity_matrix
+        return _linalg.neg(
+            _linalg.mat_mul(_linalg.mat_mul(p, self.delta), _linalg.transpose(p))
+        )
 
     @cached_property
     def m_matrix(self):
-        return self.layer.m_matrix
+        return _m_matrix(self.centers, self.proximity_matrix, self.intersection_matrix)
 
     def m_row(self, i: int):
         return self.m_matrix[i - 1]
@@ -372,6 +327,30 @@ class ResolutionGraph(Record):
             and all(b.degree == 1 for b in self.branches)
             and all(site.degree == 1 for site in self.pairs)
         )
+
+
+@lru_cache(maxsize=8)  # check reads one tuple of centers; the tests build many
+def _m_matrix(centers: tuple[Center, ...], p, n):
+    """``M = -N^{-1}``, checked: ``M (-N) = I``.
+
+    ``p`` and ``n`` are ``P`` and ``N`` of ``centers``, so graphs on the same
+    centers (a graph and its ``without_branches``) share one ``M``, built and
+    checked once.  The last 8 are kept.
+    """
+    # -N = P Delta P^t, so M = -N^{-1} = P^-t Delta^-1 P^-1, where P^-1 is
+    # an integer matrix; integral entries are ints, the others Fractions.
+    q = _linalg.unitriangular_inverse(p)
+    scaled = tuple(
+        tuple(_exact(Fraction(x, center.degree)) for x in row)
+        for row, center in zip(q, centers)
+    )
+    m = tuple(
+        tuple(_exact(x) for x in row)
+        for row in _linalg.mat_mul(_linalg.transpose(q), scaled)
+    )
+    if _linalg.mat_mul(m, _linalg.neg(n)) != _linalg.identity(len(centers)):
+        raise ValueError("M verification failed: M times -N is not the identity")
+    return m
 
 
 def _validate_input(centers, branches):

@@ -38,11 +38,13 @@ Each (graph, bound)'s strata are enumerated once per process:
 ``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
 the count checks inside the two stratum sums and the per-stratum references
 (``divisorial_semigroup_stratum_sum``, the totally rational branch series)
-all read one enumeration.  Likewise each ``nhat``'s two codimensions are
-computed once per matrix layer (see ``codim``), and ``expand`` keeps its last
-expansion, so a closed form equal to the last one is expanded once; it hands
-out a new series each time.  No cross-check loses its independence by this:
-each consumer gets the result the same deterministic function would give it.
+all read one enumeration.  Every such memo is a bounded ``lru_cache`` keyed
+on values; a graph computes its hash once, so keying on it is cheap.  Each
+``nhat``'s two codimensions are computed once per set of centers (see
+``codim``), and ``expand`` keeps its last expansion, so a closed form equal to
+the last one is expanded once; it hands out a new series each time.  No
+cross-check loses its independence by this: each consumer gets the result the
+same deterministic function would give it.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum

@@ -289,26 +289,24 @@ def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
 def test_check_does_the_centers_work_once(capsys, monkeypatch):
     from curvemotive import _linalg, codim, resolution, series
 
-    calls = {"composed": 0, "literal": 0, "inverse": 0}
+    inverses = []
+    inverse = _linalg.unitriangular_inverse
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args):
+        inverses.append(args)
+        return inverse(*args)
 
-        return call
-
-    resolution.matrix_layer.cache_clear()
-    series._expand.cache_clear()
-    monkeypatch.setattr(codim, "_NHAT_CODIMS", {})
-    monkeypatch.setattr(codim, "_composed", counted("composed", codim._composed))
-    monkeypatch.setattr(codim, "_literal", counted("literal", codim._literal))
-    monkeypatch.setattr(
-        _linalg, "unitriangular_inverse", counted("inverse", _linalg.unitriangular_inverse)
-    )
+    for memo in (resolution._m_matrix, codim._composed, codim._literal, series._expand):
+        memo.cache_clear()
+    monkeypatch.setattr(_linalg, "unitriangular_inverse", counted)
     satellite5 = str(DEMOS / "graphs" / "satellite5.json")
     code, out, _err = run(capsys, "check", "--bound", "40", "--input", satellite5)
     assert code == 0, out
+    calls = {
+        "composed": codim._composed.cache_info().misses,
+        "literal": codim._literal.cache_info().misses,
+        "inverse": len(inverses),
+    }
     # 54 distinct nhat on the graph and on its branch-free copy; one inverse
     # builds the shared M, the other is check's own matrix line
     assert calls == {"composed": 54, "literal": 54, "inverse": 2}
@@ -474,6 +472,21 @@ def test_specialize_rejects_a_label_the_graph_does_not_carry(capsys, cusp_file):
     assert err == "usage error: --specialize names 'k', not a field label of the graph (labels: none)\n"
 
 
+def test_specialize_rejects_a_repeated_assignment(capsys):
+    chain = str(DEMOS / "graphs" / "chain2_h12.json")
+    argv = ["compute", "--series", "pdg", "--bound", "2", "--input", chain, "--specialize"]
+    for spec, key in (
+        ("L=2,L=3", "L"),
+        ("L=1,all=0,all=0", "all"),
+        ("L=1,k2=0,k2=1", "e[k2]"),
+        ("L=1,e[k2]=1,k2=2", "e[k2]"),
+        ("L=1,e[P(1,2)]=0,all=1,e[P(1,2)]=0", "e[P(1,2)]"),
+    ):
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out) == (2, ""), spec
+        assert err.splitlines()[-1] == f"usage error: --specialize assigns {key} twice", spec
+
+
 def test_unknown_flag_is_usage_error(capsys, cusp_file):
     code, _out, _err = run(capsys, "compute", "--nope", "--input", cusp_file)
     assert code == 2
@@ -533,6 +546,12 @@ def test_stratum_repeating_a_pair_or_branch_is_a_data_error(capsys, cusp_file):
     ):
         code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
         assert (code, out, err) == (1, "", f"validation error: {message}\n"), stratum
+
+
+def test_stratum_with_an_unknown_key_is_a_data_error(capsys, cusp_file):
+    for stratum, keys in (('{"N": [0, 0, 1]}', "['N']"), ('{"n": [0, 0, 1], "K": [], "I ": []}', "['I ', 'K']")):
+        code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
+        assert (code, out, err) == (1, "", f"validation error: unknown stratum keys {keys}\n"), stratum
 
 
 def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):
@@ -634,6 +653,9 @@ def test_oracle_subcommands(capsys):
         ("semigroup-gf", "--generators", "2,3,", "--bound", "7"),
         ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,,3"),
         ("monomial-codim", "--weights", "1,1;;1,2", "--w", "2,3"),
+        # beyond desk scale: 2^50 polynomials, 10^10 monomials
+        ("count-divisors", "--q", "2", "--removed", "1", "--n", "50"),
+        ("monomial-codim", "--weights", "1,1", "--w", "100000"),
     ],
 )
 def test_malformed_oracle_arguments_are_usage_errors(capsys, args):

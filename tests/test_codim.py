@@ -192,20 +192,11 @@ def test_stratum_validation():
         )
 
 
-def test_nhat_codimensions_are_computed_once_per_set_of_centers(monkeypatch):
-    composed, literal = codim._composed, codim._literal
+def test_nhat_codimensions_are_computed_once_per_set_of_centers():
+    memos = {"composed": codim._composed, "literal": codim._literal}
+    for memo in memos.values():
+        memo.cache_clear()
     calls = []
-
-    def counted(name, compute):
-        def call(nh, g):
-            calls.append((name, g.centers))
-            return compute(nh, g)
-
-        return call
-
-    monkeypatch.setattr(codim, "_NHAT_CODIMS", {})
-    monkeypatch.setattr(codim, "_composed", counted("composed", composed))
-    monkeypatch.setattr(codim, "_literal", counted("literal", literal))
     cusp_centers = [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]
     cusp = build({"centers": cusp_centers, "branches": [{"attach": 3}]})
     cusp2 = build({"centers": cusp_centers, "branches": [{"attach": 3}, {"attach": 1}]})
@@ -213,8 +204,15 @@ def test_nhat_codimensions_are_computed_once_per_set_of_centers(monkeypatch):
     nh = (1, 2, 1)
     values = {}
     for g in (cusp, cusp2, cusp.without_branches, chain3, cusp, chain3):
+        misses = {name: memo.cache_info().misses for name, memo in memos.items()}
         pair = codim.nhat_codim(nh, g), codim.nhat_codim_literal(nh, g)
         values.setdefault(g.centers, set()).add(pair)
+        calls += [
+            (name, g.centers)
+            for name, memo in memos.items()
+            if memo.cache_info().misses > misses[name]
+        ]
+    composed, literal = (memo.__wrapped__ for memo in memos.values())
     # graphs on the same centers share each entry; other centers never do
     assert calls == [
         (name, g.centers) for g in (cusp, chain3) for name in ("composed", "literal")

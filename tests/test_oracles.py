@@ -44,6 +44,8 @@ def test_monomial_codim_examples():
         MonomialValuationSystem(())
     with pytest.raises(ValueError):
         monomial_codim(cusp_system, [1, 2])
+    with pytest.raises(ValueError, match="above 1000"):
+        monomial_codim(MonomialValuationSystem(((1, 1),)), [100000])
 
 
 def test_count_divisors_examples():
@@ -58,6 +60,11 @@ def test_count_divisors_examples():
         count_divisors_open_line(7, 1, 2)
     with pytest.raises(ValueError):
         count_divisors_open_line(2, 4, 2)  # only 3 rational points exist
+    # monic, degree 6, nonzero constant term: 5^6 polynomials enumerated
+    assert count_divisors_open_line(5, 2, 6) == 4 * 5**5
+    for removed in (0, 1):
+        with pytest.raises(ValueError, match="between 0 and 6"):
+            count_divisors_open_line(2, removed, 50)
 
 
 def test_count_divisors_full_projective_line():

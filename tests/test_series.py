@@ -694,10 +694,16 @@ def test_every_bound_form_gives_the_same_results(cusp):
     }
     forms = ([6, 6, 6], (6, 6, 6), (Fraction(6),) * 3)
     fresh, reused = [], []
+    memos = (
+        series_module._scan_strata,
+        series_module.walk_nhats,
+        series_module._expand,
+        codim._composed,
+        codim._literal,
+    )
     for bound in forms:
-        series_module._scan_strata.cache_clear()
-        series_module.walk_nhats.cache_clear()
-        series_module._expand.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         fresh.append({name: route(bound) for name, route in routes.items()})
     for bound in forms:  # now each form may be served what another one left
         reused.append({name: route(bound) for name, route in routes.items()})
