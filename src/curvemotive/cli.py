@@ -559,6 +559,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -226,6 +227,33 @@ def test_closed_stdout_exits_141_quietly(cusp_file):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b""), argv
+
+
+def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeypatch):
+    from curvemotive import __main__ as entry
+
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+    def dispatched(argv=None):
+        events.append("main")
+        code = main(argv)
+        events.append("returned")
+        return code
+
+    monkeypatch.setattr(entry, "main", dispatched)
+    for argv, expected in (
+        (["compute", "--series", "pdg", "--bound", "2", "--input", cusp_file], 0),
+        (["check", "--input", str(tmp_path / "missing.json")], 1),
+        (["check", "--input", cusp_file, "--format", "json"], 2),
+    ):
+        monkeypatch.setattr(sys, "argv", ["curvemotive", *argv])
+        events.clear()
+        assert entry.run() == expected, argv
+        assert events == ["freeze", "main", "returned", "freeze"], argv
+        events.clear()
+        assert main(argv) == expected, argv
+        assert events == [], argv
 
 
 def test_check_malformed_bound_is_usage_error(capsys, cusp_file):

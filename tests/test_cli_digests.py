@@ -12,7 +12,8 @@ root::
 
 The script needs only the standard library, so it also runs under
 interpreters without pytest; comparing its output with the committed file
-checks an interpreter version.
+checks an interpreter version.  A few entries also run as real
+``python -m curvemotive`` processes, the path every user takes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -30,6 +32,15 @@ from curvemotive import build, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
+# one compute per series, one in JSON, and a check whose stderr carries the
+# graph's warning
+PROCESS_SAMPLE = [
+    ["compute", "--series", "phatd-closed", "--input", "demos/graphs/chain2_h12.json", "--format", "text"],
+    ["compute", "--series", "pg", "--bound", "6", "--input", "demos/graphs/cusp.json", "--format", "text"],
+    ["compute", "--series", "pdg", "--bound", "6", "--input", "demos/graphs/satellite5.json", "--format", "json"],
+    ["compute", "--series", "phatd", "--bound", "9", "--input", "demos/graphs/single.json", "--format", "text"],
+    ["check", "--bound", "6", "--input", "demos/graphs/chain2_h12.json"],
+]
 
 
 def commands():
@@ -72,6 +83,22 @@ def test_cli_output_matches_recorded_digests(monkeypatch):
     assert [item["argv"] for item in recorded] == list(commands())
     mismatched = [item["argv"] for item in recorded if run(item["argv"]) != item]
     assert not mismatched
+
+
+def test_process_output_matches_recorded_digests():
+    recorded = {tuple(item["argv"]): item for item in json.loads(DIGESTS.read_text(encoding="utf-8"))}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in PROCESS_SAMPLE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemotive", *argv], cwd=ROOT, env=env, capture_output=True, timeout=60
+        )
+        assert {
+            "argv": argv,
+            "exit": proc.returncode,
+            "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": hashlib.sha256(proc.stderr).hexdigest(),
+        } == recorded[tuple(argv)]
 
 
 if __name__ == "__main__":
