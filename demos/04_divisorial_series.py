@@ -4,8 +4,9 @@
 The extended-semigroup series admits a rational closed form: a product of
 one factor per intersection pair over denominators (1 - t^{m_i}) and
 (1 - e_i L t^{m_i}), with m_i the i-th row of M.  Its expansion must agree,
-coefficient by coefficient, with the direct sum over strata; running both
-routes is the library's core self-verification.
+coefficient by coefficient, with the stratum sum, built per key by the same
+engine as the branch and divisorial series; running both routes is the
+library's core self-verification.
 """
 
 import json

@@ -262,14 +262,6 @@ class ResolutionGraph(Record):
                     f"center {i} is proximate to {len(center.proximate_to)} points; "
                     "free/satellite geometry allows at most 2"
                 )
-        for i in range(1, self.s + 1):
-            expected = self.degree_of(i) * self.beta[i - 1]
-            if self.nu_bullet[i - 1] != expected:
-                out.append(
-                    f"nu_bullet[{i}] = {self.nu_bullet[i - 1]} differs from "
-                    f"h_{i}*beta_{i} = {expected}: some intersection point on E{i} "
-                    f"has degree other than h_{i}"
-                )
         for site in self.pairs:
             h1 = self.degree_of(site.i1)
             h2 = self.degree_of(site.i2)

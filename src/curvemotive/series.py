@@ -13,19 +13,20 @@ exponents:
   form: a product of intersection-pair factors over the product of
   ``(1 - t^{m_i}) (1 - e_i L t^{m_i})`` with ``m_i`` the i-th row of ``M``.
 
-The first two series are one stratum sum, with exponent ``v`` on a graph with
-branches and ``w`` on a branch-free graph, built without visiting strata one
-by one: codimension and exponent depend on a stratum only through ``nhat`` and
-the branch multiplicities ``t''``, so one generating-function product sums
-the classes per ``(nhat, J)`` and ``L^(-F) t^v`` is applied once per key;
-the geometric factor in each branch's ``t''`` is then summed as a running
-sum.  A second product counts the strata, which must match a direct
-enumeration, and every composed codimension in use is checked against the
-literal one.  The symmetric-power classes have no second copy here: they are
-checked by the independent routes, the closed form against its stratum sum
-and the totally rational branch series against the per-stratum reduction.
-The closed form is cross-checked against its own stratum sum by
-``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
+All three stratum sums come from one per-key engine, ``_assemble``, with
+exponent ``v`` on a graph with branches and ``w`` on a branch-free graph,
+built without visiting strata one by one: codimension and exponent depend on
+a stratum only through ``nhat`` and the branch multiplicities ``t''``, so one
+generating-function product sums the classes per ``(nhat, J)`` and ``L^(-F)
+t^v`` is applied once per key; the geometric factor in each branch's ``t''``
+is then summed as a running sum.  The extended-semigroup stratum sum is the
+divisorial one without ``L^(-F)``.  A second product counts the strata, which
+must match a direct enumeration, and every composed codimension in use is
+checked against the literal one.  The symmetric-power classes have no second
+copy here: they are checked by the independent routes, the closed form
+against its stratum sum and the totally rational branch series against the
+per-stratum reduction.  The closed form is cross-checked against the engine
+by ``expand`` versus ``divisorial_semigroup_stratum_sum``; that comparison is
 this module's core self-verification.  ``expand`` multiplies out the
 numerator and divides by each denominator factor ``1 - c t^m`` as a running
 sum ``out[e] = in[e] + c out[e - m]``.
@@ -36,15 +37,14 @@ Both running sums work on int exponent tuples on the lattice ``d * M``
 
 Each (graph, bound)'s strata are enumerated once per process:
 ``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
-the count checks inside the two stratum sums and the per-stratum references
-(``divisorial_semigroup_stratum_sum``, the totally rational branch series)
-all read one enumeration.  Every such memo is a bounded ``lru_cache`` keyed
-on values; a graph computes its hash once, so keying on it is cheap.  Each
-``nhat``'s two codimensions are computed once per set of centers (see
-``codim``), and ``expand`` keeps its last expansion, so a closed form equal to
-the last one is expanded once; it hands out a new series each time.  No
-cross-check loses its independence by this: each consumer gets the result the
-same deterministic function would give it.
+the engine's count checks and the per-stratum reference (the totally
+rational branch series) all read one enumeration.  Every such memo is a
+bounded ``lru_cache`` keyed on values; a graph computes its hash once, so
+keying on it is cheap.  Each ``nhat``'s two codimensions are computed once per
+set of centers (see ``codim``), and ``expand`` keeps its last expansion, so a
+closed form equal to the last one is expanded once; it hands out a new series
+each time.  No cross-check loses its independence by this: each consumer gets
+the result the same deterministic function would give it.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, lcm, prod
-from functools import cache, lru_cache, partial, reduce, wraps
+from functools import cache, lru_cache, reduce, wraps
 from operator import add, le, mul
 
 from ._record import Record
@@ -339,29 +339,34 @@ def _from_lattice(arity, bound, d, poly) -> TruncatedSeries:
     return series
 
 
-def _walk(steps, mins, start, caps, visit):
-    """Call ``visit(values, z)`` for every ``values >= mins`` whose ``z`` fits
-    under ``caps``, lexicographically.  ``z`` is ``start`` at ``values = mins``
-    and moves by ``steps[k]`` per unit of ``values[k]``.
+def _walk(steps, mins, start, caps):
+    """Yield ``(values, z)`` for every ``values >= mins`` whose ``z`` fits under
+    ``caps``, lexicographically.  ``z`` is ``start`` at ``values = mins`` and
+    moves by ``steps[k]`` per unit of ``values[k]``.
 
     Only the leading ``len(caps)`` entries of ``z`` are bounded; the rest ride
     along.  A step is taken only while ``z`` fits, so with no steps ``start``
-    is visited as it is.  Every step raises at least one bounded entry, so the
-    walk ends.  ``values`` is reused between calls.
+    is yielded as it is.  Every step raises at least one bounded entry, so the
+    walk ends.  ``values`` is one list, changed in place between yields.
     """
     values = list(mins)
-
-    def rec(k, z):
-        if k == len(steps):
-            visit(values, z)
+    depth = len(steps)
+    zs = [start] * (depth + 1)  # zs[k]: z with values[k + 1:] at their minimum
+    k = 0
+    while True:
+        if k == depth:
+            yield values, zs[k]
+        elif all(map(le, zs[k], caps)):  # map() stops at the end of caps
+            zs[k + 1] = zs[k]
+            k += 1
+            continue
+        else:
+            values[k] = mins[k]
+        k -= 1  # advance the deepest entry that can still move
+        if k < 0:
             return
-        while all(map(le, z, caps)):  # map() stops at the end of caps
-            rec(k + 1, z)
-            values[k] += 1
-            z = [a + b for a, b in zip(z, steps[k])]
-        values[k] = mins[k]
-
-    rec(0, start)
+        values[k] += 1
+        zs[k] = [a + b for a, b in zip(zs[k], steps[k])]
 
 
 def _memo(maxsize: int):
@@ -400,9 +405,8 @@ def walk_nhats(g: ResolutionGraph, bound):
     """
     attach = [b.attach for b in g.branches]
     d, steps, caps = _lattice(g.m_matrix, bound, attach)
-    found = []
-    _walk(steps, [0] * g.s, [0] * len(steps[0]), caps, lambda n, z: found.append((tuple(n), tuple(z))))
-    return d, steps, caps, tuple(found), tuple(d * g.degree_of(a) for a in attach)
+    found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
+    return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
 
 
 @_memo(maxsize=1)  # a graph's routes run one after another in check
@@ -417,7 +421,7 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     walks its legs from each point with room for all of them at 1, and is
     passed over when ``n = 0`` has none.  The order is family, then ``n``,
     then legs.  The last result per process is kept, so the count checks and
-    the per-stratum references on one graph and bound share one enumeration.
+    the per-stratum reference on one graph and bound share one enumeration.
     """
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
@@ -437,20 +441,14 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
             if not all(map(le, least, caps)):
                 continue  # not even n = 0 has room
             cut = 2 * len(pair_subset)  # pair legs before it, branch legs after
-
-            def emit(n, values, z):
-                nonlocal skipped
-                # integral mode checks the exponent vector and w
-                if strictness == "integral" and any(x % d for x in z):
-                    skipped += 1
-                    return
-                p, b = iter(values[:cut]), iter(values[cut:])  # zip(p, p) pairs consecutive legs
-                strata.append(Stratum(pair_subset, branch_subset, n, tuple(zip(p, p)), tuple(zip(b, b))))
-
             for n, z in points:
-                start = list(map(add, z, least))
-                if all(map(le, start, caps)):
-                    _walk(legs, [1] * len(legs), start, caps, partial(emit, n))
+                for values, z_leg in _walk(legs, [1] * len(legs), list(map(add, z, least)), caps):
+                    # integral mode checks the exponent vector and w
+                    if strictness == "integral" and any(x % d for x in z_leg):
+                        skipped += 1
+                        continue
+                    p, b = iter(values[:cut]), iter(values[cut:])  # zip(p, p) pairs consecutive legs
+                    strata.append(Stratum(pair_subset, branch_subset, n, tuple(zip(p, p)), tuple(zip(b, b))))
     return tuple(strata), skipped
 
 
@@ -508,8 +506,10 @@ def _coefficients(g, keys, below, site, unit, zero):
     return per_subset
 
 
-def _assemble(g: ResolutionGraph, bound, strictness: str):
-    """The branch series, or the divisorial one if ``g`` has no branch, per key.
+def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = False):
+    """The branch series, or the divisorial one if ``g`` has no branch, per key;
+    with ``semigroup``, the extended-semigroup stratum sum on a branch-free
+    ``g``, which leaves out ``L^(-F)`` and so computes no codimension.
 
     ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
     branch second multiplicities ``t''``, so ``_coefficients`` sums the
@@ -523,7 +523,7 @@ def _assemble(g: ResolutionGraph, bound, strictness: str):
     its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
-    what = "branch series" if g.r else "divisorial series"
+    what = "extended-semigroup series" if semigroup else "branch series" if g.r else "divisorial series"
     strata, scan_skipped = _scan_strata(g, bound, strictness)
     d, _steps, caps, found, t_steps = walk_nhats(g, bound)
     keys = [n for n, _z in found]
@@ -538,7 +538,7 @@ def _assemble(g: ResolutionGraph, bound, strictness: str):
         for i, top in enumerate(map(max, zip(*keys)))
     ]
     names = ("composed codimension", "literal codimension")
-    codims = [
+    codims = [0] * len(keys) if semigroup else [
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
         for n in keys
     ]
@@ -637,24 +637,14 @@ def poincare_divisorial(
 def divisorial_semigroup_stratum_sum(
     g: ResolutionGraph, bound, *, strictness: str = "literal"
 ) -> TruncatedSeries:
-    """Direct sum ``sum [Y^D] t^w`` over divisorial strata, no codimension factor.
+    """The stratum sum ``sum [Y^D] t^w`` of the extended-semigroup series: the
+    divisorial series' per-key sum without its factor ``L^(-F^D)``.
 
-    This is the stratum-level description of the extended-semigroup series;
-    it must reproduce ``expand(divisorial_closed_form(g), bound)`` exactly.
-    A branch-free stratum's class depends on it only through its point
-    multiplicities and its pairs, so each such class is built once.
+    It must reproduce ``expand(divisorial_closed_form(g), bound)`` exactly,
+    so the closed form checks the engine that builds the branch and
+    divisorial series.
     """
-    g = g.without_branches
-    strata, skipped = _scan_strata(g, bound, strictness)
-    classes = {}
-
-    def term(st: Stratum):
-        key = st.point_mults, st.pairs
-        if key not in classes:
-            classes[key] = stratum_class(st, g)
-        return w_of(nhat(st, g), g), classes[key]
-
-    return _mapreduce(g.s, bound, strata, skipped, term)
+    return _assemble(g.without_branches, bound, strictness, semigroup=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from curvemotive import build, cli
+from curvemotive import series as series_module
 from curvemotive.cli import main
 from curvemotive.codim import ExponentVector
 from curvemotive.grothendieck import RingElement
@@ -476,6 +477,25 @@ def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkey
         "cross-check failure: extended-semigroup series: closed form and stratum sum disagree; "
         "first at 1: closed form 1, stratum sum 2"
     )
+
+
+def test_closed_form_checks_the_engine_of_pg_and_pdg(capsys, monkeypatch):
+    # every pair and branch unit class U becomes U - 1 in the class product,
+    # while the count product stays as it is
+    original = series_module._coefficients
+
+    def broken(g, keys, below, site, unit, zero):
+        if isinstance(zero, RingElement):
+            return original(g, keys, below, site, lambda label: unit(label) - RingElement.one(), zero)
+        return original(g, keys, below, site, unit, zero)
+
+    monkeypatch.setattr(series_module, "_coefficients", broken)
+    path = str(DEMOS / "graphs" / "chain2_h12.json")
+    code, out, _err = run(capsys, "check", "--bound", "6", "--input", path)
+    assert code == 3
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL: extended-semigroup series: closed form vs stratum sum (")
 
 
 def test_specialize_rejects_a_label_the_graph_does_not_carry(capsys, cusp_file):

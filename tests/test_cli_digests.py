@@ -32,8 +32,8 @@ from curvemotive import build, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
-# one compute per series, one in JSON, and a check whose stderr carries the
-# graph's warning
+# one compute per series, one in JSON, and a check; the chain2_h12 compute's
+# stderr carries the non-integral warning
 PROCESS_SAMPLE = [
     ["compute", "--series", "phatd-closed", "--input", "demos/graphs/chain2_h12.json", "--format", "text"],
     ["compute", "--series", "pg", "--bound", "6", "--input", "demos/graphs/cusp.json", "--format", "text"],

@@ -1,5 +1,6 @@
 """Symmetric powers, stratum enumeration, the three series and their identities."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -639,23 +640,44 @@ def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two
     assert len(calls) < len(strata)
 
 
-def test_stratum_sum_builds_each_class_once(cusp, monkeypatch):
+def test_stratum_sum_matches_the_per_stratum_classes(cusp, monkeypatch):
     g = cusp.without_branches
     bound = (16, 16, 16)  # reaches the strata with a pair
-    strata = list(enumerate_strata(g, bound))
     expected = TruncatedSeries.zero(g.s, bound)
-    for st in strata:
+    for st in enumerate_strata(g, bound):
         expected.add_term(w_of(nhat(st, g), g), stratum_class(st, g))
     calls = []
 
     def counted(st, graph):
-        calls.append((st.point_mults, st.pairs))
+        calls.append(st)
         return stratum_class(st, graph)
 
     monkeypatch.setattr(series_module, "stratum_class", counted)
     assert divisorial_semigroup_stratum_sum(cusp, bound) == expected
-    assert sorted(calls) == sorted({(st.point_mults, st.pairs) for st in strata})
-    assert len(calls) < len(strata)
+    assert calls == []  # summed per key, never stratum by stratum
+
+
+def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
+    # with the collector off, a cycle would keep every stratum of a
+    # forgotten scan alive until the next collection
+    gc.collect()
+    series_module._scan_strata.cache_clear()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        strata, _skipped = series_module._scan_strata(cusp.without_branches, (12, 12, 12), "literal")
+        assert strata
+        del strata
+        series_module._scan_strata.cache_clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, Stratum)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_expand_hands_out_a_fresh_series(cusp):
