@@ -43,7 +43,6 @@ chain = build(json.loads((HERE / "graphs" / "chain2_h12.json").read_text()))
 show("N", chain.intersection_matrix)
 show("M", chain.m_matrix)
 print("M picks up denominators; every value stays an exact fraction.")
-print("Diagnostics:", list(chain.warnings))
 print()
 
 print("Invalid input is rejected with a structured report:")

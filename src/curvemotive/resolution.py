@@ -25,9 +25,6 @@ its ``without_branches`` share one ``M``, built and checked once per process.
 Construction validates the classical proximity constraints (earlier indices
 only, divisibility of residue degrees along infinitely near points, branch
 attachments) and raises ``GraphValidationError`` carrying every violation.
-Softer diagnostics (a center proximate to more than two points, intersection
-degrees that cannot come from a single transversal point, ...) are collected
-as warnings on the built graph instead.
 """
 
 from __future__ import annotations
@@ -251,28 +248,6 @@ class ResolutionGraph(Record):
         )
         return tuple((label, deg) for label, deg in sites if label is not None)
 
-    # -- diagnostics ---------------------------------------------------------
-
-    @cached_property
-    def warnings(self) -> tuple[str, ...]:
-        out = []
-        for i, center in enumerate(self.centers, start=1):
-            if len(center.proximate_to) > 2:
-                out.append(
-                    f"center {i} is proximate to {len(center.proximate_to)} points; "
-                    "free/satellite geometry allows at most 2"
-                )
-        for site in self.pairs:
-            h1 = self.degree_of(site.i1)
-            h2 = self.degree_of(site.i2)
-            if site.degree > h1 and site.degree > h2:
-                out.append(
-                    f"pair {site.key}: intersection degree {site.degree} exceeds both "
-                    f"component degrees ({h1}, {h2}); possibly a multi-point "
-                    "intersection"
-                )
-        return tuple(out)
-
     def _validate_derived(self):
         issues = []
         n = self.intersection_matrix
@@ -304,11 +279,13 @@ class ResolutionGraph(Record):
             degrees[label] = deg
         return issues
 
-    @cached_property
+    @property
     def without_branches(self) -> "ResolutionGraph":
         """The same centers and component and pair labels, with no branches."""
-        if not self.r:
-            return self
+        return self._branch_free if self.r else self  # caching self would make a cycle
+
+    @cached_property
+    def _branch_free(self) -> "ResolutionGraph":
         labels = tuple((site, label) for site, label in self.labels if not site.startswith("C"))
         return ResolutionGraph(self.centers, (), labels)
 
@@ -455,5 +432,4 @@ def matrices_report(g: ResolutionGraph) -> dict:
         "nu_circ": list(g.nu_circ),
         "beta": list(g.beta),
         "epsilon": list(g.epsilon),
-        "warnings": list(g.warnings),
     }

@@ -40,11 +40,9 @@ Each (graph, bound)'s strata are enumerated once per process:
 the engine's count checks and the per-stratum reference (the totally
 rational branch series) all read one enumeration.  Every such memo is a
 bounded ``lru_cache`` keyed on values; a graph computes its hash once, so
-keying on it is cheap.  Each ``nhat``'s two codimensions are computed once per
-set of centers (see ``codim``), and ``expand`` keeps its last expansion, so a
-closed form equal to the last one is expanded once; it hands out a new series
-each time.  No cross-check loses its independence by this: each consumer gets
-the result the same deterministic function would give it.
+keying on it is cheap, and each ``nhat``'s two codimensions are computed once
+per set of centers (see ``codim``).  No cross-check loses its independence:
+each consumer gets what the same deterministic function would give it.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
@@ -734,16 +732,9 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     Exponents live on the integer lattice ``d * M`` (see ``_lattice``).  The
     numerator is a truncated polynomial product; dividing by each
     denominator factor, ``(1 - t^m)`` and ``(1 - e L t^m)``, is a running sum
-    along ``m`` (``_divide``).  The last expansion is kept, keyed on the
-    closed form and the bound as a tuple; every call returns a new series,
-    since a series is mutable.
+    along ``m`` (``_divide``).
     """
-    kept = _expand(cf, tuple(bound))
-    return TruncatedSeries(kept.arity, kept.bound, dict(kept.terms))
-
-
-@lru_cache(maxsize=1)  # check expands one closed form twice on a totally rational graph
-def _expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
+    bound = tuple(bound)
     d, rows, caps = _lattice(cf.m_rows, bound)
     zero = (0,) * cf.arity
     one = RingElement.one()
@@ -762,27 +753,30 @@ def _expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     return _from_lattice(cf.arity, bound, d, poly)
 
 
-def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
-    """Expansion of the all-degrees-one closed form, built from ``M`` alone.
+def totally_rational_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
+    """The all-degrees-one closed form, built from ``M`` alone.
 
     Numerator factors are ``1 - t^{m_{i1}} - t^{m_{i2}} + L t^{m_{i1}}
     t^{m_{i2}}``; the denominator is ``prod (1 - t^{m_i})(1 - L t^{m_i})``.
-    It shares ``expand`` with the general closed form, so comparing the two
-    checks what ``divisorial_closed_form`` reads off a totally rational graph:
-    when the two closed forms are equal, ``expand`` computes the expansion
-    once.
+    Comparing it with ``divisorial_closed_form(g)`` checks what the general
+    closed form reads off a totally rational graph; equal records have equal
+    expansions, so the comparison needs none.
     """
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     one = RingElement.one()
     units = RingElement.lefschetz() - one
-    cf = ClosedFormExpr(
+    return ClosedFormExpr(
         arity=g.s,
         m_rows=tuple(ExponentVector(row) for row in g.m_matrix),
         component_classes=(one,) * g.s,
         pair_data=tuple((site.i1, site.i2, 1, units) for site in g.pairs),
     )
-    return expand(cf, bound)
+
+
+def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
+    """Expansion of ``totally_rational_closed_form(g)``."""
+    return expand(totally_rational_closed_form(g), bound)
 
 
 def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
@@ -804,14 +798,12 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
 
     @cache
     def inner(nu: int, n_i: int) -> RingElement:
+        # nu >= 1 with a branch: if s = 1 it meets E_1, else E_i meets the last
+        # center proximate to it or, if none is, a center it is proximate to
         out = RingElement.zero()
-        if nu >= 1:
-            for l in range(min(n_i, nu - 1) + 1):
-                sign = -1 if l % 2 else 1
-                out = out + RingElement.integer(sign * comb(nu - 1, l)).lefschetz_shift(-l)
-        else:
-            for l in range(n_i + 1):
-                out = out + RingElement.lefschetz(-l)
+        for l in range(min(n_i, nu - 1) + 1):
+            sign = -1 if l % 2 else 1
+            out = out + RingElement.integer(sign * comb(nu - 1, l)).lefschetz_shift(-l)
         return out
 
     @cache

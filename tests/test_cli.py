@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
+import argparse
 import gc
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from curvemotive import build, cli
+from curvemotive import Center, ResolutionGraph, build, cli
 from curvemotive import series as series_module
 from curvemotive.cli import main
 from curvemotive.codim import ExponentVector
@@ -316,7 +317,7 @@ def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
 
 
 def test_check_does_the_centers_work_once(capsys, monkeypatch):
-    from curvemotive import _linalg, codim, resolution, series
+    from curvemotive import _linalg, codim, resolution
 
     inverses = []
     inverse = _linalg.unitriangular_inverse
@@ -325,9 +326,17 @@ def test_check_does_the_centers_work_once(capsys, monkeypatch):
         inverses.append(args)
         return inverse(*args)
 
-    for memo in (resolution._m_matrix, codim._composed, codim._literal, series._expand):
+    expansions = []
+    expand = cli.expand
+
+    def counted_expand(*args):
+        expansions.append(args)
+        return expand(*args)
+
+    for memo in (resolution._m_matrix, codim._composed, codim._literal):
         memo.cache_clear()
     monkeypatch.setattr(_linalg, "unitriangular_inverse", counted)
+    monkeypatch.setattr(cli, "expand", counted_expand)
     satellite5 = str(DEMOS / "graphs" / "satellite5.json")
     code, out, _err = run(capsys, "check", "--bound", "40", "--input", satellite5)
     assert code == 0, out
@@ -339,8 +348,8 @@ def test_check_does_the_centers_work_once(capsys, monkeypatch):
     # 54 distinct nhat on the graph and on its branch-free copy; one inverse
     # builds the shared M, the other is check's own matrix line
     assert calls == {"composed": 54, "literal": 54, "inverse": 2}
-    # the general and the totally rational closed form are equal: one expansion
-    assert series._expand.cache_info().misses == 1
+    # the totally rational closed form is compared as a record: one expansion
+    assert len(expansions) == 1
 
 
 def test_wrong_symmetric_power_coefficients_fail_the_independent_lines(capsys, cusp_file, monkeypatch):
@@ -423,10 +432,6 @@ def test_closed_form_mismatch_names_first_difference(capsys, cusp_file, monkeypa
     assert (
         "FAIL: extended-semigroup series: closed form vs stratum sum (extended-semigroup "
         "series: closed form and stratum sum disagree; first at 1: closed form 2, stratum sum 1)"
-    ) in lines
-    assert (
-        "FAIL: totally rational: extended-semigroup reduction (extended-semigroup series: "
-        "closed form and reduced form disagree; first at 1: closed form 2, reduced form 1)"
     ) in lines
 
 
@@ -568,6 +573,55 @@ def test_validation_error_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, "matrices", "--input", str(path))
         assert (code, out) == (1, ""), label
         assert err.startswith("validation error: malformed graph record: a label is "), label
+
+
+def test_compute_and_specialize_usage_errors(capsys, cusp_file):
+    argv = ["compute", "--series", "pg", "--input", cusp_file]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "usage error: --bound is required for the branch series\n")
+    argv += ["--bound", "4", "--specialize"]
+    for spec, message in (
+        ("L=1,all", "malformed specialization assignment 'all'"),
+        ("L=x", "malformed specialization value 'x'"),
+        ("L=1/0", "malformed specialization value '1/0'"),
+        ("all=1", "a specialization must assign L"),
+    ):
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n"), spec
+    # an empty assignment is skipped
+    assert run(capsys, *argv, "L=1,,all=1") == run(capsys, *argv, "L=1,all=1")
+
+
+def test_codim_reads_a_stratum_file_and_prints_F_D_for_a_branch_free_stratum(capsys, cusp_file, tmp_path):
+    path = tmp_path / "stratum.json"
+    path.write_text(json.dumps({"n": [0, 1, 0]}))
+    code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "nhat: [0, 1, 0]"
+    assert out.splitlines()[-2:] == ["F: 3  integral: True", "F_D: 3"]
+
+
+def test_stratum_not_on_the_graph_is_a_data_error(capsys, cusp_file):
+    for stratum, message in (
+        ('{"n": [0, 1]}', "stratum n must have 3 entries"),
+        ('{"I": [[1, 2]], "pair_mults": [[1, 1]]}', "stratum names non-intersecting pair (1, 2)"),
+        ('{"J": [2], "branch_mults": [[1, 1]]}', "stratum names unknown branch 2"),
+    ):
+        code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
+        assert (code, out, err) == (1, "", f"validation error: {message}\n"), stratum
+
+
+def test_invalid_graph_is_reported_without_a_traceback(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for bad, message in (
+        ({"centers": []}, "at least one blowup center is required"),
+        ({"centers": [{"prox": [], "h": 0}]}, "center 1: degree must be a positive integer"),
+        ({"centers": [{"prox": []}, {"prox": [1, 1]}]}, "center 2: repeated proximity indices"),
+        ([{"prox": []}], "graph description must be a JSON object"),
+    ):
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "matrices", "--input", str(path))
+        assert (code, out, err) == (1, "", f"validation error: {message}\n"), bad
 
 
 def test_malformed_stratum_fields_are_data_errors(capsys, cusp_file):
@@ -714,17 +768,58 @@ def test_malformed_oracle_arguments_are_usage_errors(capsys, args):
         assert f"malformed --weights {args[2]!r}" in err
 
 
-def test_semigroup_check_compares_support_with_the_semigroup(cusp_file):
+def test_semigroup_check_compares_support_with_the_semigroup(capsys, cusp_file, monkeypatch):
     # the cusp's value semigroup is <2, 3>: its only gap is 1
-    g = cli._load_graph(cusp_file)
-    pg = poincare_generalised(g, (10,))
-    assert cli._semigroup_check(g, pg, 10)
-    missing = TruncatedSeries(1, pg.bound, dict(pg.terms))
-    del missing.terms[ExponentVector((4,))]
-    assert not cli._semigroup_check(g, missing, 10)
-    extra = TruncatedSeries(1, pg.bound, dict(pg.terms))
-    extra.add_term(ExponentVector((1,)), RingElement.one())
-    assert not cli._semigroup_check(g, extra, 10)
+    line = "classical specialization: L -> 1 matches the value semigroup"
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "10")
+    assert code == 0 and f"ok: {line}" in out.splitlines()
+
+    def missing_t4(g, bound):
+        pg = poincare_generalised(g, bound)
+        del pg.terms[ExponentVector((4,))]
+        return pg
+
+    def extra_t1(g, bound):
+        pg = poincare_generalised(g, bound)
+        pg.add_term(ExponentVector((1,)), RingElement.one())
+        return pg
+
+    for broken in (missing_t4, extra_t1):
+        monkeypatch.setattr(cli, "poincare_generalised", broken)
+        code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "10")
+        assert code == 3
+        assert f"FAIL: {line}" in out.splitlines(), broken.__name__
+
+
+def test_in_process_calls_leave_no_parser_or_graph_in_a_cycle(capsys, cusp_file, tmp_path):
+    # with the collector off, a cycle would keep each call's parser or graph
+    # alive until the next collection
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]}))
+    argvs = (
+        ["check", "--bound", "6", "--input", cusp_file],
+        ["check", "--bound", "6", "--input", str(bare)],
+        ["compute", "--series", "pg", "--bound", "6", "--input", cusp_file],
+        ["compute", "--series", "pdg", "--bound", "6", "--input", str(bare)],
+    )
+    for argv in argvs:  # the first call builds what a process keeps
+        assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
+        gc.collect()
+        kinds = (argparse.ArgumentParser, ResolutionGraph, Center)
+        left = [type(obj).__name__ for obj in gc.garbage if isinstance(obj, kinds)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_byte_identical_output_across_runs(capsys, cusp_file):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from curvemotive import GraphValidationError, ResolutionGraph, build
+from curvemotive import Center, GraphValidationError, ResolutionGraph, build
 from curvemotive import _linalg
 from curvemotive._record import Record
 from curvemotive.cli import main
@@ -78,7 +78,6 @@ def test_cusp_matrices(cusp):
     assert cusp.nu_bullet == (1, 1, 2)
     assert cusp.nu_circ == (1, 1, 3)
     assert cusp.epsilon == (1, 1, 0)
-    assert not cusp.warnings
 
 
 def test_integral_m_entries_are_ints(cusp, satellite5):
@@ -100,11 +99,45 @@ def test_chain2_h12_matrices(chain2_h12):
     )
     assert [type(x) for row in chain2_h12.m_matrix for x in row] == [int, int, int, Fraction]
     # the degree-2 intersection point makes nu_bullet != h * beta on E1,
-    # which valid geometry allows, so it raises no warning
+    # which valid geometry allows
     assert chain2_h12.nu_bullet == (2, 2)
     assert chain2_h12.beta == (1, 1)
-    assert chain2_h12.warnings == ()
     assert [p.degree for p in chain2_h12.pairs] == [2]
+
+
+def valid_graphs(s_max, degrees=(1, 2, 4)):
+    """Every branch-free graph with at most ``s_max`` centers of the given degrees.
+
+    Adding a center only lowers the earlier entries of ``N`` and keeps every
+    degree that fails to divide, so a graph that validation rejects is not
+    extended.
+    """
+    todo = [ResolutionGraph((Center((), h),)) for h in degrees]
+    while todo:
+        g = todo.pop()
+        yield g
+        if g.s == s_max:
+            continue
+        for mask in range(1, 1 << g.s):
+            prox = tuple(i for i in range(1, g.s + 1) if mask >> (i - 1) & 1)
+            for h in degrees:
+                try:
+                    todo.append(ResolutionGraph(g.centers + (Center(prox, h),)))
+                except GraphValidationError:
+                    pass
+
+
+def test_validation_leaves_only_free_and_satellite_points():
+    # what a graph that validation accepts cannot have: a center proximate to
+    # three points, a pair whose point has a degree above both components',
+    # or a component that meets no other
+    rng = random.Random(20)
+    exhaustive = list(valid_graphs(4))
+    assert len(exhaustive) == 279
+    for g in exhaustive + [random_graph(rng) for _ in range(300)]:
+        assert all(len(center.proximate_to) <= 2 for center in g.centers), g
+        assert all(site.degree <= g.degree_of(site.i2) for site in g.pairs), g
+        assert g.s == 1 or min(g.nu_bullet) >= 1, g
 
 
 def test_h_sigma_overrides_is_an_unknown_key(capsys, tmp_path):

@@ -719,7 +719,6 @@ def test_every_bound_form_gives_the_same_results(cusp):
     memos = (
         series_module._scan_strata,
         series_module.walk_nhats,
-        series_module._expand,
         codim._composed,
         codim._literal,
     )
