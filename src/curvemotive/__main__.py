@@ -1,27 +1,35 @@
 """Process entry point of ``python -m curvemotive`` and the ``curvemotive`` script."""
 
 import gc
+import os
 import sys
 
-from .cli import main
+from .cli import EXIT_BROKEN_PIPE, main
 
 
-def run() -> int:
-    """Run the command line as a whole process and return its exit code.
+def run():
+    """Run the command line as a whole process, then end the process.
 
-    Everything alive when a run starts or ends stays alive until the process
-    exits, so the cyclic garbage collector gains nothing by walking it.  The
-    first ``gc.freeze()`` moves the imported modules out of the collections
-    made during the run; the second moves out what the run leaves behind (the
-    ``lru_cache`` memos above all), which CPython's collections at exit would
-    otherwise walk again in full.  ``cli.main`` itself leaves the collector
+    Everything alive when a run starts stays alive until the process exits,
+    and a run leaves no cyclic garbage that grows with its input, so the
+    cyclic garbage collector has nothing to gain.  ``gc.freeze()`` moves the
+    imported modules out of its reach and ``gc.disable()`` turns it off for
+    the run.  After flushing the standard streams the process ends with
+    ``os._exit``: the interpreter's teardown would only free, one by one,
+    objects (the ``lru_cache`` memos above all) whose memory the operating
+    system takes back anyway.  ``cli.main`` itself leaves the collector
     alone, so calling it in process changes nothing there.
     """
     gc.freeze()
+    gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()  # main flushes its commands' output, not --help's
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

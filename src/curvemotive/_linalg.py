@@ -8,6 +8,8 @@ substitution in integers.
 
 from __future__ import annotations
 
+from math import lcm
+
 
 def mat(rows):
     return tuple(tuple(row) for row in rows)
@@ -35,6 +37,15 @@ def vec_mat(v, a):
     n = len(a)
     assert len(v) == n
     return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0])))
+
+
+def integer_form(a):
+    """``(d, d * a)`` for the least positive int ``d`` that makes ``d * a`` an int matrix.
+
+    The entries of ``a`` are ints or ``Fraction``s.
+    """
+    d = lcm(*(x.denominator for row in a for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a)
 
 
 def neg(a):

@@ -26,7 +26,10 @@ The derived quantities:
 
 Values are exact: integral ones are ``int``s and non-integral ones
 ``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
-here rounds.
+here rounds.  The codimensions are computed as ints on the integer lattice
+``d * M`` (``ResolutionGraph.m_lattice``, ``d`` the least common denominator
+of ``M``) and divided once at the end, so no ``Fraction`` arithmetic runs
+inside their sums.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import warnings as _warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import vec_mat
+from ._linalg import integer_form, vec_mat
 from ._record import Record
 from .grothendieck import _exact, _frac_json
 from .resolution import Pair, ResolutionGraph
@@ -166,18 +169,29 @@ def hoskin_deligne(w, g: ResolutionGraph) -> int | Fraction:
     Callers wanting the true codimension for arbitrary ``w`` must round up to
     the semigroup themselves.
     """
-    alpha = alpha_of(w, g)
-    if any(a < 0 for a in alpha):
+    d, (z,) = integer_form((tuple(map(_exact, w)),))
+    return _exact(Fraction(_hoskin_deligne(z, d, g), 2 * d * d))
+
+
+def _hoskin_deligne(z, d: int, g: ResolutionGraph) -> int:
+    """``2 d^2 hoskin_deligne(z / d)`` for an int vector ``z``, an int.
+
+    With ``A = z . P = d a``, it is ``sum h_i A_i (A_i + d)``.  This is the
+    one Hoskin-Deligne formula: ``hoskin_deligne`` and ``nhat_codim`` both
+    call it.
+    """
+    alpha = vec_mat(z, g.proximity_matrix)
+    if min(alpha) < 0:
         _warnings.warn(
-            f"w = {tuple(map(str, w))} is not a valuation vector of the graph "
-            f"(alpha = {tuple(map(str, alpha))})",
+            f"w = {_texts(z, d)} is not a valuation vector of the graph (alpha = {_texts(alpha, d)})",
             SemigroupMembershipWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    total = sum(
-        g.degree_of(i + 1) * a * (a + 1) for i, a in enumerate(alpha)
-    )
-    return _exact(Fraction(total, 2))
+    return sum(c.degree * a * (a + d) for c, a in zip(g.centers, alpha))
+
+
+def _texts(scaled, d: int) -> tuple[str, ...]:
+    return tuple(str(_exact(Fraction(x, d))) for x in scaled)
 
 
 def deg_AK(nhat_vec, g: ResolutionGraph) -> int | Fraction:
@@ -196,8 +210,8 @@ def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
 def nhat_codim(nh, g: ResolutionGraph) -> int | Fraction:
     """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition.
 
-    ``hoskin_deligne(w) + sum nhat_i h_i``, memoized on the branch-free graph
-    (see ``_composed``).
+    ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``, memoized on
+    the branch-free graph (see ``_composed``).
     """
     return _composed(tuple(nh), g.without_branches)
 
@@ -211,8 +225,10 @@ def _composed(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
     for each ``nhat`` on the graph and on its ``without_branches`` from four
     places.
     """
-    total = hoskin_deligne(w_of(nh, g), g)
-    return total + sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
+    d, dm = g.m_lattice
+    scale = 2 * d * d
+    linear = sum(n * c.degree for n, c in zip(nh, g.centers))
+    return _exact(Fraction(_hoskin_deligne(vec_mat(nh, dm), d, g) + scale * linear, scale))
 
 
 def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
@@ -227,19 +243,19 @@ def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
 
 @lru_cache(maxsize=1 << 15)
 def _literal(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
-    m = g.m_matrix
+    d, dm = g.m_lattice  # every sum below is d times its value
     eps = g.epsilon
     s = g.s
-    quad = sum(m[i][k] * nh[i] * nh[k] for i in range(s) for k in range(s))
+    quad = sum(dm[i][k] * nh[i] * nh[k] for i in range(s) for k in range(s))
     lin = sum(
         nh[i]
         * (
-            sum(m[i][k] * eps[k] for k in range(s))
-            + (2 * g.degree_of(i + 1) - 1)
+            sum(dm[i][k] * eps[k] for k in range(s))
+            + d * (2 * g.degree_of(i + 1) - 1)
         )
         for i in range(s)
     )
-    return _exact(Fraction(quad + lin, 2))
+    return _exact(Fraction(quad + lin, 2 * d))
 
 
 def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 
@@ -89,8 +90,10 @@ class RingElement:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0) + coeff
-            if out[key] == 0:
+            c = out.get(key, 0) + coeff
+            if c:
+                out[key] = c
+            else:  # only a key already in out can cancel
                 del out[key]
         result = RingElement.__new__(RingElement)
         result._terms = out
@@ -168,8 +171,19 @@ class RingElement:
         return all(l.denominator == 1 for l, _ in self._terms)
 
     def sorted_terms(self):
-        """Terms in the canonical order: L-degree descending, then symbols."""
-        return sorted(self._terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+        """Terms in the canonical order: L-degree descending, then symbols.
+
+        L-exponents are compared as ints, each times the least common
+        multiple of their denominators, which orders them as the exact
+        rationals but without ``Fraction`` comparisons.
+        """
+        scale = lcm(*{lexp.denominator for lexp, _syms in self._terms})
+
+        def key(item):
+            lexp, syms = item[0]
+            return -lexp.numerator * (scale // lexp.denominator), syms
+
+        return sorted(self._terms.items(), key=key)
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -20,7 +20,8 @@ transform meets.  From that the module derives
 A graph is immutable and computes its hash once, so work that depends on
 the centers alone is memoized by one rule: a bounded ``functools.lru_cache``
 keyed on values.  ``M`` is one such function of the centers, so a graph and
-its ``without_branches`` share one ``M``, built and checked once per process.
+its ``without_branches`` share one ``M``, built and checked once per process,
+and one integer form ``d * M`` (``m_lattice``), built on first use.
 
 Construction validates the classical proximity constraints (earlier indices
 only, divisibility of residue degrees along infinitely near points, branch
@@ -164,6 +165,15 @@ class ResolutionGraph(Record):
     @cached_property
     def m_matrix(self):
         return _m_matrix(self.centers, self.proximity_matrix, self.intersection_matrix)
+
+    @cached_property
+    def m_lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, d * M)`` with ``d`` the least common denominator of ``M``.
+
+        Built on first use (``m_matrix`` does not build it), once per ``M``.
+        The codimensions and the stratum sums compute on it in ints.
+        """
+        return _m_lattice(self.m_matrix)
 
     def m_row(self, i: int):
         return self.m_matrix[i - 1]
@@ -320,6 +330,9 @@ def _m_matrix(centers: tuple[Center, ...], p, n):
     if _linalg.mat_mul(m, _linalg.neg(n)) != _linalg.identity(len(centers)):
         raise ValueError("M verification failed: M times -N is not the identity")
     return m
+
+
+_m_lattice = lru_cache(maxsize=8)(_linalg.integer_form)  # keyed on M, so per set of centers
 
 
 def _validate_input(centers, branches):

@@ -53,10 +53,11 @@ at the bound loses nothing below it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor, lcm, prod
+from math import comb, floor, prod
 from functools import cache, lru_cache, reduce, wraps
 from operator import add, le, mul
 
+from ._linalg import integer_form
 from ._record import Record
 from .codim import (
     ExponentVector,
@@ -258,9 +259,10 @@ def _subsets(items):
         yield tuple(items[k] for k in range(len(items)) if mask >> k & 1)
 
 
-def _lattice(m, bound, attach=()):
+def _lattice(scaled, bound, attach=()):
     """Exponents and bound on the integer lattice ``d * M``.
 
+    ``scaled`` is ``(d, d * M)``, as ``ResolutionGraph.m_lattice`` holds it.
     Returns ``(d, steps, caps)``.  A unit of ``nhat_i`` raises ``d`` times
     (exponent vector, then ``w``) by ``steps[i]``: the columns of ``M`` named
     by the 1-based ``attach`` are the branch series' exponents, and without
@@ -269,8 +271,7 @@ def _lattice(m, bound, attach=()):
     Every route reads its bound through here, so this is where a bound of the
     wrong length or with a negative entry is rejected.
     """
-    d = lcm(*(Fraction(x).denominator for row in m for x in row))
-    rows = [tuple(int(Fraction(x) * d) for x in row) for row in m]
+    d, rows = scaled
     caps = tuple(floor(Fraction(b) * d) for b in bound)
     arity = len(attach) or len(rows[0])
     if len(caps) != arity:
@@ -402,7 +403,7 @@ def walk_nhats(g: ResolutionGraph, bound):
     The last two results per process are kept.
     """
     attach = [b.attach for b in g.branches]
-    d, steps, caps = _lattice(g.m_matrix, bound, attach)
+    d, steps, caps = _lattice(g.m_lattice, bound, attach)
     found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
     return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
 
@@ -735,7 +736,7 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     along ``m`` (``_divide``).
     """
     bound = tuple(bound)
-    d, rows, caps = _lattice(cf.m_rows, bound)
+    d, rows, caps = _lattice(integer_form(cf.m_rows), bound)
     zero = (0,) * cf.arity
     one = RingElement.one()
     poly = {zero: one}

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import json
 import os
 import subprocess
@@ -213,9 +214,12 @@ def test_every_accepted_label_can_be_specialized(capsys, tmp_path):
 def test_closed_stdout_exits_141_quietly(cusp_file):
     # The read end is closed before the child starts, so its first write to
     # stdout fails; a cut-off check must not exit 0 as if every line passed.
+    # With stdout buffered, the help text first meets the pipe at the
+    # process's final flush.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
-    for argv in (["compute", "--series", "pdg", "--bound", "2"], ["check", "--bound", "4"]):
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["compute", "--series", "pdg", "--bound", "2"], ["check", "--bound", "4"], ["--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -235,7 +239,20 @@ def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeyp
     from curvemotive import __main__ as entry
 
     events = []
+
+    class Stream(io.StringIO):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def flush(self):
+            events.append(f"flush {self.name}")
+
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
 
     def dispatched(argv=None):
         events.append("main")
@@ -251,11 +268,37 @@ def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeyp
     ):
         monkeypatch.setattr(sys, "argv", ["curvemotive", *argv])
         events.clear()
-        assert entry.run() == expected, argv
-        assert events == ["freeze", "main", "returned", "freeze"], argv
+        assert entry.run() is None, argv  # os._exit is stubbed, so run returns
+        assert events[:3] == ["freeze", "disable", "main"], argv
+        tail = events[events.index("returned") :]
+        assert tail == ["returned", "flush stdout", "flush stderr", ("exit", expected)], argv
         events.clear()
         assert main(argv) == expected, argv
-        assert events == [], argv
+        assert set(events) <= {"flush stdout"}, argv  # no freeze, no disable, no exit
+
+
+def test_process_entry_prints_what_main_prints(tmp_path, capsys, monkeypatch):
+    # the process ends with os._exit, so its buffered output must be flushed first
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    graph = str(DEMOS / "graphs" / "chain2_h12.json")
+    pg = ["compute", "--series", "pg", "--bound", "6"]
+    for argv, expected in (
+        (["compute", "--help"], 0),  # main flushes a command's output, not this
+        ([*pg, "--frobnicate", "--input", graph], 2),
+        (["compute", "--series", "pg", "--bound", "x", "--input", graph], 2),
+        ([*pg, "--input", str(tmp_path / "missing.json")], 1),
+        ([*pg, "--strict-integral", "--input", graph], 0),  # warns of the dropped strata
+        ([*pg, "--input", graph], 0),  # warns of the non-integral exponents
+    ):
+        code, out, err = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemotive", *argv], capture_output=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode()), argv
+        assert code == expected and (err or argv[-1] == "--help"), argv
 
 
 def test_check_malformed_bound_is_usage_error(capsys, cusp_file):
@@ -820,6 +863,35 @@ def test_in_process_calls_leave_no_parser_or_graph_in_a_cycle(capsys, cusp_file,
         if enabled:
             gc.enable()
     assert left == []
+
+
+def test_a_warm_in_process_run_leaves_no_garbage_that_grows_with_the_bound(capsys):
+    # The process entry point turns the collector off: that wastes no memory
+    # only while a run's cyclic garbage does not grow with its input.  A
+    # --format json dump leaves the json encoder's closures in a cycle of
+    # fixed size (on CPython before 3.13).
+    graph = str(DEMOS / "graphs" / "chain2_h12.json")
+
+    def garbage(argv):
+        assert run(capsys, *argv)[0] == 0  # the first call builds what a process keeps
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    for command in (["compute", "--series", "pg"], ["compute", "--series", "pg", "--format", "json"], ["check"]):
+        counts = [garbage([*command, "--bound", str(bound), "--input", graph]) for bound in (6, 12)]
+        assert counts[0] == counts[1], command
+        assert "json" in command or counts[0] == 0, command
 
 
 def test_byte_identical_output_across_runs(capsys, cusp_file):

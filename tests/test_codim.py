@@ -23,7 +23,7 @@ from curvemotive import (
     w_of,
 )
 
-from conftest import random_stratum
+from conftest import random_graph, random_stratum
 
 
 def zero(g):
@@ -221,3 +221,46 @@ def test_nhat_codimensions_are_computed_once_per_set_of_centers():
         g.centers: {(composed(nh, g), literal(nh, g))} for g in (cusp, chain3)
     }
     assert values[cusp.centers] != values[chain3.centers]
+
+
+def _hoskin_deligne_reference(w, g):
+    alpha = [sum(Fraction(w[i]) * g.proximity_matrix[i][j] for i in range(g.s)) for j in range(g.s)]
+    return sum(g.degree_of(j + 1) * a * (a + 1) for j, a in enumerate(alpha)) / 2, alpha
+
+
+def _literal_reference(nh, g):
+    m, eps = g.m_matrix, g.epsilon
+    quad = sum(Fraction(m[i][k]) * nh[i] * nh[k] for i in range(g.s) for k in range(g.s))
+    lin = sum(
+        nh[i] * (sum(Fraction(m[i][k]) * eps[k] for k in range(g.s)) + 2 * g.degree_of(i + 1) - 1)
+        for i in range(g.s)
+    )
+    return (quad + lin) / 2
+
+
+def test_integer_lattice_codimensions_match_fraction_references():
+    rng = random.Random(53)
+    graphs = warned = 0
+    while graphs < 40:
+        g = random_graph(rng)
+        if all(Fraction(x).denominator == 1 for row in g.m_matrix for x in row):
+            continue  # only fractional M: a site of degree > 1
+        graphs += 1
+        for _ in range(10):
+            nh = tuple(rng.randint(0, 5) for _ in range(g.s))
+            composed = _hoskin_deligne_reference(w_of(nh, g), g)[0]
+            composed += sum(n * g.degree_of(i + 1) for i, n in enumerate(nh))
+            assert codim.nhat_codim(nh, g) == composed
+            assert codim.nhat_codim_literal(nh, g) == _literal_reference(nh, g)
+            assert type(codim.nhat_codim(nh, g)) is (int if composed.denominator == 1 else Fraction)
+        w = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for _ in range(g.s))
+        value, alpha = _hoskin_deligne_reference(w, g)
+        if min(alpha) < 0:
+            warned += 1
+            text = f"w = {tuple(map(str, w))} is not a valuation vector of the graph (alpha = {tuple(map(str, alpha))})"
+            with pytest.warns(SemigroupMembershipWarning) as record:
+                assert hoskin_deligne(w, g) == value
+            assert [str(r.message) for r in record] == [text]
+        else:
+            assert hoskin_deligne(w, g) == value
+    assert warned > 10
