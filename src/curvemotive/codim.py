@@ -101,7 +101,8 @@ class Stratum(Record):
         if branch_mults and min(map(min, branch_mults)) < 1:
             raise ValueError("branch multiplicities must be positive")
         # Stored directly rather than through Record.__init__, whose loop
-        # adds about a tenth to the stratum scan, which builds one per stratum.
+        # adds about a tenth to every reader that iterates a scan's strata,
+        # which builds one per stratum read.
         _set = object.__setattr__
         _set(self, "pairs", pairs)
         _set(self, "branches", branches)

@@ -38,7 +38,10 @@ Both running sums work on int exponent tuples on the lattice ``d * M``
 Each (graph, bound)'s strata are enumerated once per process:
 ``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
 the engine's count checks and the per-stratum reference (the totally
-rational branch series) all read one enumeration.  Every such memo is a
+rational branch series) all read one enumeration.  The scan records each
+stratum as a row and builds its ``Stratum`` only for a reader that iterates
+(the reference, ``enumerate_strata``); the count checks read its length, so
+``pg``, ``pdg`` and the stratum sum build none.  Every such memo is a
 bounded ``lru_cache`` keyed on values; a graph computes its hash once, so
 keying on it is cheap, and each ``nhat``'s two codimensions are computed once
 per set of centers (see ``codim``).  No cross-check loses its independence:
@@ -365,7 +368,7 @@ def _walk(steps, mins, start, caps):
         if k < 0:
             return
         values[k] += 1
-        zs[k] = [a + b for a, b in zip(zs[k], steps[k])]
+        zs[k] = list(map(add, zs[k], steps[k]))
 
 
 def _memo(maxsize: int):
@@ -408,11 +411,46 @@ def walk_nhats(g: ResolutionGraph, bound):
     return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
 
 
+class _Strata(Record):
+    """The strata of one scan, in scan order: a read-only sequence whose items
+    are built when read.
+
+    ``rows`` holds one ``(family, n, legs)`` per stratum: ``family`` is
+    ``(pairs, branches, cut)``, ``n`` the point multiplicities and ``legs`` the
+    ``cut = 2 * len(pairs)`` pair leg values, then the branch ones.  Reading an
+    item (by index or by iterating) builds its ``Stratum`` through
+    ``Stratum.__init__``; ``len`` and slices build none.
+    """
+
+    _FIELDS = ("rows",)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Strata(self.rows[index])
+        return _stratum(self.rows[index])
+
+    def __iter__(self):
+        # straight over the rows: Python's fallback through __getitem__ makes
+        # every item an index look-up, which slows the iterate-all readers
+        return map(_stratum, self.rows)
+
+
+def _stratum(row) -> Stratum:
+    (pairs, branches, cut), n, legs = row
+    p, b = iter(legs[:cut]), iter(legs[cut:])  # zip(p, p) pairs consecutive legs
+    return Stratum(pairs, branches, n, tuple(zip(p, p)), tuple(zip(b, b)))
+
+
 @_memo(maxsize=1)  # a graph's routes run one after another in check
 def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     """All strata whose exponent vector fits under ``bound``, in a fixed order.
 
-    Returns ``(strata, skipped)`` where ``strata`` is a tuple and ``skipped``
+    Returns ``(strata, skipped)`` where ``strata`` is a ``_Strata``, which
+    records each stratum as a row and builds its ``Stratum`` only when a
+    reader iterates or indexes it (``len`` builds none), and ``skipped``
     counts the strata dropped in ``integral`` mode for having a non-integral
     valuation or exponent vector.  A stratum is a point ``n`` of the ``nhat``
     walk plus its family's legs, ``(n', n'')`` per chosen pair and ``(t',
@@ -427,7 +465,7 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     d, nhat_step, caps, points, t_steps = walk_nhats(g, bound)
 
     width = len(nhat_step[0])
-    strata: list[Stratum] = []
+    rows = []
     skipped = 0
 
     for pair_subset in _subsets([site.key for site in g.pairs]):
@@ -439,20 +477,20 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
             least = list(map(sum, zip([0] * width, *legs)))  # every leg at 1
             if not all(map(le, least, caps)):
                 continue  # not even n = 0 has room
-            cut = 2 * len(pair_subset)  # pair legs before it, branch legs after
+            family = (pair_subset, branch_subset, 2 * len(pair_subset))
             for n, z in points:
                 for values, z_leg in _walk(legs, [1] * len(legs), list(map(add, z, least)), caps):
                     # integral mode checks the exponent vector and w
                     if strictness == "integral" and any(x % d for x in z_leg):
                         skipped += 1
                         continue
-                    p, b = iter(values[:cut]), iter(values[cut:])  # zip(p, p) pairs consecutive legs
-                    strata.append(Stratum(pair_subset, branch_subset, n, tuple(zip(p, p)), tuple(zip(b, b))))
-    return tuple(strata), skipped
+                    rows.append((family, n, tuple(values)))
+    return _Strata(tuple(rows)), skipped
 
 
 def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
-    """Every stratum whose exponent (as in ``walk_nhats``) is coordinatewise at most ``bound``."""
+    """Every stratum whose exponent (as in ``walk_nhats``) is coordinatewise at
+    most ``bound``, built as it is yielded from the scan's rows."""
     yield from _scan_strata(g, bound, strictness)[0]
 
 

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add, le
 from pathlib import Path
 
 import pytest
@@ -671,13 +672,104 @@ def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
         series_module._scan_strata.cache_clear()
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
         gc.collect()
-        left = [obj for obj in gc.garbage if isinstance(obj, Stratum)]
+        left = [obj for obj in gc.garbage if isinstance(obj, (Stratum, series_module._Strata))]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         if enabled:
             gc.enable()
     assert left == []
+
+
+def _eager_scan(g, bound, strictness):
+    """The scan as it was when it built one ``Stratum`` per stratum in its loop."""
+    d, nhat_step, caps, points, t_steps = series_module.walk_nhats(g, bound)
+    width = len(nhat_step[0])
+    strata, skipped = [], 0
+    for pair_subset in series_module._subsets([site.key for site in g.pairs]):
+        for branch_subset in series_module._subsets(list(range(1, g.r + 1))):
+            legs = [nhat_step[i - 1] for pair in pair_subset for i in pair]
+            for j in branch_subset:
+                t_step = [t_steps[j - 1] if k == j - 1 else 0 for k in range(width)]
+                legs += [nhat_step[g.branch(j).attach - 1], t_step]
+            least = list(map(sum, zip([0] * width, *legs)))
+            if not all(map(le, least, caps)):
+                continue
+            cut = 2 * len(pair_subset)
+            for n, z in points:
+                for values, z_leg in series_module._walk(legs, [1] * len(legs), list(map(add, z, least)), caps):
+                    if strictness == "integral" and any(x % d for x in z_leg):
+                        skipped += 1
+                        continue
+                    p, b = iter(values[:cut]), iter(values[cut:])
+                    strata.append(Stratum(pair_subset, branch_subset, n, tuple(zip(p, p)), tuple(zip(b, b))))
+    return tuple(strata), skipped
+
+
+def _assert_reads_as(seq, expected: tuple):
+    """``seq`` answers ``len``, indices, slices and ``in`` as the tuple ``expected`` does."""
+    n = len(expected)
+    assert len(seq) == n and bool(seq) == bool(expected)
+    for k in {0, n // 2, n - 1, -1, -n}:
+        if -n <= k < n:
+            assert seq[k] == expected[k], k
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[k]
+    for part in (slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2), slice(n, None)):
+        assert len(seq[part]) == len(expected[part])
+        assert tuple(seq[part]) == expected[part], part
+    assert all(st in seq for st in expected[:: max(1, n // 4)])
+    s = len(expected[0].point_mults)  # every scan holds the zero stratum
+    assert Stratum.zero(s + 1) not in seq
+    assert None not in seq
+
+
+def test_scan_gives_the_strata_of_the_eager_loop():
+    from conftest import random_graph
+
+    rng = random.Random(2210)
+    graphs = [random_graph(rng, max_centers=4, max_branches=2) for _ in range(25)]
+    scanned = dropped = 0
+    for g in graphs:
+        for h in dict.fromkeys((g, g.without_branches)):
+            for b in (0, 2, 4):
+                bound = (b,) * (h.r or h.s)
+                for strictness in ("literal", "integral"):
+                    series_module._scan_strata.cache_clear()
+                    strata, skipped = series_module._scan_strata(h, bound, strictness)
+                    expected, expected_skipped = _eager_scan(h, bound, strictness)
+                    assert tuple(strata) == expected, (h, b, strictness)
+                    assert list(strata) == list(enumerate_strata(h, bound, strictness))
+                    assert skipped == expected_skipped, (h, b, strictness)
+                    _assert_reads_as(strata, expected)
+                    scanned += len(expected)
+                    dropped += skipped
+    assert scanned > 5000 and dropped > 0, (scanned, dropped)
+
+
+@pytest.mark.parametrize("name", ["cusp", "chain2_h12"])
+def test_engine_builds_no_stratum(name, request, monkeypatch):
+    g = request.getfixturevalue(name)
+    built = []
+    init = Stratum.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stratum, "__init__", counted)
+    bound = 10
+    for memo in (series_module._scan_strata, series_module.walk_nhats):
+        memo.cache_clear()  # so that the scans run here
+    assert poincare_generalised(g, (bound,) * g.r).terms
+    assert poincare_divisorial(g, (bound,) * g.s).terms
+    assert divisorial_semigroup_stratum_sum(g, (bound,) * g.s).terms
+    assert built == []
+    if g.is_totally_rational:  # the per-stratum reference builds each stratum once
+        strata, _skipped = series_module._scan_strata(g, (bound,) * g.r, "literal")
+        poincare_generalised_totally_rational(g, (bound,) * g.r)
+        assert len(built) == len(strata) > 0
 
 
 def test_expand_hands_out_a_fresh_series(cusp):
@@ -692,13 +784,29 @@ def test_expand_hands_out_a_fresh_series(cusp):
 
 
 def _assert_immutable(value):
-    if isinstance(value, tuple):
+    if isinstance(value, series_module._Strata):
+        # a scan's strata: rows of immutables, no item assignment, and every
+        # item, built when read, an immutable Stratum
+        assert not hasattr(type(value), "__setitem__")
+        _assert_immutable(value.rows)
+        for st in value:
+            assert isinstance(st, Stratum), st
+            _assert_immutable(st)
+    elif isinstance(value, tuple):
         for item in value:
             _assert_immutable(item)
     elif isinstance(value, Stratum):
         _assert_immutable(value._values())
     else:
         assert isinstance(value, (int, Fraction)), value
+
+
+def test_immutability_check_rejects_mutable_values():
+    row = (((), (), 0), (0, 0), ())
+    for value in ([1], (1, [2]), series_module._Strata([row]), series_module._Strata((row[:2] + ([],),))):
+        with pytest.raises(AssertionError):
+            _assert_immutable(value)
+    _assert_immutable(series_module._Strata((row,)))
 
 
 def test_every_bound_form_gives_the_same_results(cusp):
