@@ -9,28 +9,35 @@ A site's field enters only through ``field_class(label)``: the unit when the
 label is ``None`` (the site's field is the base field), else ``e[label]``.
 ``units_class(label)`` is the class of the punctured affine line over it.
 
-``L``-exponents are exact rationals, stored as ``int`` when integral and as
-``Fraction`` only when not (see ``_exact``): codimension exponents of strata
-can be non-integral when extension degrees exceed one, and such terms are
-carried exactly rather than rounded.  Symbol exponents are nonnegative
-integers by construction (formulas that would produce ``e^(n-l)`` with
-``l > n`` are never formed).  Coefficients are arbitrary-precision integers.
+``L``-exponents are exact rationals: codimension exponents of strata can be
+non-integral when extension degrees exceed one, and such terms are carried
+exactly rather than rounded.  An element keeps them as ``int`` numerators
+``k`` over one denominator ``_den`` per element, the least common
+denominator of its exponents, so the exponent of a term is ``k / _den`` and
+``_den`` is 1 on an element whose exponents are all integral.  Sums,
+products and shifts add ``int``s; they rescale only when two denominators
+differ, and a result over ``_den > 1`` is brought back to the least
+denominator by one ``gcd`` over its keys, which keeps ``==`` and ``hash``
+canonical.  The constructor, ``lefschetz``, ``lefschetz_shift`` and
+``sorted_terms`` take and give exact rationals (``int`` when integral, else
+``Fraction``).  Symbol exponents are nonnegative integers by construction
+(formulas that would produce ``e^(n-l)`` with ``l > n`` are never formed).
+Coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._record import Record
 
-# A monomial key is (L-exponent, ((label, exponent), ...)) with the L-exponent
-# normalised by _exact, the symbol part sorted by label and all symbol
-# exponents positive.
+# The constructor's monomial key: (L-exponent, ((label, exponent), ...)), the
+# L-exponent any exact rational.  An element's own keys are (k, symbols) with
+# k the int numerator of the L-exponent over the element's _den, the symbol
+# part sorted by label and all symbol exponents positive.
 MonomialKey = tuple[int | Fraction, tuple[tuple[str, int], ...]]
-
-_ZERO = 0
 
 
 def _canonical_syms(syms) -> tuple[tuple[str, int], ...]:
@@ -45,7 +52,7 @@ def _canonical_syms(syms) -> tuple[tuple[str, int], ...]:
 class RingElement:
     """Immutable element of the localized Grothendieck-ring model."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[MonomialKey, int] | None = None):
         canon: dict[MonomialKey, int] = {}
@@ -57,53 +64,73 @@ class RingElement:
                 canon[key] = canon.get(key, 0) + int(coeff)
                 if canon[key] == 0:
                     del canon[key]
+        den = lcm(*[lexp.denominator for lexp, _syms in canon])
+        if den != 1:
+            canon = {
+                (lexp.numerator * (den // lexp.denominator), syms): coeff
+                for (lexp, syms), coeff in canon.items()
+            }
         self._terms = canon
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RingElement":
-        return cls()
+        return _element({}, 1)
 
     @classmethod
     def one(cls) -> "RingElement":
-        return cls({(_ZERO, ()): 1})
+        return _element({(0, ()): 1}, 1)
 
     @classmethod
     def integer(cls, n: int) -> "RingElement":
-        return cls({(_ZERO, ()): int(n)})
+        n = int(n)
+        return _element({(0, ()): n} if n else {}, 1)
 
     @classmethod
     def lefschetz(cls, exp=1) -> "RingElement":
         """The monomial L**exp; exp may be any exact rational."""
-        return cls({(_exact(exp), ()): 1})
+        exp = _exact(exp)
+        return _element({(exp.numerator, ()): 1}, exp.denominator)
 
     @classmethod
     def symbol(cls, label: str, exp: int = 1) -> "RingElement":
-        return cls({(_ZERO, ((str(label), int(exp)),)): 1})
+        return cls({(0, ((str(label), int(exp)),)): 1})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
+        if type(other) is not RingElement:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        den = self._den
+        if den == other._den:
+            out, more = dict(self._terms), other._terms
+        else:
+            den = lcm(den, other._den)
+            out = dict(self._terms) if den == self._den else _rescaled(self, den)
+            more = _rescaled(other, den)
+        for key, coeff in more.items():
             c = out.get(key, 0) + coeff
             if c:
                 out[key] = c
             else:  # only a key already in out can cancel
                 del out[key]
-        result = RingElement.__new__(RingElement)
+        if den != 1:
+            return _element(out, den)
+        result = _new(RingElement)  # inline on the integral path, which most sums take
         result._terms = out
+        result._den = 1
         return result
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = RingElement.__new__(RingElement)
+        result = _new(RingElement)  # negation keeps the least denominator
         result._terms = {k: -c for k, c in self._terms.items()}
+        result._den = self._den
         return result
 
     def __sub__(self, other):
@@ -119,27 +146,38 @@ class RingElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[MonomialKey, int] = {}
-        for (l1, s1), c1 in self._terms.items():
-            for (l2, s2), c2 in other._terms.items():
-                key = (_exact(l1 + l2), _merge_syms(s1, s2))
+        if type(other) is not RingElement:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        den = self._den
+        if den == other._den:
+            left, right = self._terms, other._terms
+        else:
+            den = lcm(den, other._den)
+            left, right = _rescaled(self, den), _rescaled(other, den)
+        out = {}
+        for (k1, s1), c1 in left.items():
+            for (k2, s2), c2 in right.items():
+                key = (k1 + k2, _merge_syms(s1, s2))
                 c = out.get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
                 elif key in out:
                     del out[key]
-        result = RingElement.__new__(RingElement)
-        result._terms = out
-        return result
+        return _element(out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are only defined for L itself")
+            exp = self._lefschetz_power()
+            if exp is None:
+                raise ValueError(
+                    "negative powers are only defined for a power of L "
+                    "(coefficient 1, no symbols)"
+                )
+            return RingElement.one().lefschetz_shift(exp * n)
         result = RingElement.one()
         base = self
         while n:
@@ -151,10 +189,25 @@ class RingElement:
 
     def lefschetz_shift(self, exp) -> "RingElement":
         """Multiply by L**exp without building an intermediate element."""
-        exp = _exact(exp)
-        result = RingElement.__new__(RingElement)
-        result._terms = {(_exact(l + exp), s): c for (l, s), c in self._terms.items()}
-        return result
+        den = self._den
+        if type(exp) is not int:
+            exp = _exact(exp)
+        if type(exp) is int:  # an integral shift needs no rescaling
+            shift = exp * den
+            return _element({(k + shift, s): c for (k, s), c in self._terms.items()}, den)
+        den = lcm(den, exp.denominator)
+        scale = den // self._den
+        shift = exp.numerator * (den // exp.denominator)
+        return _element({(k * scale + shift, s): c for (k, s), c in self._terms.items()}, den)
+
+    def _lefschetz_power(self):
+        """The exact exponent ``a`` when this element is ``L^a``, else ``None``."""
+        if len(self._terms) != 1:
+            return None
+        ((k, syms), coeff), = self._terms.items()
+        if coeff != 1 or syms:
+            return None
+        return k if self._den == 1 else Fraction(k, self._den)
 
     # -- structure ---------------------------------------------------------
 
@@ -164,35 +217,37 @@ class RingElement:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {(_ZERO, ()): 1}
+        return self._terms == {(0, ()): 1}
 
     @property
     def has_integral_lefschetz_exponents(self) -> bool:
-        return all(l.denominator == 1 for l, _ in self._terms)
+        return self._den == 1
+
+    def _ordered(self):
+        """``(-k, symbols, coefficient)`` per term, in the canonical order:
+        L-degree descending, then symbols (the pairs ``(k, symbols)`` are
+        distinct, so the tuples sort without comparing coefficients)."""
+        return sorted([(-k, s, c) for (k, s), c in self._terms.items()])
 
     def sorted_terms(self):
         """Terms in the canonical order: L-degree descending, then symbols.
 
-        L-exponents are compared as ints, each times the least common
-        multiple of their denominators, which orders them as the exact
-        rationals but without ``Fraction`` comparisons.
+        Each item is ``((L-exponent, symbols), coefficient)``, the exponent
+        an exact rational; the order compares the int keys.
         """
-        scale = lcm(*{lexp.denominator for lexp, _syms in self._terms})
-
-        def key(item):
-            lexp, syms = item[0]
-            return -lexp.numerator * (scale // lexp.denominator), syms
-
-        return sorted(self._terms.items(), key=key)
+        den = self._den
+        if den == 1:
+            return [((-neg, s), c) for neg, s, c in self._ordered()]
+        return [((_exact(Fraction(-neg, den)), s), c) for neg, s, c in self._ordered()]
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)
@@ -200,10 +255,11 @@ class RingElement:
     # -- specialization ----------------------------------------------------
 
     def specialize(self, spec: "Specialization") -> Fraction:
+        den = self._den
         total = Fraction(0)
-        for (lexp, syms), coeff in self._terms.items():
+        for (k, syms), coeff in self._terms.items():
             value = Fraction(coeff)
-            value *= _rational_power(spec.lefschetz, lexp)
+            value *= _rational_power(spec.lefschetz, k if den == 1 else Fraction(k, den))
             for label, exp in syms:
                 value *= spec.value_of(label) ** exp
             total += value
@@ -214,13 +270,17 @@ class RingElement:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         parts = []
-        for (lexp, syms), coeff in self.sorted_terms():
-            factors = []
-            if lexp != 0:
-                factors.append("L" if lexp == 1 else f"L^{_exp_text(lexp)}")
+        last = None
+        for neg, syms, coeff in self._ordered():
+            if neg != last:  # the terms of one L-degree are adjacent
+                last = neg
+                p, q = _lowest_terms(-neg, den)
+                power = "" if not p else "L" if p == q else f"L^{p}" if q == 1 else f"L^({p}/{q})"
+            factors = [power] if power else []
             for label, exp in syms:
-                factors.append(f"e[{label}]" + (f"^{exp}" if exp > 1 else ""))
+                factors.append(f"e[{label}]^{exp}" if exp > 1 else f"e[{label}]")
             mag = abs(coeff)
             if factors:
                 body = "*".join(factors)
@@ -241,10 +301,11 @@ class RingElement:
 
     def to_json(self):
         out = []
-        for (lexp, syms), coeff in self.sorted_terms():
+        for neg, syms, coeff in self._ordered():
+            p, q = _lowest_terms(-neg, self._den)
             out.append(
                 {
-                    "Lexp": _frac_json(lexp),
+                    "Lexp": p if q == 1 else f"{p}/{q}",
                     "symbols": {label: exp for label, exp in syms},
                     "coeff": coeff,
                 }
@@ -261,6 +322,33 @@ class RingElement:
             )
             terms[key] = terms.get(key, 0) + int(item["coeff"])
         return cls(terms)
+
+
+_new = object.__new__
+
+
+def _element(terms, den: int) -> RingElement:
+    """The element with int keys ``terms`` over ``den``, at its least denominator."""
+    if den != 1:
+        common = gcd(den, *[k for k, _syms in terms])
+        if common != 1:
+            den //= common
+            terms = {(k // common, s): c for (k, s), c in terms.items()}
+    result = _new(RingElement)
+    result._terms = terms
+    result._den = den
+    return result
+
+
+def _rescaled(x: RingElement, den: int):
+    """``x``'s terms with int keys over ``den``, a multiple of ``x._den``.
+
+    The result is ``x``'s own dict when ``den`` is ``x._den``: read it only.
+    """
+    scale = den // x._den
+    if scale == 1:
+        return x._terms
+    return {(k * scale, s): c for (k, s), c in x._terms.items()}
 
 
 def _coerce(value):
@@ -299,8 +387,10 @@ def _rational_power(base: Fraction, exp: int | Fraction) -> Fraction:
     return base ** exp.numerator
 
 
-def _exp_text(exp: int | Fraction) -> str:
-    return str(exp.numerator) if exp.denominator == 1 else f"({exp})"
+def _lowest_terms(k: int, den: int) -> tuple[int, int]:
+    """The numerator and denominator of ``k / den`` in lowest terms."""
+    common = gcd(k, den)
+    return k // common, den // common
 
 
 def _exact(x) -> int | Fraction:

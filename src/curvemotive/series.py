@@ -314,7 +314,7 @@ def _divide(poly, step, c: RingElement, caps):
     for e, value in poly.items():
         k = e[axis] // step[axis]
         chains.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = value
-    scale = not c.is_one
+    power = c._lefschetz_power()  # multiplying by L^power is a shift
     out = {}
     for base, terms in chains.items():
         first = min(terms)
@@ -322,8 +322,10 @@ def _divide(poly, step, c: RingElement, caps):
         e = tuple(b + first * s for b, s in zip(base, step))
         acc = RingElement.zero()
         for k in range(first, last + 1):
-            if scale:
+            if power is None:
                 acc = c * acc
+            elif power:
+                acc = acc.lefschetz_shift(power)
             if k in terms:
                 acc = acc + terms[k]
             if acc:

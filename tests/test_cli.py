@@ -182,6 +182,20 @@ def test_specialize_lefschetz_to_zero_is_a_clean_data_error(capsys, cusp_file):
     assert err.splitlines()[-1] == "error: no specialization value for symbol e[k2]"
 
 
+def test_specializing_a_fractional_exponent_at_another_L_is_a_data_error(capsys):
+    # the error names the first non-integral exponent in the ring's term order
+    code, out, err = run(
+        capsys, "compute", "--series", "pg", "--bound", "6", "--specialize", "L=2,all=0",
+        "--input", str(DEMOS / "graphs" / "chain2_h12.json"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: cannot specialize a non-integral L-exponent -11/4 at L=2; "
+        "only L in {0, 1} admits fractional exponents"
+    )
+
+
 def test_specialize_names_default_pair_labels(capsys):
     argv = ["compute", "--series", "pg", "--bound", "6", "--input", str(DEMOS / "graphs" / "chain2_h12.json")]
     code, default, _err = run(capsys, *argv, "--specialize", "L=1,all=0")

@@ -41,6 +41,38 @@ def test_localization():
     assert L(Fraction(1, 2)) * L(Fraction(1, 2)) == L()
 
 
+def test_exponents_return_to_the_least_denominator():
+    half = L(Fraction(1, 2))
+    for x in (half + L() - half, half * half, L(Fraction(3, 2)).lefschetz_shift(Fraction(-1, 2))):
+        assert x == L()
+        assert hash(x) == hash(L())
+        assert x.has_integral_lefschetz_exponents
+        assert x.to_text() == "L"
+        assert x.sorted_terms() == [((1, ()), 1)]
+        assert type(x.sorted_terms()[0][0][0]) is int
+    assert not half.has_integral_lefschetz_exponents
+    assert half != L() and half * half != half
+
+
+def test_negative_power_of_a_power_of_L():
+    assert L() ** -1 == L(-1)
+    assert L(3) ** -2 == L(-6)
+    assert L(Fraction(3, 4)) ** -2 == L(Fraction(-3, 2))
+    assert L(Fraction(1, 2)) ** -2 == L(-1)
+    assert (L(Fraction(1, 2)) ** -2).has_integral_lefschetz_exponents
+    assert one ** -3 == one
+
+
+@pytest.mark.parametrize(
+    "x",
+    [2 * L(), L() + one, -L(), RingElement.symbol("a") * L(), RingElement.zero()],
+    ids=["coefficient-2", "two-terms", "coefficient-minus-1", "symbol", "zero"],
+)
+def test_negative_power_of_anything_else_is_refused(x):
+    with pytest.raises(ValueError, match="only defined for a power of L"):
+        x ** -1
+
+
 def test_negative_symbol_exponent_forbidden():
     with pytest.raises(ValueError):
         RingElement.symbol("a", -1)
@@ -68,7 +100,7 @@ def test_ring_laws_on_random_elements():
         assert a * one == a
         assert a - a == RingElement.zero()
         # canonical-form idempotence: rebuilding from terms changes nothing
-        assert RingElement(a._terms) == a
+        assert RingElement(dict(a.sorted_terms())) == a
 
 
 def test_specialize_is_a_homomorphism():
