@@ -17,14 +17,16 @@ def run():
     the run.  After flushing the standard streams the process ends with
     ``os._exit``: the interpreter's teardown would only free, one by one,
     objects (the ``lru_cache`` memos above all) whose memory the operating
-    system takes back anyway.  ``cli.main`` itself leaves the collector
-    alone, so calling it in process changes nothing there.
+    system takes back anyway.  This is the one place that flushes standard
+    output and maps a closed one to ``EXIT_BROKEN_PIPE``: with no teardown,
+    no later flush is left to fail.  ``cli.main`` neither flushes nor
+    touches the collector, so calling it in process changes nothing there.
     """
     gc.freeze()
     gc.disable()
     code = main()
     try:
-        sys.stdout.flush()  # main flushes its commands' output, not --help's
+        sys.stdout.flush()  # every command's output and --help's: main flushes none
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
     sys.stderr.flush()

@@ -25,7 +25,6 @@ def transpose(a):
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
     return tuple(
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
@@ -35,7 +34,8 @@ def mat_mul(a, b):
 def vec_mat(v, a):
     """Row vector times matrix."""
     n = len(a)
-    assert len(v) == n
+    if len(v) != n:
+        raise ValueError(f"a vector of length {len(v)} times a matrix of {n} rows")
     return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0])))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -519,13 +518,10 @@ def main(argv=None) -> int:
             "check": _cmd_check,
             "oracle": _cmd_oracle,
         }[args.command]
-        code = command(args)
-        sys.stdout.flush()  # here, so that a closed stdout cannot fail at exit
-        return code
+        return command(args)
     except BrokenPipeError:
-        # The reader stopped early: nothing to report, but not a success
-        # either.  stdout goes to devnull so the flush at exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a write failed mid-command: the reader stopped early, which is
+        # nothing to report but not a success either
         return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -239,6 +239,8 @@ def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
     is what the composition forces.  Memoized like ``nhat_codim`` but in a
     cache of its own, since it is that function's independent check.
     """
+    if len(nh) != g.s:
+        raise ValueError(f"nhat has {len(nh)} entries, the graph {g.s} components")
     return _literal(tuple(nh), g.without_branches)
 
 

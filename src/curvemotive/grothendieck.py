@@ -18,11 +18,14 @@ denominator of its exponents, so the exponent of a term is ``k / _den`` and
 products and shifts add ``int``s; they rescale only when two denominators
 differ, and a result over ``_den > 1`` is brought back to the least
 denominator by one ``gcd`` over its keys, which keeps ``==`` and ``hash``
-canonical.  The constructor, ``lefschetz``, ``lefschetz_shift`` and
-``sorted_terms`` take and give exact rationals (``int`` when integral, else
-``Fraction``).  Symbol exponents are nonnegative integers by construction
-(formulas that would produce ``e^(n-l)`` with ``l > n`` are never formed).
-Coefficients are arbitrary-precision integers.
+canonical.  Equality is between elements only: ``RingElement.integer(3)``
+is not equal to ``3``, whose hash differs, while ``+``, ``-`` and ``*``
+take an ``int`` as the element it names.  The constructor, ``lefschetz``,
+``lefschetz_shift`` and ``sorted_terms`` take and give exact rationals
+(``int`` when integral, else ``Fraction``).  Symbol exponents are
+nonnegative integers by construction (formulas that would produce
+``e^(n-l)`` with ``l > n`` are never formed).  Coefficients are
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -241,8 +244,7 @@ class RingElement:
         return [((_exact(Fraction(-neg, den)), s), c) for neg, s, c in self._ordered()]
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not RingElement:
             return NotImplemented
         return self._den == other._den and self._terms == other._terms
 

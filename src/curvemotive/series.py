@@ -414,14 +414,13 @@ def walk_nhats(g: ResolutionGraph, bound):
 
 
 class _Strata(Record):
-    """The strata of one scan, in scan order: a read-only sequence whose items
-    are built when read.
+    """The strata of one scan, in scan order: a sized iterable whose items are
+    built as they are read.
 
     ``rows`` holds one ``(family, n, legs)`` per stratum: ``family`` is
     ``(pairs, branches, cut)``, ``n`` the point multiplicities and ``legs`` the
-    ``cut = 2 * len(pairs)`` pair leg values, then the branch ones.  Reading an
-    item (by index or by iterating) builds its ``Stratum`` through
-    ``Stratum.__init__``; ``len`` and slices build none.
+    ``cut = 2 * len(pairs)`` pair leg values, then the branch ones.  Iterating
+    builds each ``Stratum`` through ``Stratum.__init__``; ``len`` builds none.
     """
 
     _FIELDS = ("rows",)
@@ -429,14 +428,7 @@ class _Strata(Record):
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _Strata(self.rows[index])
-        return _stratum(self.rows[index])
-
     def __iter__(self):
-        # straight over the rows: Python's fallback through __getitem__ makes
-        # every item an index look-up, which slows the iterate-all readers
         return map(_stratum, self.rows)
 
 
@@ -450,9 +442,9 @@ def _stratum(row) -> Stratum:
 def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     """All strata whose exponent vector fits under ``bound``, in a fixed order.
 
-    Returns ``(strata, skipped)`` where ``strata`` is a ``_Strata``, which
-    records each stratum as a row and builds its ``Stratum`` only when a
-    reader iterates or indexes it (``len`` builds none), and ``skipped``
+    Returns ``(strata, skipped)`` where ``strata`` is a ``_Strata``, a sized
+    iterable that records each stratum as a row and builds its ``Stratum``
+    only when a reader iterates it (``len`` builds none), and ``skipped``
     counts the strata dropped in ``integral`` mode for having a non-integral
     valuation or exponent vector.  A stratum is a point ``n`` of the ``nhat``
     walk plus its family's legs, ``(n', n'')`` per chosen pair and ``(t',
@@ -501,11 +493,10 @@ def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
 # ---------------------------------------------------------------------------
 
 
-def _mapreduce(arity, bound, strata, skipped, term_fn) -> TruncatedSeries:
+def _mapreduce(arity, bound, strata, term_fn) -> TruncatedSeries:
     series = TruncatedSeries.zero(arity, bound)
     for st in strata:
         series.add_term(*term_fn(st))
-    series.skipped_nonintegral = skipped
     return series
 
 
@@ -754,9 +745,6 @@ class ClosedFormExpr(Record):
 
 def divisorial_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
     rows = tuple(ExponentVector(row) for row in g.m_matrix)
-    for row in rows:
-        if any(x <= 0 for x in row):
-            raise ValueError("valuation matrix must be entrywise positive")
     classes = tuple(field_class(g.component_label(i)) for i in range(1, g.s + 1))
     pair_data = tuple(
         (site.i1, site.i2, site.degree, units_class(g.pair_label(site)))
@@ -832,7 +820,7 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
-    strata, skipped = _scan_strata(g, bound, "literal")
+    strata = _scan_strata(g, bound, "literal")[0]  # literal mode skips none
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = cache(lambda nh: nhat_codim(nh, g))
@@ -863,4 +851,4 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
         value = stratum_value(count, st.point_mults)
         return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 
-    return _mapreduce(g.r, bound, strata, skipped, term)
+    return _mapreduce(g.r, bound, strata, term)

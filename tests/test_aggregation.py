@@ -107,7 +107,7 @@ def test_stratum_count_mismatch_is_a_cross_check_failure(cusp, monkeypatch):
 
     def one_short(*args):
         strata, skipped = original(*args)
-        return strata[:-1], skipped
+        return series_module._Strata(strata.rows[:-1]), skipped
 
     monkeypatch.setattr(series_module, "_scan_strata", one_short)
     with pytest.raises(SeriesCrossCheckError, match=r"counts 4 strata .* the enumeration 3 "):

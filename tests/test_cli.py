@@ -300,7 +300,7 @@ def test_process_entry_prints_what_main_prints(tmp_path, capsys, monkeypatch):
     graph = str(DEMOS / "graphs" / "chain2_h12.json")
     pg = ["compute", "--series", "pg", "--bound", "6"]
     for argv, expected in (
-        (["compute", "--help"], 0),  # main flushes a command's output, not this
+        (["compute", "--help"], 0),  # run flushes this and every command's output
         ([*pg, "--frobnicate", "--input", graph], 2),
         (["compute", "--series", "pg", "--bound", "x", "--input", graph], 2),
         ([*pg, "--input", str(tmp_path / "missing.json")], 1),

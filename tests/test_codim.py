@@ -94,6 +94,17 @@ def test_deg_intersections(cusp):
     )
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [w_of, alpha_of, hoskin_deligne, deg_AA, deg_AK, codim.nhat_codim, codim.nhat_codim_literal],
+)
+def test_codimension_functions_reject_a_vector_of_the_wrong_length(cusp, fn):
+    # s = 3 on cusp: one entry too many or too few is an error, not a value
+    for vec in ((1, 0, 0, 5), (2, 3, 6, 1), (1, 0)):
+        with pytest.raises(ValueError, match=rf"\b{len(vec)}\b.*\b3\b"):
+            fn(vec, cusp)
+
+
 def test_genus_identity_on_random_nhat(corpus):
     rng = random.Random(5)
     for g in corpus.values():

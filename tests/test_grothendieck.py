@@ -54,6 +54,19 @@ def test_exponents_return_to_the_least_denominator():
     assert half != L() and half * half != half
 
 
+def test_equality_is_between_elements_and_agrees_with_hash():
+    three = RingElement.integer(3)
+    assert three != 3 and 3 != three
+    assert 3 not in {three} and three not in {3}
+    assert three == 3 * one and three * 1 == three  # arithmetic still takes ints
+    rng = random.Random(24)
+    for _ in range(200):
+        x = random_element(rng, fractional=True)
+        y = random_element(rng, fractional=True)
+        for a, b in ((x + y, y + x), (x * y, y * x), (x - x, RingElement.zero()), (x * one, x)):
+            assert a == b and hash(a) == hash(b)
+
+
 def test_negative_power_of_a_power_of_L():
     assert L() ** -1 == L(-1)
     assert L(3) ** -2 == L(-6)

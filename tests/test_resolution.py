@@ -130,7 +130,11 @@ def valid_graphs(s_max, degrees=(1, 2, 4)):
 def test_validation_leaves_only_free_and_satellite_points():
     # what a graph that validation accepts cannot have: a center proximate to
     # three points, a pair whose point has a degree above both components',
-    # or a component that meets no other
+    # a component that meets no other, or a valuation matrix with an entry
+    # <= 0.  For the last: P = I - A with A >= 0 strictly upper triangular, so
+    # P^-1 = sum A^k >= 0; every center after the first is proximate to an
+    # earlier one, so row 1 of P^-1 is positive; and M = P^-t Delta^-1 P^-1
+    # gives M_ij >= (P^-1)_1i (P^-1)_1j / h_1 > 0.
     rng = random.Random(20)
     exhaustive = list(valid_graphs(4))
     assert len(exhaustive) == 279
@@ -138,6 +142,9 @@ def test_validation_leaves_only_free_and_satellite_points():
         assert all(len(center.proximate_to) <= 2 for center in g.centers), g
         assert all(site.degree <= g.degree_of(site.i2) for site in g.pairs), g
         assert g.s == 1 or min(g.nu_bullet) >= 1, g
+        p_inv = _linalg.unitriangular_inverse(g.proximity_matrix)
+        assert min(x for row in p_inv for x in row) >= 0 and min(p_inv[0]) > 0, g
+        assert min(x for row in g.m_matrix for x in row) > 0, g
 
 
 def test_h_sigma_overrides_is_an_unknown_key(capsys, tmp_path):

@@ -707,18 +707,10 @@ def _eager_scan(g, bound, strictness):
 
 
 def _assert_reads_as(seq, expected: tuple):
-    """``seq`` answers ``len``, indices, slices and ``in`` as the tuple ``expected`` does."""
+    """``seq`` answers ``len``, ``bool``, iteration and ``in`` as the tuple ``expected`` does."""
     n = len(expected)
     assert len(seq) == n and bool(seq) == bool(expected)
-    for k in {0, n // 2, n - 1, -1, -n}:
-        if -n <= k < n:
-            assert seq[k] == expected[k], k
-    for k in (n, -n - 1):
-        with pytest.raises(IndexError):
-            seq[k]
-    for part in (slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2), slice(n, None)):
-        assert len(seq[part]) == len(expected[part])
-        assert tuple(seq[part]) == expected[part], part
+    assert tuple(seq) == expected
     assert all(st in seq for st in expected[:: max(1, n // 4)])
     s = len(expected[0].point_mults)  # every scan holds the zero stratum
     assert Stratum.zero(s + 1) not in seq
