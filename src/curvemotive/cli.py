@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 data or validation error, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from . import _linalg, oracles
 from .codim import (
@@ -58,73 +57,168 @@ class _UsageError(Exception):
     pass
 
 
-@cache  # one parser per process: parsing leaves it as it was
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curvemotive",
-        description="Motivic Poincare series of curve singularities from "
-        "embedded-resolution combinatorics, in exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line as one table.  A command maps to ``(help, options)``, where
+# ``options`` is either a tuple of option rows or, for ``oracle``, a table of
+# its sub-commands.  An option row is ``(flag, kind, required, default, help)``;
+# ``kind`` is ``str``, ``int``, ``bool`` (a flag, which takes no value) or a
+# tuple of the accepted values.
+_INPUT = ("--input", str, True, None, "graph description (JSON file)")
+_FORMAT = ("--format", ("text", "json"), False, "text", None)
+_BOUND = ("--bound", str, False, None, "per-variable truncation bound, comma separated (e.g. 4,6,12)")
+_WORKERS = ("--workers", int, False, None, "accepted; has no effect")
 
-    def add_common(p, bound=False, output_format=True):
-        p.add_argument("--input", required=True, help="graph description (JSON file)")
-        if output_format:
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        if bound:
-            p.add_argument(
-                "--bound",
-                help="per-variable truncation bound, comma separated (e.g. 4,6,12)",
-            )
+_ABOUT = (
+    "Motivic Poincare series of curve singularities from embedded-resolution "
+    "combinatorics, in exact arithmetic."
+)
+_COMMANDS = {
+    "matrices": ("dump P, Delta, N, M exactly", (_INPUT, _FORMAT)),
+    "codim": (
+        "codimension report for one stratum",
+        (
+            _INPUT,
+            _FORMAT,
+            ("--stratum", str, True, None, "stratum description: JSON file path, or an inline JSON object"),
+        ),
+    ),
+    "compute": (
+        "compute a truncated series",
+        (
+            _INPUT,
+            _FORMAT,
+            _BOUND,
+            (
+                "--series",
+                ("pg", "pdg", "phatd", "phatd-closed"),
+                True,
+                None,
+                "pg: branch series; pdg: divisorial series; phatd: extended-"
+                "semigroup series (expanded); phatd-closed: its closed form",
+            ),
+            ("--specialize", str, False, None, "comma-separated assignments, e.g. L=1,all=1 or L=2,e[k2]=0"),
+            ("--strict-integral", bool, False, False, "drop strata with non-integral valuation vectors"),
+            _WORKERS,
+        ),
+    ),
+    "check": ("run all cross-form identities", (_INPUT, _BOUND, _WORKERS)),
+    "oracle": (
+        "run a brute-force validator directly",
+        {
+            "semigroup-gf": (
+                None,
+                (("--generators", str, True, None, "e.g. 2,3"), ("--bound", int, True, None, None)),
+            ),
+            "monomial-codim": (
+                None,
+                (("--weights", str, True, None, "e.g. 1,1;1,2;2,3"), ("--w", str, True, None, "e.g. 2,3,6")),
+            ),
+            "count-divisors": (
+                None,
+                tuple((flag, int, True, None, None) for flag in ("--q", "--removed", "--n")),
+            ),
+        },
+    ),
+}
+_HELP = ("-h", "--help")
 
-    p_mat = sub.add_parser("matrices", help="dump P, Delta, N, M exactly")
-    add_common(p_mat)
 
-    p_codim = sub.add_parser("codim", help="codimension report for one stratum")
-    add_common(p_codim)
-    p_codim.add_argument(
-        "--stratum",
-        required=True,
-        help="stratum description: JSON file path, or an inline JSON object",
-    )
+def _dest(flag: str) -> str:
+    """The attribute an option is stored under: ``--strict-integral`` -> ``strict_integral``."""
+    return flag[2:].replace("-", "_")
 
-    p_compute = sub.add_parser("compute", help="compute a truncated series")
-    add_common(p_compute, bound=True)
-    p_compute.add_argument(
-        "--series",
-        required=True,
-        choices=("pg", "pdg", "phatd", "phatd-closed"),
-        help="pg: branch series; pdg: divisorial series; phatd: extended-"
-        "semigroup series (expanded); phatd-closed: its closed form",
-    )
-    p_compute.add_argument(
-        "--specialize",
-        help="comma-separated assignments, e.g. L=1,all=1 or L=2,e[k2]=0",
-    )
-    p_compute.add_argument(
-        "--strict-integral",
-        action="store_true",
-        help="drop strata with non-integral valuation vectors",
-    )
-    p_compute.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
-    p_check = sub.add_parser("check", help="run all cross-form identities")
-    add_common(p_check, bound=True, output_format=False)
-    p_check.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
+def _parse_args(argv: list[str]):
+    """``argv`` read against ``_COMMANDS``, the options as attributes of a
+    namespace; ``None`` once the help that ``-h``/``--help`` asked for is printed.
 
-    p_oracle = sub.add_parser("oracle", help="run a brute-force validator directly")
-    oracle_sub = p_oracle.add_subparsers(dest="oracle_name", required=True)
-    p_sg = oracle_sub.add_parser("semigroup-gf")
-    p_sg.add_argument("--generators", required=True, help="e.g. 2,3")
-    p_sg.add_argument("--bound", required=True, type=int)
-    p_mc = oracle_sub.add_parser("monomial-codim")
-    p_mc.add_argument("--weights", required=True, help="e.g. 1,1;1,2;2,3")
-    p_mc.add_argument("--w", required=True, help="e.g. 2,3,6")
-    p_cd = oracle_sub.add_parser("count-divisors")
-    p_cd.add_argument("--q", required=True, type=int)
-    p_cd.add_argument("--removed", required=True, type=int)
-    p_cd.add_argument("--n", required=True, type=int)
-    return parser
+    Each level names a command, then its options in any order, as ``--opt
+    value`` or ``--opt=value``; the token after ``--opt`` is its value whatever
+    it looks like, and a repeated option keeps its last value.  Anything else
+    raises ``_UsageError``.
+    """
+    prog, about, table = "curvemotive", _ABOUT, _COMMANDS
+    values = {}
+    dests = iter(("command", "oracle_name"))
+    k = 0
+    while type(table) is dict:  # a level that names a command
+        token = argv[k] if k < len(argv) else None
+        k += 1
+        if token in _HELP:
+            print(_help(prog, about, table))
+            return None
+        if token not in table:
+            said = f"unknown command {token!r}" if token is not None else "a command is required"
+            raise _UsageError(f"{said} (choose from {', '.join(table)})")
+        values[next(dests)] = token
+        prog = f"{prog} {token}"
+        about, table = table[token]
+
+    kinds = {flag: kind for flag, kind, _required, _default, _text in table}
+    values.update((_dest(flag), default) for flag, _kind, _required, default, _text in table)
+    given, unknown = set(), []
+    while k < len(argv):
+        token = argv[k]
+        k += 1
+        if token in _HELP:
+            print(_help(prog, about, table))
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in kinds:
+            unknown.append(token)
+            continue
+        kind = kinds[flag]
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            value = True
+        elif not eq:
+            if k == len(argv):
+                raise _UsageError(f"{flag} needs a value")
+            value = argv[k]
+            k += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{flag} takes an integer, not {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise _UsageError(f"{flag} takes one of {', '.join(kind)}, not {value!r}")
+        values[_dest(flag)] = value
+        given.add(flag)
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    missing = [flag for flag, _kind, required, _default, _text in table if required and flag not in given]
+    if missing:
+        raise _UsageError(f"the following options are required: {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _help(prog: str, about, table) -> str:
+    """The help of one level of the command line, written from its table."""
+    if type(table) is dict:
+        usage = f"{{{','.join(table)}}} ..."
+        heading, rows = "commands", [(name, sub_about or "") for name, (sub_about, _sub) in table.items()]
+    else:
+        words = []
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, kind, required, default, text in table:
+            if kind is bool:
+                word = flag
+            elif type(kind) is tuple:
+                word = f"{flag} {{{','.join(kind)}}}"
+            else:
+                word = f"{flag} {'INT' if kind is int else _dest(flag).upper()}"
+            words.append(word if required else f"[{word}]")
+            shown = "required" if required else None if default in (None, False) else f"default: {default}"
+            rows.append((word, "; ".join(filter(None, (text, shown)))))
+        usage, heading = " ".join(words), "options"
+    width = max(len(name) for name, _text in rows) + 2
+    lines = [f"usage: {prog} [-h] {usage}", ""]
+    if about:
+        lines += [about, ""]
+    lines.append(f"{heading}:")
+    lines += [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
+    return "\n".join(lines)
 
 
 def _load_graph(path: str):
@@ -431,9 +525,9 @@ def _cmd_check(args) -> int:
 
     ok = True
     for q in (2, 3):
+        spec = Specialization(lefschetz=Fraction(q), default=Fraction(1))
         for removed in (1, 2, 3):
             for n in range(5):
-                spec = Specialization(lefschetz=Fraction(q), default=Fraction(1))
                 counted = sym_power_class(None, removed, n).specialize(spec)
                 ok = ok and counted == oracles.count_divisors_open_line(q, removed, n)
     report("symmetric-power classes count divisors over GF(2), GF(3)", ok)
@@ -505,12 +599,10 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h or --help: the help is printed
+            return EXIT_OK
         command = {
             "matrices": _cmd_matrices,
             "codim": _cmd_codim,

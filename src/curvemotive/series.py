@@ -536,6 +536,32 @@ def _coefficients(g, keys, below, site, unit, zero):
     return per_subset
 
 
+@_memo(maxsize=1)  # check's divisorial and extended-semigroup lines share one graph and bound
+def _sums_per_key(g: ResolutionGraph, bound, strictness: str):
+    """The class sums and the stratum counts of ``_coefficients``, per branch
+    subset and per ``nhat`` of ``walk_nhats(g, bound)``, as tuples.
+
+    Neither depends on ``strictness`` (``_assemble`` drops keys afterwards);
+    it is part of the key so that this memo and ``_scan_strata``'s hold the
+    same run.  The last result per process is kept.
+    """
+    keys = [n for n, _z in walk_nhats(g, bound)[3]]
+    position = {n: k for k, n in enumerate(keys)}
+    below = [
+        [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
+        for a in range(g.s)
+    ]
+    # per component, its class for every n_i up to the largest in use
+    sites = [
+        [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
+        for i, top in enumerate(map(max, zip(*keys)))
+    ]
+    classes = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
+    ones = [[1] * len(row) for row in sites]
+    counts = _coefficients(g, keys, below, ones, lambda _label: 1, 0)
+    return tuple(map(tuple, classes)), tuple(map(tuple, counts))
+
+
 def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = False):
     """The branch series, or the divisorial one if ``g`` has no branch, per key;
     with ``semigroup``, the extended-semigroup stratum sum on a branch-free
@@ -556,25 +582,12 @@ def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = F
     what = "extended-semigroup series" if semigroup else "branch series" if g.r else "divisorial series"
     strata, scan_skipped = _scan_strata(g, bound, strictness)
     d, _steps, caps, found, t_steps = walk_nhats(g, bound)
-    keys = [n for n, _z in found]
-    position = {n: k for k, n in enumerate(keys)}
-    below = [
-        [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
-        for a in range(g.s)
-    ]
-    # per component, its class for every n_i up to the largest in use
-    sites = [
-        [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
-        for i, top in enumerate(map(max, zip(*keys)))
-    ]
     names = ("composed codimension", "literal codimension")
-    codims = [0] * len(keys) if semigroup else [
+    codims = [0] * len(found) if semigroup else [
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
-        for n in keys
+        for n, _z in found
     ]
-    class_by_subset = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
-    ones = [[1] * len(row) for row in sites]
-    count_by_subset = _coefficients(g, keys, below, ones, lambda _label: 1, 0)
+    class_by_subset, count_by_subset = _sums_per_key(g, bound, strictness)
 
     width = len(caps)
     terms = {}

@@ -1,6 +1,5 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
-import argparse
 import gc
 import io
 import json
@@ -291,9 +290,8 @@ def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeyp
         assert set(events) <= {"flush stdout"}, argv  # no freeze, no disable, no exit
 
 
-def test_process_entry_prints_what_main_prints(tmp_path, capsys, monkeypatch):
+def test_process_entry_prints_what_main_prints(tmp_path, capsys):
     # the process ends with os._exit, so its buffered output must be flushed first
-    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)
@@ -849,8 +847,8 @@ def test_semigroup_check_compares_support_with_the_semigroup(capsys, cusp_file, 
 
 
 def test_in_process_calls_leave_no_parser_or_graph_in_a_cycle(capsys, cusp_file, tmp_path):
-    # with the collector off, a cycle would keep each call's parser or graph
-    # alive until the next collection
+    # with the collector off, a cycle would keep each call's graph alive
+    # until the next collection
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]}))
     argvs = (
@@ -869,7 +867,7 @@ def test_in_process_calls_leave_no_parser_or_graph_in_a_cycle(capsys, cusp_file,
             assert run(capsys, *argv)[0] == 0
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
         gc.collect()
-        kinds = (argparse.ArgumentParser, ResolutionGraph, Center)
+        kinds = (ResolutionGraph, Center)
         left = [type(obj).__name__ for obj in gc.garbage if isinstance(obj, kinds)]
     finally:
         gc.set_debug(flags)
