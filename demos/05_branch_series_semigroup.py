@@ -5,18 +5,20 @@ One variable per curve branch.  Setting L -> 1 (and every field symbol to 1)
 collapses the motivic coefficients; for one totally rational branch what
 survives is exactly the characteristic series of the branch's value
 semigroup, which a brute-force semigroup closure confirms.
+
+The branch series reads a Run: the graph itself and one bound per branch.
 """
 
 import json
 from fractions import Fraction
 from pathlib import Path
 
-from curvemotive import Specialization, build, poincare_generalised, semigroup_gf
+from curvemotive import Run, Specialization, build, poincare_generalised, semigroup_gf
 
 HERE = Path(__file__).parent
 cusp = build(json.loads((HERE / "graphs" / "cusp.json").read_text()))
 
-series = poincare_generalised(cusp, (12,))
+series = poincare_generalised(Run(cusp, (12,)))
 print("Branch series of the cusp (the two display forms agreed internally):")
 for exp, value in series.sorted_items():
     print(f"   t^{exp[0]}: {value}")
@@ -39,6 +41,6 @@ print()
 sat = build(json.loads((HERE / "graphs" / "satellite5.json").read_text()))
 print("A satellite-rich tower gives Fibonacci-flavored curvette values:")
 print("   last row of M:", [str(x) for x in sat.m_row(5)])
-series = poincare_generalised(sat, (13,))
+series = poincare_generalised(Run(sat, (13,)))
 support = sorted(int(e[0]) for e in series.specialize(spec))
 print("   semigroup support up to 13:", support)

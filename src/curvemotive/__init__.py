@@ -46,6 +46,7 @@ from .resolution import (
 )
 from .series import (
     ClosedFormExpr,
+    Run,
     SeriesCrossCheckError,
     TruncatedSeries,
     divisorial_closed_form,
@@ -72,6 +73,7 @@ __all__ = [
     "PairSite",
     "ResolutionGraph",
     "RingElement",
+    "Run",
     "SemigroupMembershipWarning",
     "SeriesCrossCheckError",
     "Specialization",

@@ -30,6 +30,7 @@ from .codim import (
 from .grothendieck import Specialization, _frac_json
 from .resolution import GraphValidationError, _json_int, build, matrices_report
 from .series import (
+    Run,
     SeriesCrossCheckError,
     divisorial_closed_form,
     divisorial_semigroup_stratum_sum,
@@ -41,7 +42,6 @@ from .series import (
     require_same_series,
     sym_power_class,
     totally_rational_closed_form,
-    walk_nhats,
 )
 
 EXIT_OK = 0
@@ -421,15 +421,15 @@ def _cmd_compute(args) -> int:
 
     if args.series == "pg":
         require_branches(g)
-        bound = _parse_bound(args.bound, g.r, "the branch series")
-        series = poincare_generalised(g, bound, strictness=strictness)
+        run = Run(g, _parse_bound(args.bound, g.r, "the branch series"))
+        series = poincare_generalised(run, strictness=strictness)
     elif args.series == "pdg":
-        bound = _parse_bound(args.bound, g.s, "the divisorial series")
-        series = poincare_divisorial(g, bound, strictness=strictness)
+        run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the divisorial series"))
+        series = poincare_divisorial(run, strictness=strictness)
     else:  # phatd: expansion, cross-checked against the stratum sum
-        bound = _parse_bound(args.bound, g.s, "the extended-semigroup series")
-        closed = expand(divisorial_closed_form(g), bound)
-        series = divisorial_semigroup_stratum_sum(g, bound, strictness=strictness)
+        run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the extended-semigroup series"))
+        closed = expand(divisorial_closed_form(g), run.bound)
+        series = divisorial_semigroup_stratum_sum(run, strictness=strictness)
         if strictness == "integral":
             # a stratum's exponent is its w, so it is dropped exactly when
             # its term of the closed form has a non-integral exponent
@@ -499,28 +499,28 @@ def _cmd_check(args) -> int:
         report(name, True)
         return result
 
-    div_bound = (scalar,) * g.s
+    div_run = Run(g.without_branches, (scalar,) * g.s)
     # both series lines keep the names of a removed second route, so check's output is unchanged
     checked(
         "divisorial series: stratum sum vs factored display",
-        lambda: poincare_divisorial(g, div_bound),
+        lambda: poincare_divisorial(div_run),
     )
 
     closed_form = divisorial_closed_form(g)
-    closed = expand(closed_form, div_bound)
+    closed = expand(closed_form, div_run.bound)
     checked(
         "extended-semigroup series: closed form vs stratum sum",
         lambda: require_same_series(
-            EXTENDED, "closed form", closed, "stratum sum", divisorial_semigroup_stratum_sum(g, div_bound)
+            EXTENDED, "closed form", closed, "stratum sum", divisorial_semigroup_stratum_sum(div_run)
         ),
     )
 
     pg = None
     if g.r >= 1:
-        branch_bound = (scalar,) * g.r
+        run = Run(g, (scalar,) * g.r)
         pg = checked(
             "branch series: stratum sum vs factored display",
-            lambda: poincare_generalised(g, branch_bound),
+            lambda: poincare_generalised(run),
         )
 
     ok = True
@@ -536,7 +536,7 @@ def _cmd_check(args) -> int:
     ok = all(
         nhat_codim(nh, g) == nhat_codim_literal(nh, g)
         and hoskin_deligne(w_of(nh, g), g) == Fraction(-(deg_AA(nh, g) + deg_AK(nh, g)), 2)
-        for nh, _z in walk_nhats(g.without_branches, div_bound)[3]
+        for nh, _z in div_run.walk_nhats[3]
     )
     report("codimensions: composed vs expanded form, genus identity", ok)
 
@@ -549,7 +549,7 @@ def _cmd_check(args) -> int:
             "" if same else f"closed form {closed_form.to_text()}, reduced form {reduced.to_text()}",
         )
         if pg is not None:
-            tr_pg = poincare_generalised_totally_rational(g, (scalar,) * g.r)
+            tr_pg = poincare_generalised_totally_rational(run)
             checked(
                 "totally rational: branch-series reduction",
                 lambda: require_same_series("branch series", "stratum sum", pg, "reduced form", tr_pg),

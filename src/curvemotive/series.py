@@ -35,17 +35,17 @@ Both running sums work on int exponent tuples on the lattice ``d * M``
 (``_lattice``), which every exponent lies on, and convert to
 ``ExponentVector`` once per output term.
 
-Each (graph, bound)'s strata are enumerated once per process:
-``_scan_strata`` keeps its last result and ``walk_nhats`` its last two, so
-the engine's count checks and the per-stratum reference (the totally
-rational branch series) all read one enumeration.  The scan records each
-stratum as a row and builds its ``Stratum`` only for a reader that iterates
-(the reference, ``enumerate_strata``); the count checks read its length, so
-``pg``, ``pdg`` and the stratum sum build none.  Every such memo is a
-bounded ``lru_cache`` keyed on values; a graph computes its hash once, so
-keying on it is cheap, and each ``nhat``'s two codimensions are computed once
-per set of centers (see ``codim``).  No cross-check loses its independence:
-each consumer gets what the same deterministic function would give it.
+A ``Run`` is one graph and one bound; it walks the ``nhat`` lattice, forms
+the per-key products and scans the strata (per strictness) at most once for
+all the routes it is handed.  ``check`` hands one Run of the branch-free
+graph to its divisorial lines and one of the graph to the branch series and
+its per-stratum reference (the totally rational branch series).  The scan
+records each stratum as a row and builds its ``Stratum`` only for a reader
+that iterates (the reference, ``enumerate_strata``); the count checks read
+its length, so ``pg``, ``pdg`` and the stratum sum build none.  Nothing a Run
+computes outlives it; only work on the centers alone is kept per process
+(see ``codim``).  A Run shares inputs, never a route's result, so no
+cross-check loses its independence.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, prod
-from functools import cache, lru_cache, reduce, wraps
+from functools import cache, cached_property, lru_cache, reduce
 from operator import add, le, mul
 
 from ._linalg import integer_form
@@ -373,44 +373,56 @@ def _walk(steps, mins, start, caps):
         zs[k] = list(map(add, zs[k], steps[k]))
 
 
-def _memo(maxsize: int):
-    """``lru_cache(maxsize)`` for a pure ``fn(g, bound, *rest)``.
+class Run:
+    """One graph and one bound, and what the routes handed them share: the
+    ``nhat`` walk and the per-key products, each made on first use, and
+    ``_scans``, where ``_scan_strata`` keeps its scan per strictness.  The bound
+    is copied into a tuple."""
 
-    The key holds ``bound`` as a tuple, so a list works as well as a tuple;
-    equal ints and ``Fraction``s hash alike and share an entry.  ``fn`` must
-    return only immutable values, since every hit hands out the same object.
-    """
+    def __init__(self, g: ResolutionGraph, bound):
+        self.g = g
+        self.bound = tuple(bound)
+        self._scans = {}  # strictness -> what _scan_strata returns
 
-    def decorate(fn):
-        cached = lru_cache(maxsize)(fn)
+    @cached_property
+    def walk_nhats(self):
+        """Every ``nhat`` whose exponent (``v``, or ``w`` if the graph has no
+        branches) fits under the bound, lexicographically.
 
-        @wraps(fn)
-        def call(g, bound, *rest):
-            return cached(g, tuple(bound), *rest)
+        Holds ``(d, steps, caps, found, t_steps)`` with ``d``, ``steps`` and
+        ``caps`` as in ``_lattice``, ``found`` the tuple of ``(nhat, z)``, ``z =
+        d * (exponent, w)``, and ``t_steps[j - 1] = d * h``, what a unit of
+        ``t''_j`` adds to ``d * v_j`` (``h`` the degree of the component branch
+        ``j`` attaches to).  These are exactly the ``nhat`` of the strata
+        ``enumerate_strata`` yields, since the stratum with ``n = nhat`` and
+        nothing else has them.
+        """
+        g = self.g
+        attach = [b.attach for b in g.branches]
+        d, steps, caps = _lattice(g.m_lattice, self.bound, attach)
+        found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
+        return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
 
-        call.cache_clear = cached.cache_clear
-        return call
-
-    return decorate
-
-
-@_memo(maxsize=2)  # check walks the branch-free graph and the graph itself
-def walk_nhats(g: ResolutionGraph, bound):
-    """Every ``nhat`` whose exponent (``v``, or ``w`` if ``g`` has no branches)
-    fits under ``bound``, lexicographically.
-
-    Returns ``(d, steps, caps, found, t_steps)`` with ``d``, ``steps`` and
-    ``caps`` as in ``_lattice``, ``found`` the tuple of ``(nhat, z)``, ``z = d *
-    (exponent, w)``, and ``t_steps[j - 1] = d * h``, what a unit of ``t''_j``
-    adds to ``d * v_j`` (``h`` the degree of the component branch ``j`` attaches
-    to).  These are exactly the ``nhat`` of the strata ``enumerate_strata``
-    yields, since the stratum with ``n = nhat`` and nothing else has them.
-    The last two results per process are kept.
-    """
-    attach = [b.attach for b in g.branches]
-    d, steps, caps = _lattice(g.m_lattice, bound, attach)
-    found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
-    return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
+    @cached_property
+    def _sums_per_key(self):
+        """The class sums and the stratum counts of ``_coefficients``, per
+        branch subset and per ``nhat`` of the walk.  Neither depends on the
+        strictness: ``_assemble`` drops keys afterwards."""
+        g = self.g
+        keys = [n for n, _z in self.walk_nhats[3]]
+        position = {n: k for k, n in enumerate(keys)}
+        below = [
+            [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
+            for a in range(g.s)
+        ]
+        # per component, its class for every n_i up to the largest in use
+        sites = [
+            [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
+            for i, top in enumerate(map(max, zip(*keys)))
+        ]
+        classes = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
+        ones = [[1] * len(row) for row in sites]
+        return classes, _coefficients(g, keys, below, ones, lambda _label: 1, 0)
 
 
 class _Strata(Record):
@@ -438,9 +450,8 @@ def _stratum(row) -> Stratum:
     return Stratum(pairs, branches, n, tuple(zip(p, p)), tuple(zip(b, b)))
 
 
-@_memo(maxsize=1)  # a graph's routes run one after another in check
-def _scan_strata(g: ResolutionGraph, bound, strictness: str):
-    """All strata whose exponent vector fits under ``bound``, in a fixed order.
+def _scan_strata(run: Run, strictness: str):
+    """All strata whose exponent vector fits under the bound, in a fixed order.
 
     Returns ``(strata, skipped)`` where ``strata`` is a ``_Strata``, a sized
     iterable that records each stratum as a row and builds its ``Stratum``
@@ -451,12 +462,14 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
     t'')`` per chosen branch, each at least 1.  ``n`` is walked once; a family
     walks its legs from each point with room for all of them at 1, and is
     passed over when ``n = 0`` has none.  The order is family, then ``n``,
-    then legs.  The last result per process is kept, so the count checks and
-    the per-stratum reference on one graph and bound share one enumeration.
+    then legs.  The result is kept on ``run``, so its readers share one scan.
     """
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
-    d, nhat_step, caps, points, t_steps = walk_nhats(g, bound)
+    if strictness in run._scans:
+        return run._scans[strictness]
+    g = run.g
+    d, nhat_step, caps, points, t_steps = run.walk_nhats
 
     width = len(nhat_step[0])
     rows = []
@@ -479,13 +492,13 @@ def _scan_strata(g: ResolutionGraph, bound, strictness: str):
                         skipped += 1
                         continue
                     rows.append((family, n, tuple(values)))
-    return _Strata(tuple(rows)), skipped
+    return run._scans.setdefault(strictness, (_Strata(tuple(rows)), skipped))
 
 
 def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
-    """Every stratum whose exponent (as in ``walk_nhats``) is coordinatewise at
+    """Every stratum whose exponent (as in ``Run.walk_nhats``) is coordinatewise at
     most ``bound``, built as it is yielded from the scan's rows."""
-    yield from _scan_strata(g, bound, strictness)[0]
+    yield from _scan_strata(Run(g, bound), strictness)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -536,36 +549,11 @@ def _coefficients(g, keys, below, site, unit, zero):
     return per_subset
 
 
-@_memo(maxsize=1)  # check's divisorial and extended-semigroup lines share one graph and bound
-def _sums_per_key(g: ResolutionGraph, bound, strictness: str):
-    """The class sums and the stratum counts of ``_coefficients``, per branch
-    subset and per ``nhat`` of ``walk_nhats(g, bound)``, as tuples.
-
-    Neither depends on ``strictness`` (``_assemble`` drops keys afterwards);
-    it is part of the key so that this memo and ``_scan_strata``'s hold the
-    same run.  The last result per process is kept.
-    """
-    keys = [n for n, _z in walk_nhats(g, bound)[3]]
-    position = {n: k for k, n in enumerate(keys)}
-    below = [
-        [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
-        for a in range(g.s)
-    ]
-    # per component, its class for every n_i up to the largest in use
-    sites = [
-        [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
-        for i, top in enumerate(map(max, zip(*keys)))
-    ]
-    classes = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
-    ones = [[1] * len(row) for row in sites]
-    counts = _coefficients(g, keys, below, ones, lambda _label: 1, 0)
-    return tuple(map(tuple, classes)), tuple(map(tuple, counts))
-
-
-def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = False):
-    """The branch series, or the divisorial one if ``g`` has no branch, per key;
-    with ``semigroup``, the extended-semigroup stratum sum on a branch-free
-    ``g``, which leaves out ``L^(-F)`` and so computes no codimension.
+def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
+    """The branch series of ``run``, or the divisorial one if its graph has no
+    branch, per key; with ``semigroup``, the extended-semigroup stratum sum on a
+    branch-free graph, which leaves out ``L^(-F)`` and so computes no
+    codimension.
 
     ``F``, ``v`` and ``w`` depend on a stratum only through ``nhat`` and the
     branch second multiplicities ``t''``, so ``_coefficients`` sums the
@@ -579,15 +567,16 @@ def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = F
     its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
     ``d``; a dropped key adds its total to ``skipped_nonintegral``.
     """
+    g = run.g
     what = "extended-semigroup series" if semigroup else "branch series" if g.r else "divisorial series"
-    strata, scan_skipped = _scan_strata(g, bound, strictness)
-    d, _steps, caps, found, t_steps = walk_nhats(g, bound)
+    strata, scan_skipped = _scan_strata(run, strictness)
+    d, _steps, caps, found, t_steps = run.walk_nhats
     names = ("composed codimension", "literal codimension")
     codims = [0] * len(found) if semigroup else [
         _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
         for n, _z in found
     ]
-    class_by_subset, count_by_subset = _sums_per_key(g, bound, strictness)
+    class_by_subset, count_by_subset = run._sums_per_key
 
     width = len(caps)
     terms = {}
@@ -625,7 +614,7 @@ def _assemble(g: ResolutionGraph, bound, strictness: str, *, semigroup: bool = F
             f"({skipped} non-integral), the enumeration {len(strata) + scan_skipped} "
             f"({scan_skipped} non-integral)"
         )
-    series = _from_lattice(width, bound, d, terms)
+    series = _from_lattice(width, run.bound, d, terms)
     series.skipped_nonintegral = skipped
     return series
 
@@ -656,38 +645,41 @@ def require_branches(g: ResolutionGraph) -> None:
         raise ValueError("the branch series needs at least one branch")
 
 
-def poincare_generalised(
-    g: ResolutionGraph, bound, *, strictness: str = "literal"
-) -> TruncatedSeries:
-    """The branch series, truncated coordinatewise at ``bound``.
+def _branch_free(run: Run) -> Run:
+    """``run``, if its graph has no branch: on ``g`` itself a divisorial route would give ``pg``."""
+    if run.g.r:
+        raise ValueError("a divisorial route needs a Run of a branch-free graph, such as g.without_branches")
+    return run
+
+
+def poincare_generalised(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+    """The branch series of ``run.g``, truncated coordinatewise at ``run.bound``.
 
     The stratum sum ``sum L^(-F) [Y] t^v`` is built once; its composed
     codimensions are checked against the literal ones and its stratum count
     against the enumeration, and a mismatch raises ``SeriesCrossCheckError``.
     """
-    require_branches(g)
-    return _assemble(g, bound, strictness)
+    require_branches(run.g)
+    return _assemble(run, strictness)
 
 
-def poincare_divisorial(
-    g: ResolutionGraph, bound, *, strictness: str = "literal"
-) -> TruncatedSeries:
-    """The divisorial series, truncated coordinatewise at ``bound``: the
-    branch series' construction on ``g.without_branches``."""
-    return _assemble(g.without_branches, bound, strictness)
+def poincare_divisorial(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+    """The divisorial series of ``g``, truncated coordinatewise at the bound,
+    from a Run of ``g.without_branches``: the branch series' construction on
+    the branch-free graph."""
+    return _assemble(_branch_free(run), strictness)
 
 
-def divisorial_semigroup_stratum_sum(
-    g: ResolutionGraph, bound, *, strictness: str = "literal"
-) -> TruncatedSeries:
-    """The stratum sum ``sum [Y^D] t^w`` of the extended-semigroup series: the
-    divisorial series' per-key sum without its factor ``L^(-F^D)``.
+def divisorial_semigroup_stratum_sum(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+    """The stratum sum ``sum [Y^D] t^w`` of the extended-semigroup series, from
+    a Run of ``g.without_branches``: the divisorial series' per-key sum without
+    its factor ``L^(-F^D)``.
 
-    It must reproduce ``expand(divisorial_closed_form(g), bound)`` exactly,
-    so the closed form checks the engine that builds the branch and
+    It must reproduce ``expand(divisorial_closed_form(g), run.bound)``
+    exactly, so the closed form checks the engine that builds the branch and
     divisorial series.
     """
-    return _assemble(g.without_branches, bound, strictness, semigroup=True)
+    return _assemble(_branch_free(run), strictness, semigroup=True)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +813,7 @@ def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
     return expand(totally_rational_closed_form(g), bound)
 
 
-def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
+def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
     """Independent implementation of the all-degrees-one branch series.
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
@@ -830,10 +822,11 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
     each binomial factor, and the class ``(1 - L^{-1})^(#I + #J) prod_i
     inner(nu_i, n_i)`` of each ``(#I + #J, n)`` are computed once.
     """
+    g = run.g
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
-    strata = _scan_strata(g, bound, "literal")[0]  # literal mode skips none
+    strata = _scan_strata(run, "literal")[0]  # literal mode skips none
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = cache(lambda nh: nhat_codim(nh, g))
@@ -864,4 +857,4 @@ def poincare_generalised_totally_rational(g: ResolutionGraph, bound) -> Truncate
         value = stratum_value(count, st.point_mults)
         return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 
-    return _mapreduce(g.r, bound, strata, term)
+    return _mapreduce(g.r, run.bound, strata, term)

@@ -1,4 +1,5 @@
-"""Shared corpus graphs and generators for randomized property tests."""
+"""Shared corpus graphs, the per-test cache reset and generators for
+randomized property tests."""
 
 from __future__ import annotations
 
@@ -6,7 +7,21 @@ import random
 
 import pytest
 
-from curvemotive import Branch, Center, ResolutionGraph, Stratum, build
+from curvemotive import Branch, Center, ResolutionGraph, Stratum, build, codim, resolution, series
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Empty the caches keyed on the centers before each test, so that no test
+    reads what an earlier one left and a monkeypatched function is reached."""
+    for cached in (
+        codim._composed,
+        codim._literal,
+        resolution._m_matrix,
+        resolution._m_lattice,
+        series.sym_power_class,
+    ):
+        cached.cache_clear()
 
 
 def cusp_description():

@@ -15,6 +15,7 @@ import pytest
 
 from curvemotive import (
     MonomialValuationSystem,
+    Run,
     Specialization,
     codim_F,
     codim_F_literal,
@@ -116,7 +117,7 @@ def test_criterion_3_closed_form_vs_stratum_sum(corpus):
     for name, g in corpus.items():
         bound = (12,) * g.s
         ok = ok and expand(divisorial_closed_form(g), bound) == \
-            divisorial_semigroup_stratum_sum(g, bound)
+            divisorial_semigroup_stratum_sum(Run(g.without_branches, bound))
     _report(
         3,
         "closed form equals the stratum sum at bound 12 on every corpus graph",
@@ -128,7 +129,7 @@ def test_criterion_3_closed_form_vs_stratum_sum(corpus):
 
 def test_criterion_4_classical_specialization(cusp):
     start = time.monotonic()
-    series = poincare_generalised(cusp, (20,))
+    series = poincare_generalised(Run(cusp, (20,)))
     spec = Specialization(lefschetz=Fraction(1), default=Fraction(1))
     values = series.specialize(spec)
     support = sorted(int(exp[0]) for exp in values)
@@ -169,9 +170,8 @@ def test_criterion_6_totally_rational_reductions(single, cusp, satellite5):
         bound_div = (10,) * g.s
         ok = ok and expand(divisorial_closed_form(g), bound_div) == \
             expand_totally_rational(g, bound_div)
-        bound_branch = (10,) * g.r
-        ok = ok and poincare_generalised(g, bound_branch) == \
-            poincare_generalised_totally_rational(g, bound_branch)
+        run = Run(g, (10,) * g.r)
+        ok = ok and poincare_generalised(run) == poincare_generalised_totally_rational(run)
     _report(
         6,
         "totally rational corollary forms match the general formulas",

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from curvemotive import (
+    Run,
     SeriesCrossCheckError,
     TruncatedSeries,
     build,
@@ -53,7 +54,7 @@ def assert_matches_reference(g, pg_bound, pdg_bound):
         if g.r >= 1:
             cases.append((poincare_generalised, g, (pg_bound,) * g.r))
         for compute, h, bound in cases:
-            got = compute(g, bound, strictness=strictness)
+            got = compute(Run(h, bound), strictness=strictness)
             want = reference_series(h, bound, strictness)
             assert got == want, (compute, strictness)
             assert got.skipped_nonintegral == want.skipped_nonintegral, (compute, strictness)
@@ -72,7 +73,7 @@ def test_two_branch_cusp_matches_reference(cusp_two_branches):
     # non-uniform bounds, one of them zero
     g = cusp_two_branches
     for bound in ((9, 0), (3, 8)):
-        assert poincare_generalised(g, bound) == reference_series(g, bound, "literal")
+        assert poincare_generalised(Run(g, bound)) == reference_series(g, bound, "literal")
 
 
 def test_random_multibranch_graphs_with_degrees_match_reference():
@@ -95,7 +96,7 @@ def test_codimension_mismatch_names_nhat_and_both_values(cusp, monkeypatch):
 
     monkeypatch.setattr(series_module, "nhat_codim_literal", off_by_one_at)
     with pytest.raises(SeriesCrossCheckError) as info:
-        poincare_divisorial(cusp, (4, 4, 4))
+        poincare_divisorial(Run(cusp.without_branches, (4, 4, 4)))
     assert str(info.value) == (
         "divisorial series: composed codimension and literal codimension disagree at "
         "nhat = (0, 1, 0): composed codimension 3, literal codimension 4"
@@ -111,4 +112,4 @@ def test_stratum_count_mismatch_is_a_cross_check_failure(cusp, monkeypatch):
 
     monkeypatch.setattr(series_module, "_scan_strata", one_short)
     with pytest.raises(SeriesCrossCheckError, match=r"counts 4 strata .* the enumeration 3 "):
-        poincare_divisorial(cusp, (4, 4, 4))
+        poincare_divisorial(Run(cusp.without_branches, (4, 4, 4)))

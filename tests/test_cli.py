@@ -16,8 +16,10 @@ from curvemotive.cli import main
 from curvemotive.codim import ExponentVector
 from curvemotive.grothendieck import RingElement
 from curvemotive.series import (
+    Run,
     TruncatedSeries,
     divisorial_semigroup_stratum_sum,
+    poincare_divisorial,
     poincare_generalised,
 )
 
@@ -363,16 +365,13 @@ def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
     code, out, _err = run(capsys, "check", "--bound", "6", "--input", cusp_file)
     assert code == 0, out
     in_check = len(built)
-    g = build(cusp_description())
-    distinct = len(list(series.enumerate_strata(g, (6,)))) + len(
-        list(series.enumerate_strata(g.without_branches, (6,) * 3))
-    )
-    # at most: a memo filled before this test may save some of them
-    assert in_check <= distinct
+    # only the per-stratum reference iterates a scan: the branch Run's, once
+    strata = list(series.enumerate_strata(build(cusp_description()), (6,)))
+    assert in_check == len(set(built)) == len(strata) > 0
 
 
 def test_check_does_the_centers_work_once(capsys, monkeypatch):
-    from curvemotive import _linalg, codim, resolution
+    from curvemotive import _linalg, codim
 
     inverses = []
     inverse = _linalg.unitriangular_inverse
@@ -388,8 +387,6 @@ def test_check_does_the_centers_work_once(capsys, monkeypatch):
         expansions.append(args)
         return expand(*args)
 
-    for memo in (resolution._m_matrix, codim._composed, codim._literal):
-        memo.cache_clear()
     monkeypatch.setattr(_linalg, "unitriangular_inverse", counted)
     monkeypatch.setattr(cli, "expand", counted_expand)
     satellite5 = str(DEMOS / "graphs" / "satellite5.json")
@@ -504,7 +501,7 @@ def test_branch_series_reduction_fail_line_names_first_difference(capsys, cusp_f
 def test_phatd_strict_integral_counts_dropped_strata(capsys):
     path = DEMOS / "graphs" / "chain2_h12.json"
     g = build(json.loads(path.read_text(encoding="utf-8")))
-    want = divisorial_semigroup_stratum_sum(g, (6, 6), strictness="integral")
+    want = divisorial_semigroup_stratum_sum(Run(g.without_branches, (6, 6)), strictness="integral")
     assert want.skipped_nonintegral == 20
     argv = ["compute", "--series", "phatd", "--bound", "6", "--input", str(path), "--strict-integral"]
     code, out, err = run(capsys, *argv)
@@ -520,8 +517,8 @@ def test_phatd_strict_integral_counts_dropped_strata(capsys):
 def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkeypatch):
     original = cli.divisorial_semigroup_stratum_sum
 
-    def bumped_when_integral(g, bound, *, strictness="literal"):
-        series = original(g, bound, strictness=strictness)
+    def bumped_when_integral(run, *, strictness="literal"):
+        series = original(run, strictness=strictness)
         if strictness == "integral":
             series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
         return series
@@ -539,7 +536,7 @@ def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkey
     )
 
 
-def test_closed_form_checks_the_engine_of_pg_and_pdg(capsys, monkeypatch):
+def assert_a_broken_class_product_fails_check(capsys, monkeypatch):
     # every pair and branch unit class U becomes U - 1 in the class product,
     # while the count product stays as it is
     original = series_module._coefficients
@@ -556,6 +553,33 @@ def test_closed_form_checks_the_engine_of_pg_and_pdg(capsys, monkeypatch):
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL: extended-semigroup series: closed form vs stratum sum (")
+
+
+def test_closed_form_checks_the_engine_of_pg_and_pdg(capsys, monkeypatch):
+    assert_a_broken_class_product_fails_check(capsys, monkeypatch)
+
+
+def test_an_earlier_series_in_the_process_serves_no_later_check(capsys, monkeypatch):
+    # the same graph and bound as the check's divisorial lines, computed first
+    g = build(json.loads((DEMOS / "graphs" / "chain2_h12.json").read_text(encoding="utf-8")))
+    poincare_divisorial(Run(g.without_branches, (6, 6)))
+    assert_a_broken_class_product_fails_check(capsys, monkeypatch)
+
+
+def test_check_forms_each_runs_class_and_count_products_once(capsys, monkeypatch):
+    calls = []
+    original = series_module._coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series_module, "_coefficients", counted)
+    path = str(Path(__file__).parent.parent / "perfbench" / "graphs" / "satellite5.json")
+    code, out, _err = run(capsys, "check", "--bound", "40", "--input", path)
+    assert code == 0, out
+    # one class and one count product on the branch-free Run, and on the graph's
+    assert len(calls) == 4
 
 
 def test_specialize_rejects_a_label_the_graph_does_not_carry(capsys, cusp_file):
@@ -829,13 +853,13 @@ def test_semigroup_check_compares_support_with_the_semigroup(capsys, cusp_file, 
     code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "10")
     assert code == 0 and f"ok: {line}" in out.splitlines()
 
-    def missing_t4(g, bound):
-        pg = poincare_generalised(g, bound)
+    def missing_t4(run):
+        pg = poincare_generalised(run)
         del pg.terms[ExponentVector((4,))]
         return pg
 
-    def extra_t1(g, bound):
-        pg = poincare_generalised(g, bound)
+    def extra_t1(run):
+        pg = poincare_generalised(run)
         pg.add_term(ExponentVector((1,)), RingElement.one())
         return pg
 

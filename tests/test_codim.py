@@ -205,8 +205,6 @@ def test_stratum_validation():
 
 def test_nhat_codimensions_are_computed_once_per_set_of_centers():
     memos = {"composed": codim._composed, "literal": codim._literal}
-    for memo in memos.values():
-        memo.cache_clear()
     calls = []
     cusp_centers = [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]
     cusp = build({"centers": cusp_centers, "branches": [{"attach": 3}]})

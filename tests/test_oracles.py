@@ -16,7 +16,7 @@ from curvemotive import (
     sym_power_class,
     w_of,
 )
-from curvemotive import ExponentVector, build, poincare_generalised
+from curvemotive import ExponentVector, Run, build, poincare_generalised
 from curvemotive.oracles import _field_ops, branch_series_at_one, one_branch_series
 
 from conftest import random_graph
@@ -168,7 +168,7 @@ def test_branch_series_oracles_examples():
 
 def assert_branch_series_oracles(g, bound):
     """``pg`` of a degree-one graph against both closed formulas of ``oracles``."""
-    pg = poincare_generalised(g, (bound,) * g.r)
+    pg = poincare_generalised(Run(g, (bound,) * g.r))
     exponents = [tuple(row[b.attach - 1] for b in g.branches) for row in g.m_matrix]
     at_one = branch_series_at_one(exponents, [2 - nu for nu in g.nu_circ], (bound,) * g.r)
     assert pg.specialize(Specialization(lefschetz=Fraction(1), default=Fraction(1))) == at_one

@@ -15,6 +15,7 @@ from curvemotive import series as series_module
 from curvemotive import (
     ExponentVector,
     RingElement,
+    Run,
     Specialization,
     Stratum,
     TruncatedSeries,
@@ -241,10 +242,10 @@ def test_integral_mode_checks_w_not_just_exponents():
             "branches": [{"attach": 1}],
         }
     )
-    literal = poincare_generalised(g, (5,))
+    literal = poincare_generalised(Run(g, (5,)))
     assert all(exp.is_integral for exp in literal.terms)
     assert not literal.is_integral_lattice  # fractional L-powers sneak in
-    strict = poincare_generalised(g, (5,), strictness="integral")
+    strict = poincare_generalised(Run(g, (5,)), strictness="integral")
     assert strict.skipped_nonintegral > 0
     assert strict.is_integral_lattice
 
@@ -255,7 +256,7 @@ def test_integral_mode_drops_and_counts(chain2_h12):
     integral = list(enumerate_strata(g, (4, 6), strictness="integral"))
     assert len(integral) < len(literal)
     assert all(w_of(nhat(st, g), g).is_integral for st in integral)
-    series = poincare_divisorial(chain2_h12, (4, 6), strictness="integral")
+    series = poincare_divisorial(Run(chain2_h12.without_branches, (4, 6)), strictness="integral")
     assert series.skipped_nonintegral == len(literal) - len(integral)
     # integral mode keeps the literal strata with integral w and exponent,
     # in the literal order, and counts the rest
@@ -275,7 +276,7 @@ def test_integral_mode_drops_and_counts(chain2_h12):
                 if w_of(nhat(st, h), h).is_integral and (not h.r or v_of(st, h).is_integral)
             ]
             assert integral == kept, (g, route)
-            skipped = route(g, bound, strictness="integral").skipped_nonintegral
+            skipped = route(Run(h, bound), strictness="integral").skipped_nonintegral
             assert skipped == len(literal) - len(kept), (g, route)
             dropped += skipped
         assert dropped > 0, route
@@ -292,7 +293,7 @@ def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
         for b in (0, 2, 4, 6):
             for h in [g.without_branches] + ([g] if g in demos else []):
                 bound = (b,) * (h.r or h.s)
-                walked = [n for n, _z in series_module.walk_nhats(h, bound)[3]]
+                walked = [n for n, _z in Run(h, bound).walk_nhats[3]]
                 assert walked == sorted(set(walked)), (h, b)
                 strata = enumerate_strata(h, bound)
                 assert set(walked) == {nhat(st, h) for st in strata}, (h, b)
@@ -303,12 +304,12 @@ def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
 
 def test_pg_constant_term(cusp, chain2_h12):
     for g in (cusp, chain2_h12):
-        series = poincare_generalised(g, (3,) * g.r)
+        series = poincare_generalised(Run(g, (3,) * g.r))
         assert series.coefficient((0,) * g.r) == one
 
 
 def test_pg_cusp_frozen_low_order(cusp):
-    series = poincare_generalised(cusp, (7,))
+    series = poincare_generalised(Run(cusp, (7,)))
     assert series.coefficient(ev(0)) == one
     assert series.coefficient(ev(1)) == RingElement.zero()
     assert series.coefficient(ev(2)) == L(-1)
@@ -320,7 +321,7 @@ def test_pg_cusp_frozen_low_order(cusp):
 
 
 def test_pg_classical_specialization_is_semigroup(cusp):
-    series = poincare_generalised(cusp, (20,))
+    series = poincare_generalised(Run(cusp, (20,)))
     spec = Specialization(lefschetz=Fraction(1), default=Fraction(1))
     values = series.specialize(spec)
     support = sorted(int(exp[0]) for exp in values)
@@ -334,21 +335,20 @@ def test_pg_requires_a_branch():
 
     g = build({"centers": [{"prox": []}]})
     with pytest.raises(ValueError):
-        poincare_generalised(g, ())
+        poincare_generalised(Run(g, ()))
 
 
 def test_pg_totally_rational_reduction(cusp, satellite5, chain2, chain3):
     for g in (cusp, satellite5, chain2, chain3):
-        general = poincare_generalised(g, (10,) * g.r)
-        reduced = poincare_generalised_totally_rational(g, (10,) * g.r)
-        assert general == reduced
+        run = Run(g, (10,) * g.r)
+        assert poincare_generalised(run) == poincare_generalised_totally_rational(run)
 
 
 # -- the divisorial series ---------------------------------------------------
 
 
 def test_pdg_single_blowup_frozen(single):
-    series = poincare_divisorial(single, (3,))
+    series = poincare_divisorial(Run(single.without_branches, (3,)))
     # coefficient at t^n is L^(-n(n+1)/2) (1 + L^-1 + ... + L^-n) shifted by L^n
     assert series.coefficient(ev(0)) == one
     assert series.coefficient(ev(1)) == L(-1) + L(-2)
@@ -357,8 +357,17 @@ def test_pdg_single_blowup_frozen(single):
 
 
 def test_pdg_zero_bound_is_one(cusp):
-    series = poincare_divisorial(cusp, (0, 0, 0))
+    series = poincare_divisorial(Run(cusp.without_branches, (0, 0, 0)))
     assert series.terms == {ev(0, 0, 0): one}
+
+
+def test_divisorial_routes_reject_a_run_with_branches(single, cusp):
+    # on single r == s, so the branch series would fit the bound and pass for pdg
+    assert poincare_generalised(Run(single, (3,))) != poincare_divisorial(Run(single.without_branches, (3,)))
+    for g in (single, cusp):
+        for route in (poincare_divisorial, divisorial_semigroup_stratum_sum):
+            with pytest.raises(ValueError, match="branch-free"):
+                route(Run(g, (3,) * g.s))
 
 
 def test_divisorial_series_ignore_branches():
@@ -375,8 +384,9 @@ def test_divisorial_series_ignore_branches():
     for g in graphs:
         bare = build({"centers": [{"prox": list(c.proximate_to), "h": c.degree} for c in g.centers]})
         bound = (3,) * g.s
-        assert poincare_divisorial(g, bound) == poincare_divisorial(bare, bound)
-        assert divisorial_semigroup_stratum_sum(g, bound) == divisorial_semigroup_stratum_sum(bare, bound)
+        branch_free, bare = Run(g.without_branches, bound), Run(bare, bound)
+        assert poincare_divisorial(branch_free) == poincare_divisorial(bare)
+        assert divisorial_semigroup_stratum_sum(branch_free) == divisorial_semigroup_stratum_sum(bare)
         st = random_stratum(rng, g, divisorial=True)
         bullet = one
         for i, n_i in enumerate(st.point_mults, start=1):
@@ -403,26 +413,20 @@ def test_closed_form_vs_stratum_sum(corpus):
     for name, g in corpus.items():
         bound = (6,) * g.s
         assert expand(divisorial_closed_form(g), bound) == \
-            divisorial_semigroup_stratum_sum(g, bound), name
+            divisorial_semigroup_stratum_sum(Run(g.without_branches, bound)), name
 
 
 def test_closed_form_vs_stratum_sum_many_bounds(cusp, chain2_h12):
     # every scalar bound up to 12, plus non-uniform bounds
-    cf_chain = divisorial_closed_form(chain2_h12)
-    for b in range(13):
-        bound = (b, b)
-        assert expand(cf_chain, bound) == divisorial_semigroup_stratum_sum(
-            chain2_h12, bound
-        ), b
-    cf_cusp = divisorial_closed_form(cusp)
-    for bound in ((4, 6, 12), (1, 2, 3), (12, 0, 5)):
-        assert expand(cf_cusp, bound) == divisorial_semigroup_stratum_sum(
-            cusp, bound
-        ), bound
+    cases = [(chain2_h12, (b, b)) for b in range(13)]
+    cases += [(cusp, bound) for bound in ((4, 6, 12), (1, 2, 3), (12, 0, 5))]
+    for g, bound in cases:
+        run = Run(g.without_branches, bound)
+        assert expand(divisorial_closed_form(g), bound) == divisorial_semigroup_stratum_sum(run), bound
 
 
 def test_stratum_sum_zero_bound_is_one(cusp):
-    series = divisorial_semigroup_stratum_sum(cusp, (0, 0, 0))
+    series = divisorial_semigroup_stratum_sum(Run(cusp.without_branches, (0, 0, 0)))
     assert series.terms == {ev(0, 0, 0): one}
 
 
@@ -436,7 +440,7 @@ def test_closed_form_chain2_h12_frozen(chain2_h12):
     assert series.coefficient(ev(2, Fraction(5, 2))) == (
         (L() - one) * (e2 * L() - one) + es * L() - one
     )
-    assert series == divisorial_semigroup_stratum_sum(chain2_h12, bound)
+    assert series == divisorial_semigroup_stratum_sum(Run(chain2_h12.without_branches, bound))
 
 
 def test_totally_rational_closed_form_reduction(cusp, satellite5, chain3):
@@ -536,7 +540,7 @@ def test_expansions_reject_a_bound_of_the_wrong_length(cusp):
         with pytest.raises(ValueError):
             expand_totally_rational(cusp, bound)
     with pytest.raises(ValueError, match="bounds must be nonnegative"):
-        series_module.walk_nhats(cusp, (-1,))
+        Run(cusp, (-1,)).walk_nhats
 
 
 @pytest.mark.parametrize("step", [(0, 2), (1, 2)], ids=["zero-entry", "positive"])
@@ -569,7 +573,7 @@ def test_series_json_round_trip(cusp, chain2_h12):
 
 
 def test_series_rendering_orders_terms_graded_lex(single):
-    series = poincare_divisorial(single, (2,))
+    series = poincare_divisorial(Run(single.without_branches, (2,)))
     lines = series.to_text().splitlines()
     assert lines[0].startswith("1:")
     assert lines[1].startswith("t1:")
@@ -585,14 +589,14 @@ def test_workers_do_not_change_results(cusp, capsys, monkeypatch, tmp_path):
     from conftest import cusp_description
     from curvemotive.cli import main
 
-    for series_fn, bound in (
-        (poincare_generalised, (12,)),
-        (poincare_divisorial, (4, 4, 4)),
-        (divisorial_semigroup_stratum_sum, (4, 4, 4)),
-        (poincare_generalised_totally_rational, (12,)),
+    for series_fn, run in (
+        (poincare_generalised, Run(cusp, (12,))),
+        (poincare_divisorial, Run(cusp.without_branches, (4, 4, 4))),
+        (divisorial_semigroup_stratum_sum, Run(cusp.without_branches, (4, 4, 4))),
+        (poincare_generalised_totally_rational, Run(cusp, (12,))),
     ):
         with pytest.raises(TypeError):
-            series_fn(cusp, bound, workers=2)
+            series_fn(run, workers=2)
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(cusp_description()))
     argv = ["compute", "--series", "pg", "--bound", "12", "--input", str(path)]
@@ -605,20 +609,20 @@ def test_workers_do_not_change_results(cusp, capsys, monkeypatch, tmp_path):
         assert main(argv + extra) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1] == outputs[2]
-    assert outputs[0].out == poincare_generalised(cusp, (12,)).to_text() + "\n"
+    assert outputs[0].out == poincare_generalised(Run(cusp, (12,))).to_text() + "\n"
 
 
 def test_repeated_runs_identical_text(satellite5):
-    a = poincare_divisorial(satellite5, (6,) * 5).to_text()
-    b = poincare_divisorial(satellite5, (6,) * 5).to_text()
+    a = poincare_divisorial(Run(satellite5.without_branches, (6,) * 5)).to_text()
+    b = poincare_divisorial(Run(satellite5.without_branches, (6,) * 5)).to_text()
     assert a == b
 
 
 def test_two_branch_series(cusp_two_branches):
     g = cusp_two_branches
-    series = poincare_generalised(g, (6, 6))
+    series = poincare_generalised(Run(g, (6, 6)))
     assert series.coefficient(ev(0, 0)) == one
-    assert series == poincare_generalised_totally_rational(g, (6, 6))
+    assert series == poincare_generalised_totally_rational(Run(g, (6, 6)))
     # branch 2 sits on E1, so t2 tracks the multiplicity filtration
     assert series.coefficient(ev(2, 1)) != RingElement.zero()
     naive = naive_strata(g, (6, 6))
@@ -627,7 +631,7 @@ def test_two_branch_series(cusp_two_branches):
 
 def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two_branches, monkeypatch):
     g = cusp_two_branches
-    expected = poincare_generalised(g, (8, 8))
+    expected = poincare_generalised(Run(g, (8, 8)))
     calls = []
 
     def counted(nh, graph):
@@ -635,7 +639,7 @@ def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two
         return codim.nhat_codim(nh, graph)
 
     monkeypatch.setattr(series_module, "nhat_codim", counted)
-    assert poincare_generalised_totally_rational(g, (8, 8)) == expected
+    assert poincare_generalised_totally_rational(Run(g, (8, 8))) == expected
     strata = list(enumerate_strata(g, (8, 8)))
     assert sorted(calls) == sorted({nhat(st, g) for st in strata})
     assert len(calls) < len(strata)
@@ -654,25 +658,24 @@ def test_stratum_sum_matches_the_per_stratum_classes(cusp, monkeypatch):
         return stratum_class(st, graph)
 
     monkeypatch.setattr(series_module, "stratum_class", counted)
-    assert divisorial_semigroup_stratum_sum(cusp, bound) == expected
+    assert divisorial_semigroup_stratum_sum(Run(cusp.without_branches, bound)) == expected
     assert calls == []  # summed per key, never stratum by stratum
 
 
 def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
     # with the collector off, a cycle would keep every stratum of a
-    # forgotten scan alive until the next collection
+    # forgotten Run alive until the next collection
     gc.collect()
-    series_module._scan_strata.cache_clear()
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.disable()
     try:
-        strata, _skipped = series_module._scan_strata(cusp.without_branches, (12, 12, 12), "literal")
+        run = Run(cusp.without_branches, (12, 12, 12))
+        strata, _skipped = series_module._scan_strata(run, "literal")
         assert strata
-        del strata
-        series_module._scan_strata.cache_clear()
+        del strata, run
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
         gc.collect()
-        left = [obj for obj in gc.garbage if isinstance(obj, (Stratum, series_module._Strata))]
+        left = [obj for obj in gc.garbage if isinstance(obj, (Stratum, series_module._Strata, Run))]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
@@ -683,7 +686,7 @@ def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
 
 def _eager_scan(g, bound, strictness):
     """The scan as it was when it built one ``Stratum`` per stratum in its loop."""
-    d, nhat_step, caps, points, t_steps = series_module.walk_nhats(g, bound)
+    d, nhat_step, caps, points, t_steps = Run(g, bound).walk_nhats
     width = len(nhat_step[0])
     strata, skipped = [], 0
     for pair_subset in series_module._subsets([site.key for site in g.pairs]):
@@ -728,8 +731,7 @@ def test_scan_gives_the_strata_of_the_eager_loop():
             for b in (0, 2, 4):
                 bound = (b,) * (h.r or h.s)
                 for strictness in ("literal", "integral"):
-                    series_module._scan_strata.cache_clear()
-                    strata, skipped = series_module._scan_strata(h, bound, strictness)
+                    strata, skipped = series_module._scan_strata(Run(h, bound), strictness)
                     expected, expected_skipped = _eager_scan(h, bound, strictness)
                     assert tuple(strata) == expected, (h, b, strictness)
                     assert list(strata) == list(enumerate_strata(h, bound, strictness))
@@ -751,16 +753,14 @@ def test_engine_builds_no_stratum(name, request, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Stratum, "__init__", counted)
-    bound = 10
-    for memo in (series_module._scan_strata, series_module.walk_nhats):
-        memo.cache_clear()  # so that the scans run here
-    assert poincare_generalised(g, (bound,) * g.r).terms
-    assert poincare_divisorial(g, (bound,) * g.s).terms
-    assert divisorial_semigroup_stratum_sum(g, (bound,) * g.s).terms
+    run, branch_free = Run(g, (10,) * g.r), Run(g.without_branches, (10,) * g.s)
+    assert poincare_generalised(run).terms
+    assert poincare_divisorial(branch_free).terms
+    assert divisorial_semigroup_stratum_sum(branch_free).terms
     assert built == []
     if g.is_totally_rational:  # the per-stratum reference builds each stratum once
-        strata, _skipped = series_module._scan_strata(g, (bound,) * g.r, "literal")
-        poincare_generalised_totally_rational(g, (bound,) * g.r)
+        strata, _skipped = series_module._scan_strata(run, "literal")
+        poincare_generalised_totally_rational(run)
         assert len(built) == len(strata) > 0
 
 
@@ -805,43 +805,33 @@ def test_every_bound_form_gives_the_same_results(cusp):
     g = cusp
     h = g.without_branches
     routes = {
-        "walk_nhats branch": lambda b: series_module.walk_nhats(g, b[:1]),
-        "walk_nhats divisorial": lambda b: series_module.walk_nhats(h, b),
+        "walk_nhats branch": lambda b: Run(g, b[:1]).walk_nhats,
+        "walk_nhats divisorial": lambda b: Run(h, b).walk_nhats,
         "enumerate_strata branch": lambda b: list(enumerate_strata(g, b[:1])),
         "enumerate_strata divisorial": lambda b: list(enumerate_strata(h, b)),
-        "pg": lambda b: poincare_generalised(g, b[:1]).to_json(),
-        "pdg": lambda b: poincare_divisorial(g, b).to_json(),
-        "stratum sum": lambda b: divisorial_semigroup_stratum_sum(g, b).to_json(),
+        "pg": lambda b: poincare_generalised(Run(g, b[:1])).to_json(),
+        "pdg": lambda b: poincare_divisorial(Run(h, b)).to_json(),
+        "stratum sum": lambda b: divisorial_semigroup_stratum_sum(Run(h, b)).to_json(),
         "expand": lambda b: expand(divisorial_closed_form(g), b).to_json(),
     }
     forms = ([6, 6, 6], (6, 6, 6), (Fraction(6),) * 3)
-    fresh, reused = [], []
-    memos = (
-        series_module._scan_strata,
-        series_module.walk_nhats,
-        codim._composed,
-        codim._literal,
-    )
-    for bound in forms:
-        for memo in memos:
-            memo.cache_clear()
-        fresh.append({name: route(bound) for name, route in routes.items()})
-    for bound in forms:  # now each form may be served what another one left
-        reused.append({name: route(bound) for name, route in routes.items()})
-    assert all(results == fresh[0] for results in fresh + reused)
+    results = [{name: route(bound) for name, route in routes.items()} for bound in forms]
+    assert results[1] == results[0] == results[2]
 
-    # what a caller gets back, or passes in, cannot change a later call's result
+    # a Run copies its bound, and what it shares between routes is immutable
     bound = [6, 6, 6]
-    walked = series_module.walk_nhats(h, bound)
-    scanned = series_module._scan_strata(h, bound, "literal")
-    _assert_immutable(walked)
-    _assert_immutable(scanned)
+    run = Run(h, bound)
     bound[0] = 0
-    assert series_module.walk_nhats(h, (6, 6, 6)) is walked
-    assert series_module._scan_strata(h, (6, 6, 6), "literal") is scanned
-    pdg = poincare_divisorial(g, (6, 6, 6))
+    assert run.bound == (6, 6, 6)
+    pdg = poincare_divisorial(run)
+    assert pdg.to_json() == results[0]["pdg"]
     pdg.terms.clear()
-    assert poincare_divisorial(g, (6, 6, 6)).to_json() == fresh[0]["pdg"]
+    assert poincare_divisorial(run).to_json() == results[0]["pdg"]
+    assert divisorial_semigroup_stratum_sum(run).to_json() == results[0]["stratum sum"]
+    scanned = series_module._scan_strata(run, "literal")
+    assert series_module._scan_strata(run, "literal") is scanned  # scanned once per strictness
+    _assert_immutable(run.walk_nhats)
+    _assert_immutable(scanned)
 
 
 def test_cross_checks_on_random_graphs():
@@ -852,10 +842,10 @@ def test_cross_checks_on_random_graphs():
     for _ in range(15):
         g = random_graph(rng, max_centers=5)
         bound = (4,) * g.s
-        poincare_divisorial(g, bound)  # dual-path equality asserted inside
+        poincare_divisorial(Run(g.without_branches, bound))  # dual-path equality asserted inside
         assert expand(divisorial_closed_form(g), bound) == \
-            divisorial_semigroup_stratum_sum(g, bound)
+            divisorial_semigroup_stratum_sum(Run(g.without_branches, bound))
         if g.r >= 1:
             exercised_branches += 1
-            poincare_generalised(g, (4,) * g.r)
+            poincare_generalised(Run(g, (4,) * g.r))
     assert exercised_branches >= 3
