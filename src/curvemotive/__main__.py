@@ -16,11 +16,12 @@ def run():
     imported modules out of its reach and ``gc.disable()`` turns it off for
     the run.  After flushing the standard streams the process ends with
     ``os._exit``: the interpreter's teardown would only free, one by one,
-    objects (the ``lru_cache`` memos above all) whose memory the operating
-    system takes back anyway.  This is the one place that flushes standard
-    output and maps a closed one to ``EXIT_BROKEN_PIPE``: with no teardown,
-    no later flush is left to fail.  ``cli.main`` neither flushes nor
-    touches the collector, so calling it in process changes nothing there.
+    objects (a ``series.Run``'s scans and per-key sums above all) whose
+    memory the operating system takes back anyway.  This is the one place
+    that flushes standard output and maps a closed one to
+    ``EXIT_BROKEN_PIPE``: with no teardown, no later flush is left to fail.
+    ``cli.main`` neither flushes nor touches the collector, so calling it in
+    process changes nothing there.
     """
     gc.freeze()
     gc.disable()

@@ -20,9 +20,9 @@ The derived quantities:
 * the stratum codimensions ``F`` and ``F^D``; the primary route composes
   ``hoskin_deligne`` with the symmetric-product dimension terms, and a
   literal transcription of the expanded quadratic form is kept alongside as
-  a cross-check.  Both parts fixed by ``nhat`` depend on the centers alone,
-  so each is an ``lru_cache`` function of ``nhat`` and the branch-free graph
-  ``g.without_branches``, shared by every graph on the same centers.
+  a cross-check.  Both parts fixed by ``nhat`` read only ``M``, ``P`` and the
+  degrees, so a graph and its ``g.without_branches`` give the same values;
+  nothing here keeps them (``series.Run.codims`` does, for one run).
 
 Values are exact: integral ones are ``int``s and non-integral ones
 ``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import warnings as _warnings
 from fractions import Fraction
-from functools import lru_cache
 
 from ._linalg import integer_form, vec_mat
 from ._record import Record
@@ -209,23 +208,8 @@ def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
 
 
 def nhat_codim(nh, g: ResolutionGraph) -> int | Fraction:
-    """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition.
-
-    ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``, memoized on
-    the branch-free graph (see ``_composed``).
-    """
-    return _composed(tuple(nh), g.without_branches)
-
-
-@lru_cache(maxsize=1 << 15)  # check at b60 keeps at most 2,662 on a benchmark graph
-def _composed(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
-    """``nhat_codim`` on a branch-free graph.
-
-    It reads only ``M``, ``P`` and the degrees, which the centers fix, so
-    graphs on the same centers share one entry per ``nhat``: ``check`` asks
-    for each ``nhat`` on the graph and on its ``without_branches`` from four
-    places.
-    """
+    """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition:
+    ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``."""
     d, dm = g.m_lattice
     scale = 2 * d * d
     linear = sum(n * c.degree for n, c in zip(nh, g.centers))
@@ -233,19 +217,14 @@ def _composed(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
 
 
 def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
-    """The expanded quadratic-form expression for ``nhat_codim``.
+    """The expanded quadratic-form expression for ``nhat_codim``, its
+    independent check.
 
     The trailing linear term reads ``(2 h_i - 1)`` with the outer index, which
-    is what the composition forces.  Memoized like ``nhat_codim`` but in a
-    cache of its own, since it is that function's independent check.
+    is what the composition forces.
     """
     if len(nh) != g.s:
         raise ValueError(f"nhat has {len(nh)} entries, the graph {g.s} components")
-    return _literal(tuple(nh), g.without_branches)
-
-
-@lru_cache(maxsize=1 << 15)
-def _literal(nh: tuple[int, ...], g: ResolutionGraph) -> int | Fraction:
     d, dm = g.m_lattice  # every sum below is d times its value
     eps = g.epsilon
     s = g.s

@@ -17,11 +17,10 @@ transform meets.  From that the module derives
   N[i1][i2]``, the neighbor counts ``nu_bullet`` / ``nu_circ``, and
   ``epsilon_i = 2 h_i - nu_bullet_i``.
 
-A graph is immutable and computes its hash once, so work that depends on
-the centers alone is memoized by one rule: a bounded ``functools.lru_cache``
-keyed on values.  ``M`` is one such function of the centers, so a graph and
-its ``without_branches`` share one ``M``, built and checked once per process,
-and one integer form ``d * M`` (``m_lattice``), built on first use.
+A graph is immutable, and each derived value is built and checked on first
+use and kept on the graph that built it, never beyond it: a graph and its
+``without_branches`` each build their own ``M`` and integer form ``d * M``
+(``m_lattice``).
 
 Construction validates the classical proximity constraints (earlier indices
 only, divisibility of residue degrees along infinitely near points, branch
@@ -31,7 +30,7 @@ attachments) and raises ``GraphValidationError`` carrying every violation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import _linalg
 from ._record import Record
@@ -111,15 +110,6 @@ class ResolutionGraph(Record):
         if issues:
             raise GraphValidationError(issues)
 
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # computed once: hashing the fields takes microseconds, which every
-        # memo keyed on a graph would otherwise pay per call
-        return super().__hash__()
-
     # -- sizes -------------------------------------------------------------
 
     @property
@@ -164,16 +154,30 @@ class ResolutionGraph(Record):
 
     @cached_property
     def m_matrix(self):
-        return _m_matrix(self.centers, self.proximity_matrix, self.intersection_matrix)
+        """``M = -N^{-1}``, checked: ``M (-N) = I``."""
+        # -N = P Delta P^t, so M = -N^{-1} = P^-t Delta^-1 P^-1, where P^-1 is
+        # an integer matrix; integral entries are ints, the others Fractions.
+        q = _linalg.unitriangular_inverse(self.proximity_matrix)
+        scaled = tuple(
+            tuple(_exact(Fraction(x, center.degree)) for x in row)
+            for row, center in zip(q, self.centers)
+        )
+        m = tuple(
+            tuple(_exact(x) for x in row)
+            for row in _linalg.mat_mul(_linalg.transpose(q), scaled)
+        )
+        if _linalg.mat_mul(m, _linalg.neg(self.intersection_matrix)) != _linalg.identity(self.s):
+            raise ValueError("M verification failed: M times -N is not the identity")
+        return m
 
     @cached_property
     def m_lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(d, d * M)`` with ``d`` the least common denominator of ``M``.
 
-        Built on first use (``m_matrix`` does not build it), once per ``M``.
-        The codimensions and the stratum sums compute on it in ints.
+        Built on first use (``m_matrix`` does not build it).  The codimensions
+        and the stratum sums compute on it in ints.
         """
-        return _m_lattice(self.m_matrix)
+        return _linalg.integer_form(self.m_matrix)
 
     def m_row(self, i: int):
         return self.m_matrix[i - 1]
@@ -306,33 +310,6 @@ class ResolutionGraph(Record):
             and all(b.degree == 1 for b in self.branches)
             and all(site.degree == 1 for site in self.pairs)
         )
-
-
-@lru_cache(maxsize=8)  # check reads one tuple of centers; the tests build many
-def _m_matrix(centers: tuple[Center, ...], p, n):
-    """``M = -N^{-1}``, checked: ``M (-N) = I``.
-
-    ``p`` and ``n`` are ``P`` and ``N`` of ``centers``, so graphs on the same
-    centers (a graph and its ``without_branches``) share one ``M``, built and
-    checked once.  The last 8 are kept.
-    """
-    # -N = P Delta P^t, so M = -N^{-1} = P^-t Delta^-1 P^-1, where P^-1 is
-    # an integer matrix; integral entries are ints, the others Fractions.
-    q = _linalg.unitriangular_inverse(p)
-    scaled = tuple(
-        tuple(_exact(Fraction(x, center.degree)) for x in row)
-        for row, center in zip(q, centers)
-    )
-    m = tuple(
-        tuple(_exact(x) for x in row)
-        for row in _linalg.mat_mul(_linalg.transpose(q), scaled)
-    )
-    if _linalg.mat_mul(m, _linalg.neg(n)) != _linalg.identity(len(centers)):
-        raise ValueError("M verification failed: M times -N is not the identity")
-    return m
-
-
-_m_lattice = lru_cache(maxsize=8)(_linalg.integer_form)  # keyed on M, so per set of centers
 
 
 def _validate_input(centers, branches):

@@ -42,10 +42,10 @@ graph to its divisorial lines and one of the graph to the branch series and
 its per-stratum reference (the totally rational branch series).  The scan
 records each stratum as a row and builds its ``Stratum`` only for a reader
 that iterates (the reference, ``enumerate_strata``); the count checks read
-its length, so ``pg``, ``pdg`` and the stratum sum build none.  Nothing a Run
-computes outlives it; only work on the centers alone is kept per process
-(see ``codim``).  A Run shares inputs, never a route's result, so no
-cross-check loses its independence.
+its length, so ``pg``, ``pdg`` and the stratum sum build none.  A Run also
+holds each key's codimension, checked once against the literal one.  Nothing
+a Run computes outlives it, and nothing is kept per process.  A Run shares
+inputs, never a route's result, so no cross-check loses its independence.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, prod
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, cached_property, reduce
 from operator import add, le, mul
 
 from ._linalg import integer_form
@@ -204,7 +204,6 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)  # check at bound 30 asks for under 100 on each benchmark graph
 def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     """Class of the n-th symmetric power of an open exceptional component.
 
@@ -214,8 +213,7 @@ def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
     counted with their degree weights.  The value is the coefficient of
     ``x^n`` in ``(1 - e L x)^{-1} (1 - x)^{nu - 1}``: for ``nu >= 1`` the
     second factor is the finite binomial polynomial, while ``nu = 0`` makes
-    it a geometric series, giving ``sum_{k<=n} (e L)^k``.  Pure, so the
-    last 1024 values asked for are kept.
+    it a geometric series, giving ``sum_{k<=n} (e L)^k``.
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
@@ -375,9 +373,9 @@ def _walk(steps, mins, start, caps):
 
 class Run:
     """One graph and one bound, and what the routes handed them share: the
-    ``nhat`` walk and the per-key products, each made on first use, and
-    ``_scans``, where ``_scan_strata`` keeps its scan per strictness.  The bound
-    is copied into a tuple."""
+    ``nhat`` walk, the per-key codimensions and products, each made on first
+    use, and ``_scans``, where ``_scan_strata`` keeps its scan per strictness.
+    The bound is copied into a tuple."""
 
     def __init__(self, g: ResolutionGraph, bound):
         self.g = g
@@ -402,6 +400,19 @@ class Run:
         d, steps, caps = _lattice(g.m_lattice, self.bound, attach)
         found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
         return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
+
+    @cached_property
+    def codims(self) -> dict:
+        """The composed codimension ``nhat_codim`` of every ``nhat`` of the
+        walk, each checked against the literal one; a mismatch raises
+        ``SeriesCrossCheckError``."""
+        g = self.g
+        what = "branch series" if g.r else "divisorial series"
+        names = ("composed codimension", "literal codimension")
+        return {
+            n: _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
+            for n, _z in self.walk_nhats[3]
+        }
 
     @cached_property
     def _sums_per_key(self):
@@ -560,22 +571,19 @@ def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
     stratum classes per ``(nhat, J)``.  Each key's sum is placed at ``t'' =
     (1, ..., 1)`` with ``L^(-F - sum_J deg_j)``, and the factor
     ``sum_{t''_j >= 1} L^(-deg_j (t''_j - 1)) t_j^(h (t''_j - 1))`` of each
-    ``j`` in ``J`` is a running sum (``_divide``).  Each key's composed
-    codimension must equal the literal one.  A second product with every
-    class set to 1 counts the strata per key; times the number of ``t''``
-    that fit, the totals must match the stratum enumeration.  In ``integral`` mode a key is decided by
-    its whole ``d * (exponent, w)``, which ``t''`` moves by multiples of
-    ``d``; a dropped key adds its total to ``skipped_nonintegral``.
+    ``j`` in ``J`` is a running sum (``_divide``).  Each key's codimension
+    comes from ``run.codims``, checked against the literal one.  A second
+    product with every class set to 1 counts the strata per key; times the
+    number of ``t''`` that fit, the totals must match the stratum
+    enumeration.  In ``integral`` mode a key is decided by its whole ``d *
+    (exponent, w)``, which ``t''`` moves by multiples of ``d``; a dropped key
+    adds its total to ``skipped_nonintegral``.
     """
     g = run.g
     what = "extended-semigroup series" if semigroup else "branch series" if g.r else "divisorial series"
     strata, scan_skipped = _scan_strata(run, strictness)
     d, _steps, caps, found, t_steps = run.walk_nhats
-    names = ("composed codimension", "literal codimension")
-    codims = [0] * len(found) if semigroup else [
-        _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
-        for n, _z in found
-    ]
+    codims = [0] * len(found) if semigroup else [run.codims[n] for n, _z in found]
     class_by_subset, count_by_subset = run._sums_per_key
 
     width = len(caps)
@@ -818,9 +826,10 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
     (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.  The sum
-    runs stratum by stratum; ``w`` and the part of ``F`` fixed by ``nhat``,
-    each binomial factor, and the class ``(1 - L^{-1})^(#I + #J) prod_i
-    inner(nu_i, n_i)`` of each ``(#I + #J, n)`` are computed once.
+    runs stratum by stratum; ``w``, each binomial factor, and the class
+    ``(1 - L^{-1})^(#I + #J) prod_i inner(nu_i, n_i)`` of each ``(#I + #J,
+    n)`` are computed once, and the part of ``F`` fixed by ``nhat`` is read
+    from ``run.codims``.
     """
     g = run.g
     if not g.is_totally_rational:
@@ -829,7 +838,7 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
     strata = _scan_strata(run, "literal")[0]  # literal mode skips none
     unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
     w_at = cache(lambda nh: w_of(nh, g))
-    nhat_part = cache(lambda nh: nhat_codim(nh, g))
+    nhat_part = run.codims  # nhat -> its part of F, checked against the literal form
 
     @cache
     def inner(nu: int, n_i: int) -> RingElement:
@@ -853,7 +862,7 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
         nh = nhat(st, g)
         exp = _v_from_w(w_at(nh), st, g)
         count = len(st.pairs) + len(st.branches)
-        codim = nhat_part(nh) + _branch_codim(st, g)
+        codim = nhat_part[nh] + _branch_codim(st, g)
         value = stratum_value(count, st.point_mults)
         return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 

@@ -1,5 +1,4 @@
-"""Shared corpus graphs, the per-test cache reset and generators for
-randomized property tests."""
+"""Shared corpus graphs and generators for randomized property tests."""
 
 from __future__ import annotations
 
@@ -7,21 +6,7 @@ import random
 
 import pytest
 
-from curvemotive import Branch, Center, ResolutionGraph, Stratum, build, codim, resolution, series
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    """Empty the caches keyed on the centers before each test, so that no test
-    reads what an earlier one left and a monkeypatched function is reached."""
-    for cached in (
-        codim._composed,
-        codim._literal,
-        resolution._m_matrix,
-        resolution._m_lattice,
-        series.sym_power_class,
-    ):
-        cached.cache_clear()
+from curvemotive import Branch, Center, ResolutionGraph, Stratum, build
 
 
 def cusp_description():

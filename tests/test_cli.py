@@ -336,19 +336,19 @@ def test_check_fail_line_names_first_difference(capsys, cusp_file, monkeypatch):
     def off_by_one_at(nh, g):
         return original(nh, g) + (1 if nh == (0, 1, 0) else 0)
 
-    # the series see the patched literal codimension; check's own
-    # codimension line uses the binding in cli, which stays correct
+    # every Run checks its codimensions against the patched literal one, so
+    # the codimension line fails with the two series lines
     monkeypatch.setattr(series, "nhat_codim_literal", off_by_one_at)
     code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
     assert code == 3
     lines = out.splitlines()
+    differ = (
+        "composed codimension and literal codimension disagree at nhat = (0, 1, 0): "
+        "composed codimension 3, literal codimension 4"
+    )
     for what in ("divisorial", "branch"):
-        assert (
-            f"FAIL: {what} series: stratum sum vs factored display ({what} series: composed "
-            "codimension and literal codimension disagree at nhat = (0, 1, 0): composed "
-            "codimension 3, literal codimension 4)"
-        ) in lines
-    assert "ok: codimensions: composed vs expanded form, genus identity" in lines
+        assert f"FAIL: {what} series: stratum sum vs factored display ({what} series: {differ})" in lines
+    assert f"FAIL: codimensions: composed vs expanded form, genus identity (divisorial series: {differ})" in lines
 
 
 def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
@@ -370,38 +370,33 @@ def test_check_builds_each_stratum_at_most_once(capsys, cusp_file, monkeypatch):
     assert in_check == len(set(built)) == len(strata) > 0
 
 
-def test_check_does_the_centers_work_once(capsys, monkeypatch):
-    from curvemotive import _linalg, codim
+def test_check_computes_each_runs_codimensions_once(capsys, monkeypatch):
+    from curvemotive import _linalg
 
-    inverses = []
-    inverse = _linalg.unitriangular_inverse
+    calls = {}
 
-    def counted(*args):
-        inverses.append(args)
-        return inverse(*args)
+    def count(module, name):
+        original = getattr(module, name)
+        calls[name] = 0
 
-    expansions = []
-    expand = cli.expand
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
 
-    def counted_expand(*args):
-        expansions.append(args)
-        return expand(*args)
+        monkeypatch.setattr(module, name, counted)
 
-    monkeypatch.setattr(_linalg, "unitriangular_inverse", counted)
-    monkeypatch.setattr(cli, "expand", counted_expand)
+    count(series_module, "nhat_codim")
+    count(series_module, "nhat_codim_literal")
+    count(_linalg, "unitriangular_inverse")
+    count(cli, "expand")
     satellite5 = str(DEMOS / "graphs" / "satellite5.json")
     code, out, _err = run(capsys, "check", "--bound", "40", "--input", satellite5)
     assert code == 0, out
-    calls = {
-        "composed": codim._composed.cache_info().misses,
-        "literal": codim._literal.cache_info().misses,
-        "inverse": len(inverses),
-    }
-    # 54 distinct nhat on the graph and on its branch-free copy; one inverse
-    # builds the shared M, the other is check's own matrix line
-    assert calls == {"composed": 54, "literal": 54, "inverse": 2}
-    # the totally rational closed form is compared as a record: one expansion
-    assert len(expansions) == 1
+    # 54 keys on each of the two Runs, the graph's and its branch-free copy's;
+    # each graph builds its M with one inverse and check's matrix line makes a
+    # third; the totally rational closed form is compared as a record, so one
+    # expansion
+    assert calls == {"nhat_codim": 108, "nhat_codim_literal": 108, "unitriangular_inverse": 3, "expand": 1}
 
 
 def test_wrong_symmetric_power_coefficients_fail_the_independent_lines(capsys, cusp_file, monkeypatch):
@@ -444,7 +439,7 @@ def test_wrong_pair_units_fail_the_extended_semigroup_reduction(capsys, cusp_fil
     assert "FAIL: totally rational: extended-semigroup reduction" in failed
 
 
-@pytest.mark.parametrize("name", ["nhat_codim_literal", "deg_AK"])
+@pytest.mark.parametrize("name", ["deg_AA", "deg_AK"])
 def test_codimension_line_fails_alone(capsys, cusp_file, monkeypatch, name):
     original = getattr(cli, name)
 
@@ -733,6 +728,22 @@ def test_stratum_with_an_unknown_key_is_a_data_error(capsys, cusp_file):
     for stratum, keys in (('{"N": [0, 0, 1]}', "['N']"), ('{"n": [0, 0, 1], "K": [], "I ": []}', "['I ', 'K']")):
         code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", stratum)
         assert (code, out, err) == (1, "", f"validation error: unknown stratum keys {keys}\n"), stratum
+
+
+def test_deeply_nested_graph_file_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "matrices", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: JSON input is nested too deeply to decode\n")
+
+
+def test_deeply_nested_stratum_is_a_data_error(capsys, cusp_file, tmp_path):
+    path = tmp_path / "deep.json"
+    stratum = '{"I": ' + "[" * 100000
+    path.write_text(stratum)
+    for given in (stratum, str(path)):  # inline, then as a file
+        code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", given)
+        assert (code, out, err) == (1, "", "error: JSON input is nested too deeply to decode\n")
 
 
 def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from curvemotive import codim
+from curvemotive import codim, series
 from curvemotive import (
     ExponentVector,
+    Run,
     SemigroupMembershipWarning,
     Stratum,
     alpha_of,
@@ -203,33 +204,29 @@ def test_stratum_validation():
         )
 
 
-def test_nhat_codimensions_are_computed_once_per_set_of_centers():
-    memos = {"composed": codim._composed, "literal": codim._literal}
-    calls = []
-    cusp_centers = [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}]
-    cusp = build({"centers": cusp_centers, "branches": [{"attach": 3}]})
-    cusp2 = build({"centers": cusp_centers, "branches": [{"attach": 3}, {"attach": 1}]})
-    chain3 = build({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [2]}]})
-    nh = (1, 2, 1)
-    values = {}
-    for g in (cusp, cusp2, cusp.without_branches, chain3, cusp, chain3):
-        misses = {name: memo.cache_info().misses for name, memo in memos.items()}
-        pair = codim.nhat_codim(nh, g), codim.nhat_codim_literal(nh, g)
-        values.setdefault(g.centers, set()).add(pair)
-        calls += [
-            (name, g.centers)
-            for name, memo in memos.items()
-            if memo.cache_info().misses > misses[name]
-        ]
-    composed, literal = (memo.__wrapped__ for memo in memos.values())
-    # graphs on the same centers share each entry; other centers never do
-    assert calls == [
-        (name, g.centers) for g in (cusp, chain3) for name in ("composed", "literal")
-    ]
-    assert values == {
-        g.centers: {(composed(nh, g), literal(nh, g))} for g in (cusp, chain3)
-    }
-    assert values[cusp.centers] != values[chain3.centers]
+def test_nhat_codimensions_are_computed_once_per_run(monkeypatch):
+    calls = {"nhat_codim": [], "nhat_codim_literal": []}
+    for name, found in calls.items():
+        original = getattr(series, name)
+
+        def counted(nh, g, original=original, found=found):
+            found.append(nh)
+            return original(nh, g)
+
+        monkeypatch.setattr(series, name, counted)
+    cusp2 = build(
+        {"centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}], "branches": [{"attach": 3}, {"attach": 1}]}
+    )
+    run = Run(cusp2, (8, 8))
+    series.poincare_generalised(run)
+    series.poincare_generalised_totally_rational(run)
+    keys = [n for n, _z in run.walk_nhats[3]]
+    # pg and its per-stratum reference share the Run's codimensions
+    assert calls == {"nhat_codim": keys, "nhat_codim_literal": keys}
+    assert len(set(keys)) == len(keys) > 10
+    # a new Run on the same graph and bound computes them again
+    series.poincare_generalised(Run(cusp2, (8, 8)))
+    assert calls == {"nhat_codim": keys * 2, "nhat_codim_literal": keys * 2}
 
 
 def _hoskin_deligne_reference(w, g):

@@ -1,7 +1,9 @@
 """Symmetric powers, stratum enumeration, the three series and their identities."""
 
 import gc
+import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import product
@@ -832,6 +834,21 @@ def test_every_bound_form_gives_the_same_results(cusp):
     assert series_module._scan_strata(run, "literal") is scanned  # scanned once per strictness
     _assert_immutable(run.walk_nhats)
     _assert_immutable(scanned)
+
+
+def test_no_module_keeps_a_cache():
+    # nothing one command computes may serve a later command or test; every
+    # functools cache wrapper has cache_info
+    import curvemotive
+
+    names = ["curvemotive"] + [f"curvemotive.{info.name}" for info in pkgutil.iter_modules(curvemotive.__path__)]
+    cached = [
+        (name, attr)
+        for name in names
+        for attr, value in vars(importlib.import_module(name)).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert len(names) > 5 and cached == []
 
 
 def test_cross_checks_on_random_graphs():
