@@ -9,6 +9,7 @@ substitution in integers.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 
 def mat(rows):
@@ -24,19 +25,18 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    """Matrix product, summed column by column."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"a matrix times one of {len(b)} rows needs rows of {len(b)} entries")
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def vec_mat(v, a):
-    """Row vector times matrix."""
-    n = len(a)
-    if len(v) != n:
-        raise ValueError(f"a vector of length {len(v)} times a matrix of {n} rows")
-    return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0])))
+    """Row vector times matrix, summed column by column."""
+    if len(v) != len(a):
+        raise ValueError(f"a vector of length {len(v)} times a matrix of {len(a)} rows")
+    return tuple(sum(map(mul, v, col)) for col in zip(*a))
 
 
 def integer_form(a):

@@ -26,20 +26,25 @@ The derived quantities:
 
 Values are exact: integral ones are ``int``s and non-integral ones
 ``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
-here rounds.  The codimensions are computed as ints on the integer lattice
-``d * M`` (``ResolutionGraph.m_lattice``, ``d`` the least common denominator
-of ``M``) and divided once at the end, so no ``Fraction`` arithmetic runs
-inside their sums.
+here rounds.  The codimensions, ``deg_AA`` and ``deg_AK`` are computed as
+ints on the integer lattice ``d * M`` (``ResolutionGraph.m_lattice``, ``d``
+the least common denominator of ``M``) and divided once at the end
+(``grothendieck._quotient``, which builds a ``Fraction`` only for a value that
+is not integral), so no ``Fraction`` arithmetic runs inside their sums.  The
+genus identity ``hoskin_deligne(w) = -(deg_AA + deg_AK) / 2``
+(``genus_identity``) compares both sides scaled by ``2 d^2``, as ints, from
+one ``z = nhat . (d * M)``.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from fractions import Fraction
+from operator import mul
 
 from ._linalg import integer_form, vec_mat
 from ._record import Record
-from .grothendieck import _exact, _frac_json
+from .grothendieck import _exact, _frac_json, _quotient
 from .resolution import Pair, ResolutionGraph
 
 
@@ -170,15 +175,15 @@ def hoskin_deligne(w, g: ResolutionGraph) -> int | Fraction:
     the semigroup themselves.
     """
     d, (z,) = integer_form((tuple(map(_exact, w)),))
-    return _exact(Fraction(_hoskin_deligne(z, d, g), 2 * d * d))
+    return _quotient(_hoskin_deligne(z, d, g), 2 * d * d)
 
 
 def _hoskin_deligne(z, d: int, g: ResolutionGraph) -> int:
     """``2 d^2 hoskin_deligne(z / d)`` for an int vector ``z``, an int.
 
     With ``A = z . P = d a``, it is ``sum h_i A_i (A_i + d)``.  This is the
-    one Hoskin-Deligne formula: ``hoskin_deligne`` and ``nhat_codim`` both
-    call it.
+    one Hoskin-Deligne formula: ``hoskin_deligne``, ``nhat_codim`` and
+    ``genus_identity`` call it.
     """
     alpha = vec_mat(z, g.proximity_matrix)
     if min(alpha) < 0:
@@ -191,29 +196,56 @@ def _hoskin_deligne(z, d: int, g: ResolutionGraph) -> int:
 
 
 def _texts(scaled, d: int) -> tuple[str, ...]:
-    return tuple(str(_exact(Fraction(x, d))) for x in scaled)
+    return tuple(str(_quotient(x, d)) for x in scaled)
 
 
 def deg_AK(nhat_vec, g: ResolutionGraph) -> int | Fraction:
-    """Intersection degree of the divisor with the canonical cycle."""
-    w = vec_mat(nhat_vec, g.m_matrix)
-    eps = g.epsilon
-    return _exact(sum(nhat_vec) - sum(wi * ei for wi, ei in zip(w, eps)))
+    """Intersection degree of the divisor with the canonical cycle:
+    ``sum nhat - w . epsilon``."""
+    d, dm = g.m_lattice
+    return _quotient(_deg_AK(nhat_vec, vec_mat(nhat_vec, dm), d, g), d)
+
+
+def _deg_AK(nh, z, d: int, g: ResolutionGraph) -> int:
+    """``d * deg_AK`` for ``z = nhat . (d * M)``, an int."""
+    return d * sum(nh) - sum(map(mul, z, g.epsilon))
 
 
 def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
     """Self-intersection degree of the divisor: -(nhat . M . nhat)."""
-    w = vec_mat(nhat_vec, g.m_matrix)
-    return _exact(-sum(wi * ni for wi, ni in zip(w, nhat_vec)))
-
-
-def nhat_codim(nh, g: ResolutionGraph) -> int | Fraction:
-    """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition:
-    ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``."""
     d, dm = g.m_lattice
+    return _quotient(_deg_AA(nhat_vec, vec_mat(nhat_vec, dm)), d)
+
+
+def _deg_AA(nh, z) -> int:
+    """``d * deg_AA`` for ``z = nhat . (d * M)``, an int."""
+    return -sum(map(mul, z, nh))
+
+
+def genus_identity(nh, g: ResolutionGraph) -> bool:
+    """Whether ``hoskin_deligne(w) = -(deg_AA + deg_AK) / 2`` at ``w = nhat . M``.
+
+    Both sides are scaled by ``2 d^2`` and compared as ints on ``d * M``,
+    with ``z = nhat . (d * M)`` computed once.
+    """
+    d, dm = g.m_lattice
+    z = vec_mat(nh, dm)
+    return _hoskin_deligne(z, d, g) == -d * (_deg_AA(nh, z) + _deg_AK(nh, z, d, g))
+
+
+def nhat_codim(nh, g: ResolutionGraph, z=None) -> int | Fraction:
+    """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition:
+    ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``.
+
+    ``z`` is ``d * w = nhat . (d * M)`` if the caller has it, as
+    ``series.Run``'s walk does; it is computed here otherwise.
+    """
+    d, dm = g.m_lattice
+    if z is None:
+        z = vec_mat(nh, dm)
     scale = 2 * d * d
     linear = sum(n * c.degree for n, c in zip(nh, g.centers))
-    return _exact(Fraction(_hoskin_deligne(vec_mat(nh, dm), d, g) + scale * linear, scale))
+    return _quotient(_hoskin_deligne(z, d, g) + scale * linear, scale)
 
 
 def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
@@ -221,23 +253,18 @@ def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
     independent check.
 
     The trailing linear term reads ``(2 h_i - 1)`` with the outer index, which
-    is what the composition forces.
+    is what the composition forces.  Only the nonzero entries of ``nhat`` add
+    to the sums.
     """
     if len(nh) != g.s:
         raise ValueError(f"nhat has {len(nh)} entries, the graph {g.s} components")
     d, dm = g.m_lattice  # every sum below is d times its value
     eps = g.epsilon
-    s = g.s
-    quad = sum(dm[i][k] * nh[i] * nh[k] for i in range(s) for k in range(s))
-    lin = sum(
-        nh[i]
-        * (
-            sum(dm[i][k] * eps[k] for k in range(s))
-            + d * (2 * g.degree_of(i + 1) - 1)
-        )
-        for i in range(s)
-    )
-    return _exact(Fraction(quad + lin, 2 * d))
+    centers = g.centers
+    support = [(i, n) for i, n in enumerate(nh) if n]
+    quad = sum(dm[i][k] * ni * nk for i, ni in support for k, nk in support)
+    lin = sum(ni * (sum(map(mul, dm[i], eps)) + d * (2 * centers[i].degree - 1)) for i, ni in support)
+    return _quotient(quad + lin, 2 * d)
 
 
 def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:

@@ -108,6 +108,10 @@ class RingElement:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if not other._terms:  # elements are immutable, so a sum with 0 is shared
+            return self
+        if not self._terms:
+            return other
         den = self._den
         if den == other._den:
             out, more = dict(self._terms), other._terms
@@ -241,7 +245,7 @@ class RingElement:
         den = self._den
         if den == 1:
             return [((-neg, s), c) for neg, s, c in self._ordered()]
-        return [((_exact(Fraction(-neg, den)), s), c) for neg, s, c in self._ordered()]
+        return [((_quotient(-neg, den), s), c) for neg, s, c in self._ordered()]
 
     def __eq__(self, other):
         if type(other) is not RingElement:
@@ -258,14 +262,13 @@ class RingElement:
 
     def specialize(self, spec: "Specialization") -> Fraction:
         den = self._den
-        total = Fraction(0)
+        top, bottom = 0, 1  # the sum so far is top / bottom, reduced once at the end
         for (k, syms), coeff in self._terms.items():
-            value = Fraction(coeff)
-            value *= _rational_power(spec.lefschetz, k if den == 1 else Fraction(k, den))
+            value = _rational_power(spec.lefschetz, k if den == 1 else Fraction(k, den))
             for label, exp in syms:
                 value *= spec.value_of(label) ** exp
-            total += value
-        return total
+            top, bottom = top * value.denominator + coeff * value.numerator * bottom, bottom * value.denominator
+        return Fraction(top, bottom)
 
     # -- rendering ---------------------------------------------------------
 
@@ -406,6 +409,15 @@ def _exact(x) -> int | Fraction:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """``num / den`` for ints, ``den`` not zero, as ``_exact`` gives it: the
+    ``int`` ``num // den`` when ``den`` divides ``num``, else a ``Fraction``,
+    which is built only then."""
+    if num % den:
+        return Fraction(num, den)
+    return num // den
 
 
 def _frac_json(x: Fraction | int):

@@ -29,12 +29,12 @@ attachments) and raises ``GraphValidationError`` carrying every violation.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import reprlib
 from functools import cached_property
 
 from . import _linalg
 from ._record import Record
-from .grothendieck import _exact, _frac_json
+from .grothendieck import _exact, _frac_json, _quotient
 
 Pair = tuple[int, int]
 
@@ -159,7 +159,7 @@ class ResolutionGraph(Record):
         # an integer matrix; integral entries are ints, the others Fractions.
         q = _linalg.unitriangular_inverse(self.proximity_matrix)
         scaled = tuple(
-            tuple(_exact(Fraction(x, center.degree)) for x in row)
+            tuple(_quotient(x, center.degree) for x in row)
             for row, center in zip(q, self.centers)
         )
         m = tuple(
@@ -279,7 +279,7 @@ class ResolutionGraph(Record):
         )
         for site, _label in self.labels:
             if site not in valid_sites:
-                issues.append(f"label for unknown site {site!r}")
+                issues.append(f"label for unknown site {_shown(site)}")
         if issues:
             return issues
         # a label names one field, so every site carrying it has its degree
@@ -287,7 +287,7 @@ class ResolutionGraph(Record):
         for label, deg in self.labelled_sites:
             if label in degrees and degrees[label] != deg:
                 issues.append(
-                    f"label {label!r} is shared by sites of degrees "
+                    f"label {_shown(label)} is shared by sites of degrees "
                     f"{degrees[label]} and {deg}"
                 )
             degrees[label] = deg
@@ -354,10 +354,35 @@ def _validate_input(centers, branches):
     return issues
 
 
+# A message shows a value of the input by its repr, cut to _SHOWN characters.
+# Under these limits reprlib cuts nothing from a value whose repr is that short
+# (each entry and each level of a list or dict adds at least two characters),
+# and whatever it does cut comes out longer than that.
+_SHOWN = 80
+_CUT = reprlib.Repr()
+_CUT.maxlevel = _CUT.maxlist = _CUT.maxdict = _SHOWN // 2
+_CUT.maxstring = _CUT.maxlong = _CUT.maxother = _SHOWN + 1
+
+
+def _shown(x) -> str:
+    """``repr(x)`` if it has at most 80 characters, else 80 characters ending in ``...``.
+
+    ``reprlib`` bounds the work for a value of any size or depth.  When its
+    text is short enough, nothing was cut, and ``repr`` gives the value as it
+    is (a dict in its own key order, which ``reprlib`` sorts); otherwise its
+    text, which may already skip the middle of a long string or number, is
+    cut to 77 characters.
+    """
+    text = _CUT.repr(x)
+    if len(text) <= _SHOWN:
+        return repr(x)
+    return text[: _SHOWN - 3] + "..."
+
+
 def _json_int(x) -> int:
     """``x`` itself if it is a JSON integer; a float or bool is not truncated."""
     if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
+        raise TypeError(f"expected an integer, got {_shown(x)}")
     return x
 
 
@@ -368,7 +393,7 @@ def _json_label(x) -> str:
     brackets (which decide where an assignment ends).
     """
     if type(x) is not str or not x or any(c in x for c in "=[]"):
-        raise TypeError(f"a label is a non-empty string without '=', '[' or ']', got {x!r}")
+        raise TypeError(f"a label is a non-empty string without '=', '[' or ']', got {_shown(x)}")
     return x
 
 
@@ -385,7 +410,7 @@ def build(description: dict) -> ResolutionGraph:
         raise GraphValidationError(["graph description must be a JSON object"])
     unknown = set(description) - {"centers", "branches", "labels"}
     if unknown:
-        raise GraphValidationError([f"unknown top-level keys {sorted(unknown)}"])
+        raise GraphValidationError([f"unknown top-level keys {_shown(sorted(unknown))}"])
     try:
         centers = tuple(
             Center(

@@ -219,15 +219,13 @@ def sym_power_class(label: str | None, nu: int, n: int) -> RingElement:
         raise ValueError("symmetric power index must be nonnegative")
     if nu < 0:
         raise ValueError("removed-point count must be nonnegative")
-    eL = field_class(label) * RingElement.lefschetz()
-    if nu == 0:
-        return sum((eL ** (n - l) for l in range(n + 1)), RingElement.zero())
-    return sum(
-        (
-            RingElement.integer((-1) ** l * comb(nu - 1, l)) * eL ** (n - l)
-            for l in range(min(n, nu - 1) + 1)
-        ),
-        RingElement.zero(),
+    # (e L)^k is the one monomial L^k e^k, and e is 1 over the base field
+    top = n if nu == 0 else min(n, nu - 1)
+    return RingElement(
+        {
+            (n - l, () if label is None else ((label, n - l),)): 1 if nu == 0 else (-1) ** l * comb(nu - 1, l)
+            for l in range(top + 1)
+        }
     )
 
 
@@ -296,39 +294,51 @@ def _times(poly, factor, caps):
     return {e: value for e, value in out.items() if value}
 
 
-def _divide(poly, step, c: RingElement, caps):
-    """``poly / (1 - c t^step)`` on the lattice, truncated at ``caps``.
+def _divide(poly, step, cs, caps):
+    """``poly / prod_c (1 - c t^step)`` over the ring values ``cs``, on the
+    lattice, truncated at ``caps``.
 
     ``poly`` maps int exponent tuples, each at most ``caps``, to ring values;
-    ``step`` is nonnegative and not zero.  The quotient is the running sum
-    ``out[e] = poly[e] + c * out[e - step]``.  It walks each chain ``base + k
-    * step`` from the chain's first term up to the bound, through the
-    positions where ``poly`` has no term as well.  Zero values are dropped.
+    ``step`` is nonnegative and not zero.  Dividing by one factor is the
+    running sum ``out[e] = in[e] + c * out[e - step]``; the factors share
+    ``step``, so they share its chains ``base + k * step``, and each position
+    of a chain runs the factors' sums in turn.  A chain is walked from its
+    first term, whose value starts every sum, up to the bound, through the
+    positions where ``poly`` has no term as well; only the axes that ``step``
+    moves bound it.  Zero values are dropped.
     """
-    axis = next((a for a, x in enumerate(step) if x), None)
-    if axis is None:
+    moving = [(a, x) for a, x in enumerate(step) if x]
+    if not moving:
         raise ValueError("geometric expansion needs a nonzero exponent step")
+    axis, size = moving[0]
     chains = {}
     for e, value in poly.items():
-        k = e[axis] // step[axis]
-        chains.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = value
-    power = c._lefschetz_power()  # multiplying by L^power is a shift
+        k = e[axis] // size
+        chains.setdefault(tuple([x - k * s for x, s in zip(e, step)]), {})[k] = value
+    factors = [(c, c._lefschetz_power()) for c in cs]  # multiplying by L^power is a shift
     out = {}
     for base, terms in chains.items():
         first = min(terms)
-        last = min((cap - b) // s for b, s, cap in zip(base, step, caps) if s)
-        e = tuple(b + first * s for b, s in zip(base, step))
-        acc = RingElement.zero()
-        for k in range(first, last + 1):
-            if power is None:
-                acc = c * acc
-            elif power:
-                acc = acc.lefschetz_shift(power)
-            if k in terms:
-                acc = acc + terms[k]
-            if acc:
-                out[e] = acc
+        last = min([(caps[a] - base[a]) // x for a, x in moving])
+        e = tuple([b + first * s for b, s in zip(base, step)])
+        value = terms[first]
+        sums = [value] * len(factors)
+        if value:
+            out[e] = value
+        for k in range(first + 1, last + 1):
             e = tuple(map(add, e, step))
+            value = terms.get(k)
+            for i, (c, power) in enumerate(factors):
+                acc = sums[i]
+                if power is None:
+                    acc = c * acc
+                elif power:
+                    acc = acc.lefschetz_shift(power)
+                if value is not None:
+                    acc = acc + value
+                sums[i] = value = acc
+            if value:
+                out[e] = value
     return out
 
 
@@ -405,14 +415,19 @@ class Run:
     def codims(self) -> dict:
         """The composed codimension ``nhat_codim`` of every ``nhat`` of the
         walk, each checked against the literal one; a mismatch raises
-        ``SeriesCrossCheckError``."""
+        ``SeriesCrossCheckError``.  The composed one reads ``d * w`` from the
+        walk's ``z``, so the literal one, which reads only ``d * M``, checks
+        that too."""
         g = self.g
         what = "branch series" if g.r else "divisorial series"
-        names = ("composed codimension", "literal codimension")
-        return {
-            n: _agree(what, f" at nhat = {n}", names, nhat_codim(n, g), nhat_codim_literal(n, g))
-            for n, _z in self.walk_nhats[3]
-        }
+        lead = g.r  # z is d * (v, w) on a graph with branches, d * w without
+        codims = {}
+        for n, z in self.walk_nhats[3]:
+            codims[n] = composed = nhat_codim(n, g, z[lead:])
+            literal = nhat_codim_literal(n, g)
+            if composed != literal:  # the message is formatted only for a mismatch
+                _agree(what, f" at nhat = {n}", ("composed codimension", "literal codimension"), composed, literal)
+        return codims
 
     @cached_property
     def _sums_per_key(self):
@@ -483,6 +498,7 @@ def _scan_strata(run: Run, strictness: str):
     d, nhat_step, caps, points, t_steps = run.walk_nhats
 
     width = len(nhat_step[0])
+    integral = strictness == "integral"
     rows = []
     skipped = 0
 
@@ -496,10 +512,14 @@ def _scan_strata(run: Run, strictness: str):
             if not all(map(le, least, caps)):
                 continue  # not even n = 0 has room
             family = (pair_subset, branch_subset, 2 * len(pair_subset))
+            ones = [1] * len(legs)
             for n, z in points:
-                for values, z_leg in _walk(legs, [1] * len(legs), list(map(add, z, least)), caps):
+                start = list(map(add, z, least))
+                if not all(map(le, start, caps)):
+                    continue  # no room for the legs at this point
+                for values, z_leg in _walk(legs, ones, start, caps):
                     # integral mode checks the exponent vector and w
-                    if strictness == "integral" and any(x % d for x in z_leg):
+                    if integral and any(x % d for x in z_leg):
                         skipped += 1
                         continue
                     rows.append((family, n, tuple(values)))
@@ -546,17 +566,23 @@ def _coefficients(g, keys, below, site, unit, zero):
     the sum of the stratum classes over the strata with that ``nhat`` and
     ``J``; ``a`` is the component branch ``j`` attaches to.  A stratum class
     is the product of its per-site factors, so the sum factors the same way.
+    ``site[i][0]`` is the unit, so a key's product reads only its nonzero
+    ``n_i``, and a zero sum is not multiplied by ``U``.
     """
-    values = [reduce(mul, (site[i][n_i] for i, n_i in enumerate(n))) for n in keys]
+    one = site[0][0]
+    values = []
+    for n in keys:
+        factors = [site[i][n_i] for i, n_i in enumerate(n) if n_i]
+        values.append(reduce(mul, factors) if factors else one)
     for p in g.pairs:
         both = _tail(_tail(values, below[p.i1 - 1], zero), below[p.i2 - 1], zero)
         u = unit(g.pair_label(p))
-        values = [a + u * b for a, b in zip(values, both)]
+        values = [a + u * b if b else a for a, b in zip(values, both)]
     per_subset = [values]
     for j in range(1, g.r + 1):
         u = unit(g.branch_label(j))
         below_a = below[g.branch(j).attach - 1]
-        per_subset += [[u * b for b in _tail(c, below_a, zero)] for c in per_subset]
+        per_subset += [[u * b if b else b for b in _tail(c, below_a, zero)] for c in per_subset]
     return per_subset
 
 
@@ -612,7 +638,7 @@ def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
             placed[exp] = placed[exp] + value if exp in placed else value
         for j in branches:
             step = tuple(t_steps[j - 1] if a == j - 1 else 0 for a in range(width))
-            placed = _divide(placed, step, RingElement.lefschetz(-g.branch(j).degree), caps)
+            placed = _divide(placed, step, (RingElement.lefschetz(-g.branch(j).degree),), caps)
         for exp, value in placed.items():
             terms[exp] = terms[exp] + value if exp in terms else value
 
@@ -774,7 +800,8 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     Exponents live on the integer lattice ``d * M`` (see ``_lattice``).  The
     numerator is a truncated polynomial product; dividing by each
     denominator factor, ``(1 - t^m)`` and ``(1 - e L t^m)``, is a running sum
-    along ``m`` (``_divide``).
+    along ``m``, and one ``_divide`` walks the two sums of a component's
+    ``m`` together.
     """
     bound = tuple(bound)
     d, rows, caps = _lattice(integer_form(cf.m_rows), bound)
@@ -790,8 +817,7 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
         poly = _times(poly, {zero: one, a: -one, b: -one, tuple(map(add, a, b)): one + units}, caps)
     lef = RingElement.lefschetz()
     for row, e in zip(rows, cf.component_classes):
-        poly = _divide(poly, row, one, caps)
-        poly = _divide(poly, row, e * lef, caps)
+        poly = _divide(poly, row, (one, e * lef), caps)
     return _from_lattice(cf.arity, bound, d, poly)
 
 
@@ -826,17 +852,18 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
 
     Coefficients take the symbol-free shape ``L^(#I + #J + sum n_i - F)
     (1 - L^{-1})^(#I + #J)`` times binomial factors in ``L^{-1}``.  The sum
-    runs stratum by stratum; ``w``, each binomial factor, and the class
-    ``(1 - L^{-1})^(#I + #J) prod_i inner(nu_i, n_i)`` of each ``(#I + #J,
-    n)`` are computed once, and the part of ``F`` fixed by ``nhat`` is read
-    from ``run.codims``.
+    runs stratum by stratum; ``w``, each binomial factor, each power
+    ``(1 - L^{-1})^(#I + #J)``, and the class ``(1 - L^{-1})^(#I + #J) prod_i
+    inner(nu_i, n_i)`` of each ``(#I + #J, n)`` are computed once (factors
+    equal to 1 are left out of that product), and the part of ``F`` fixed by
+    ``nhat`` is read from ``run.codims``.
     """
     g = run.g
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
     strata = _scan_strata(run, "literal")[0]  # literal mode skips none
-    unit_factor = RingElement.one() - RingElement.lefschetz(-1)  # 1 - L^{-1}
+    unit_power = cache((RingElement.one() - RingElement.lefschetz(-1)).__pow__)  # (1 - L^{-1})^count
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = run.codims  # nhat -> its part of F, checked against the literal form
 
@@ -852,11 +879,11 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
 
     @cache
     def stratum_value(count: int, point_mults: tuple[int, ...]) -> RingElement:
-        value = unit_factor**count
-        for n_i, nu in zip(point_mults, g.nu_circ):
-            if n_i:
-                value = value * inner(nu, n_i)
-        return value
+        # factors that are 1 (count 0, n_i = 0) are left out of the product
+        factors = [inner(nu, n_i) for n_i, nu in zip(point_mults, g.nu_circ) if n_i]
+        if count:
+            factors.append(unit_power(count))
+        return reduce(mul, factors) if factors else RingElement.one()
 
     def term(st: Stratum):
         nh = nhat(st, g)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from curvemotive import Center, ResolutionGraph, build, cli
+from curvemotive import codim as codim_module
 from curvemotive import series as series_module
 from curvemotive.cli import main
 from curvemotive.codim import ExponentVector
@@ -441,12 +442,13 @@ def test_wrong_pair_units_fail_the_extended_semigroup_reduction(capsys, cusp_fil
 
 @pytest.mark.parametrize("name", ["deg_AA", "deg_AK"])
 def test_codimension_line_fails_alone(capsys, cusp_file, monkeypatch, name):
-    original = getattr(cli, name)
+    # the genus line sums d * deg_AA and d * deg_AK in ints; the cusp's d is 1
+    original = getattr(codim_module, f"_{name}")
 
-    def off_by_one_at_one_nhat(nh, g):
-        return original(nh, g) + (1 if nh == (0, 1, 0) else 0)
+    def off_by_one_at_one_nhat(nh, *rest):
+        return original(nh, *rest) + (1 if nh == (0, 1, 0) else 0)
 
-    monkeypatch.setattr(cli, name, off_by_one_at_one_nhat)
+    monkeypatch.setattr(codim_module, f"_{name}", off_by_one_at_one_nhat)
     code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
     assert code == 3
     assert [line for line in out.splitlines() if not line.startswith("ok: ")] == [
@@ -744,6 +746,31 @@ def test_deeply_nested_stratum_is_a_data_error(capsys, cusp_file, tmp_path):
     for given in (stratum, str(path)):  # inline, then as a file
         code, out, err = run(capsys, "codim", "--input", cusp_file, "--stratum", given)
         assert (code, out, err) == (1, "", "error: JSON input is nested too deeply to decode\n")
+
+
+def test_long_input_values_are_cut_to_one_short_line(cusp_file, tmp_path):
+    # a 5,000-entry prox and a stratum pair 900 lists deep: the message shows
+    # each value cut to 80 characters, and no traceback escapes
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"centers": [{"prox": []}, {"prox": [list(range(5000))]}]}))
+    deep = '{"I": [' + "[" * 900 + "]" * 900 + "]}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    cases = (
+        (["matrices", "--input", str(path)], "validation error: malformed graph record: expected an integer, got "),
+        (
+            ["codim", "--input", cusp_file, "--stratum", deep],
+            "validation error: malformed stratum: expected a pair of integers, got ",
+        ),
+    )
+    for argv, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemotive", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        lines = proc.stderr.splitlines()
+        assert (proc.returncode, proc.stdout, len(lines)) == (1, "", 1), argv[0]
+        assert lines[0].startswith(message) and lines[0].endswith("...") and len(lines[0]) <= 200
+        assert len(lines[0]) == len(message) + 80 and "Traceback" not in proc.stderr
 
 
 def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):

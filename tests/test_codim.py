@@ -209,9 +209,9 @@ def test_nhat_codimensions_are_computed_once_per_run(monkeypatch):
     for name, found in calls.items():
         original = getattr(series, name)
 
-        def counted(nh, g, original=original, found=found):
+        def counted(nh, g, *z, original=original, found=found):
             found.append(nh)
-            return original(nh, g)
+            return original(nh, g, *z)
 
         monkeypatch.setattr(series, name, counted)
     cusp2 = build(
@@ -242,6 +242,46 @@ def _literal_reference(nh, g):
         for i in range(g.s)
     )
     return (quad + lin) / 2
+
+
+def _fraction_m_transcription(nh, g):
+    """``(nhat_codim, deg_AA, deg_AK, hoskin_deligne(w))`` at ``w = nhat . M``,
+    read term by term off ``M`` as Fractions."""
+    s, h, eps = g.s, [c.degree for c in g.centers], g.epsilon
+    m = [[Fraction(x) for x in row] for row in g.m_matrix]
+    w = [sum(nh[i] * m[i][k] for i in range(s)) for k in range(s)]
+    alpha = [sum(w[i] * g.proximity_matrix[i][j] for i in range(s)) for j in range(s)]
+    hd = sum(h[j] * alpha[j] * (alpha[j] + 1) for j in range(s)) / 2
+    deg_aa = -sum(w[k] * nh[k] for k in range(s))
+    deg_ak = sum(nh) - sum(w[k] * eps[k] for k in range(s))
+    return hd + sum(n * h[i] for i, n in enumerate(nh)), deg_aa, deg_ak, hd
+
+
+def test_lattice_codimensions_and_genus_identity_match_a_fraction_transcription():
+    # random graphs, with and without sites of degree > 1; every value must be
+    # exact, and an int exactly when it is integral
+    rng = random.Random(2028)
+    fractional = non_integral = 0
+    for _ in range(60):
+        g = random_graph(rng)
+        d, dm = g.m_lattice
+        fractional += d > 1
+        for _ in range(6):
+            nh = tuple(rng.randint(0, 4) for _ in range(g.s))
+            composed, deg_aa, deg_ak, hd = _fraction_m_transcription(nh, g)
+            z = tuple(sum(nh[i] * dm[i][k] for i in range(g.s)) for k in range(g.s))
+            for got, want in (
+                (codim.nhat_codim(nh, g), composed),
+                (codim.nhat_codim(nh, g, z), composed),
+                (codim.nhat_codim_literal(nh, g), _literal_reference(nh, g)),
+                (deg_AA(nh, g), deg_aa),
+                (deg_AK(nh, g), deg_ak),
+            ):
+                assert got == want
+                assert type(got) is (int if want.denominator == 1 else Fraction)
+                non_integral += want.denominator != 1
+            assert codim.genus_identity(nh, g) is (hd == -(deg_aa + deg_ak) / 2) is True
+    assert fractional > 20 and non_integral > 200
 
 
 def test_integer_lattice_codimensions_match_fraction_references():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvemotive import RingElement, Specialization, field_class, units_class
+from curvemotive.grothendieck import _quotient
 
 L = RingElement.lefschetz
 one = RingElement.one()
@@ -187,3 +188,15 @@ def test_json_round_trip():
     for _ in range(50):
         x = random_element(rng, fractional=True)
         assert RingElement.from_json(x.to_json()) == x
+
+
+def test_quotient_divides_exactly_with_either_sign():
+    # negative numerators floor toward minus infinity, so a remainder test on
+    # them must not turn -7/2 into -4
+    for num in range(-40, 41):
+        for den in (1, 2, 3, 4, 6, 12, -1, -4):
+            got = _quotient(num, den)
+            assert got == Fraction(num, den)
+            assert type(got) is (int if num % den == 0 else Fraction)
+    assert _quotient(-7, 2) == Fraction(-7, 2) and _quotient(-8, 2) == -4
+    assert _quotient(-(10**30), 10**15) == -(10**15)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from curvemotive import Center, GraphValidationError, ResolutionGraph, build
-from curvemotive import _linalg
+from curvemotive import _linalg, resolution
 from curvemotive.cli import main
 
 from conftest import random_graph
@@ -306,3 +306,22 @@ def test_proximity_cardinality_beyond_two_is_unrealizable():
                 ]
             }
         )
+
+
+def test_messages_show_input_values_whole_up_to_80_characters():
+    # a value whose repr fits is shown as repr gives it, a dict in its own key
+    # order; a longer one is cut to 77 characters and "..."
+    fits = [1.5, True, None, "x" * 78, [0] * 26, {"b": 1, "a": [2, 3]}, [[[[[]]]]], "[" * 40]
+    for value in fits:
+        assert len(repr(value)) <= 80
+        with pytest.raises(GraphValidationError) as info:
+            build({"centers": [{"prox": [], "h": value}]})
+        assert str(info.value) == f"malformed graph record: expected an integer, got {value!r}"
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    for value in ("x" * 79, [0] * 27, list(range(5000)), {str(k): k for k in range(100)}, deep, 10**100):
+        shown = resolution._shown(value)
+        assert len(shown) == 80 and shown.endswith("...")
+    assert resolution._shown(list(range(5000))) == repr(list(range(5000)))[:77] + "..."
+    assert resolution._shown(deep) == ("[" * 40 + "[...]" + "]" * 40)[:77] + "..."

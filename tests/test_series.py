@@ -558,9 +558,38 @@ def test_running_sum_is_division_by_the_geometric_factor(step, c):
     poly = {(0, 1): one, (0, 5): e * L() - one, (1, 0): 3 * one, (2, 3): L(-1)}
     caps = [9, 11]
     want = truncated_product(poly, truncated_geometric(step, c, caps), caps)
-    got = series_module._divide(poly, step, c, caps)
+    got = series_module._divide(poly, step, (c,), caps)
     assert got == want
     assert all((k * step[0], 5 + k * step[1]) in got for k in (1, 2, 3))
+
+
+def test_running_sums_multiplied_back_give_the_input():
+    # random sparse inputs whose chains have gaps, divided by one or two factors
+    # with a ratio that is no power of L, so each step multiplies in the ring
+    rng = random.Random(28)
+    k = RingElement.symbol("k")
+    ratios = [k * L() - one, 2 * L(), L(2) + k, -one]
+    gapped = 0
+    for _ in range(60):
+        width = rng.randint(1, 3)
+        caps = tuple(rng.randint(3, 12) for _ in range(width))
+        step = tuple(rng.choice((0, 1, 2)) for _ in range(width))
+        if not any(step):
+            continue
+        poly = {}
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, cap // 2) for cap in caps)
+            poly[e] = rng.choice(ratios) * rng.choice((1, -3)) + L(rng.randint(-2, 2))
+            far = tuple(x + rng.randint(2, 3) * s for x, s in zip(e, step))  # a chain with a gap
+            if all(map(le, far, caps)) and far not in poly:
+                poly[far] = rng.choice(ratios)
+                gapped += 1
+        cs = tuple(rng.choice(ratios) for _ in range(rng.randint(1, 2)))
+        back = series_module._divide(poly, step, cs, caps)
+        for c in cs:
+            back = truncated_product(back, {(0,) * width: one, step: -c}, caps)
+        assert back == {ExponentVector(e): value for e, value in poly.items() if value}
+    assert gapped > 30
 
 
 # -- series infrastructure ----------------------------------------------------
@@ -636,9 +665,9 @@ def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two
     expected = poincare_generalised(Run(g, (8, 8)))
     calls = []
 
-    def counted(nh, graph):
+    def counted(nh, graph, *z):
         calls.append(nh)
-        return codim.nhat_codim(nh, graph)
+        return codim.nhat_codim(nh, graph, *z)
 
     monkeypatch.setattr(series_module, "nhat_codim", counted)
     assert poincare_generalised_totally_rational(Run(g, (8, 8))) == expected
