@@ -12,12 +12,11 @@ class Record:
     """A value object: its fields, named in ``_FIELDS``, are all there is to it.
 
     A subclass's ``__init__`` validates its arguments and passes the field
-    values, in ``_FIELDS`` order, to ``Record.__init__`` (or stores each with
-    ``object.__setattr__``).  Two records are equal when they are of the same
-    class and their fields are equal; the hash is that of the tuple of
-    fields; ``repr`` reads ``Name(field=value, ...)``.  Assigning or deleting
-    an attribute raises ``AttributeError``.  Instances keep a ``__dict__``, so
-    ``cached_property`` works on them.
+    values, in ``_FIELDS`` order, to ``Record.__init__``.  Two records are
+    equal when they are of the same class and their fields are equal; the
+    hash is that of the tuple of fields; ``repr`` reads ``Name(field=value,
+    ...)``.  Assigning or deleting an attribute raises ``AttributeError``.
+    Instances keep a ``__dict__``, so ``cached_property`` works on them.
     """
 
     _FIELDS: tuple[str, ...] = ()

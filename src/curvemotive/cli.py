@@ -321,12 +321,12 @@ def _parse_stratum(raw: str, g) -> Stratum:
     # I and J are sets; the scan never builds a stratum that repeats one
     for k, pair in enumerate(pairs):
         if pair not in known:
-            raise GraphValidationError([f"stratum names non-intersecting pair {pair}"])
+            raise GraphValidationError([f"stratum names non-intersecting pair {_shown(pair)}"])
         if pair in pairs[:k]:
             raise GraphValidationError([f"stratum names pair {pair} twice"])
     for k, j in enumerate(branches):
         if not 1 <= j <= g.r:
-            raise GraphValidationError([f"stratum names unknown branch {j}"])
+            raise GraphValidationError([f"stratum names unknown branch {_shown(j)}"])
         if j in branches[:k]:
             raise GraphValidationError([f"stratum names branch {j} twice"])
     return Stratum(

@@ -104,15 +104,7 @@ class Stratum(Record):
             raise ValueError("pair multiplicities must be positive")
         if branch_mults and min(map(min, branch_mults)) < 1:
             raise ValueError("branch multiplicities must be positive")
-        # Stored directly rather than through Record.__init__, whose loop
-        # adds about a tenth to every reader that iterates a scan's strata,
-        # which builds one per stratum read.
-        _set = object.__setattr__
-        _set(self, "pairs", pairs)
-        _set(self, "branches", branches)
-        _set(self, "point_mults", point_mults)
-        _set(self, "pair_mults", pair_mults)
-        _set(self, "branch_mults", branch_mults)
+        super().__init__(pairs, branches, point_mults, pair_mults, branch_mults)
 
     @property
     def is_divisorial(self) -> bool:

@@ -125,20 +125,12 @@ class RingElement:
                 out[key] = c
             else:  # only a key already in out can cancel
                 del out[key]
-        if den != 1:
-            return _element(out, den)
-        result = _new(RingElement)  # inline on the integral path, which most sums take
-        result._terms = out
-        result._den = 1
-        return result
+        return _element(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = _new(RingElement)  # negation keeps the least denominator
-        result._terms = {k: -c for k, c in self._terms.items()}
-        result._den = self._den
-        return result
+        return _element({k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -242,10 +234,7 @@ class RingElement:
         Each item is ``((L-exponent, symbols), coefficient)``, the exponent
         an exact rational; the order compares the int keys.
         """
-        den = self._den
-        if den == 1:
-            return [((-neg, s), c) for neg, s, c in self._ordered()]
-        return [((_quotient(-neg, den), s), c) for neg, s, c in self._ordered()]
+        return [((_quotient(-neg, self._den), s), c) for neg, s, c in self._ordered()]
 
     def __eq__(self, other):
         if type(other) is not RingElement:
@@ -329,9 +318,6 @@ class RingElement:
         return cls(terms)
 
 
-_new = object.__new__
-
-
 def _element(terms, den: int) -> RingElement:
     """The element with int keys ``terms`` over ``den``, at its least denominator."""
     if den != 1:
@@ -339,7 +325,7 @@ def _element(terms, den: int) -> RingElement:
         if common != 1:
             den //= common
             terms = {(k // common, s): c for (k, s), c in terms.items()}
-    result = _new(RingElement)
+    result = object.__new__(RingElement)
     result._terms = terms
     result._den = den
     return result

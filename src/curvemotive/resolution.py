@@ -327,12 +327,12 @@ def _validate_input(centers, branches):
         for ip in prox:
             if not 1 <= ip < i:
                 issues.append(
-                    f"center {i}: proximity must reference earlier center, got {ip}"
+                    f"center {i}: proximity must reference earlier center, got {_shown(ip)}"
                 )
             elif center.degree % centers[ip - 1].degree != 0:
                 issues.append(
-                    f"center {i}: degree {center.degree} is not divisible by "
-                    f"degree {centers[ip - 1].degree} of center {ip}"
+                    f"center {i}: degree {_shown(center.degree)} is not divisible by "
+                    f"degree {_shown(centers[ip - 1].degree)} of center {ip}"
                 )
         if i >= 2 and not prox:
             issues.append(
@@ -344,12 +344,12 @@ def _validate_input(centers, branches):
             issues.append(f"branch {j}: degree must be a positive integer")
         if not 1 <= branch.attach <= s:
             issues.append(
-                f"branch {j}: dangling attachment to component {branch.attach}"
+                f"branch {j}: dangling attachment to component {_shown(branch.attach)}"
             )
         elif branch.degree % centers[branch.attach - 1].degree != 0:
             issues.append(
-                f"branch {j}: degree {branch.degree} is not divisible by degree "
-                f"{centers[branch.attach - 1].degree} of component {branch.attach}"
+                f"branch {j}: degree {_shown(branch.degree)} is not divisible by degree "
+                f"{_shown(centers[branch.attach - 1].degree)} of component {branch.attach}"
             )
     return issues
 

@@ -40,9 +40,11 @@ the per-key products and scans the strata (per strictness) at most once for
 all the routes it is handed.  ``check`` hands one Run of the branch-free
 graph to its divisorial lines and one of the graph to the branch series and
 its per-stratum reference (the totally rational branch series).  The scan
-records each stratum as a row and builds its ``Stratum`` only for a reader
-that iterates (the reference, ``enumerate_strata``); the count checks read
-its length, so ``pg``, ``pdg`` and the stratum sum build none.  A Run also
+is one walk per stratum family (pair subset x branch subset), over the point
+multiplicities and the family's legs together.  It records each stratum as a
+row ``(family, values)`` and builds its ``Stratum`` only for a reader that
+iterates (the reference, ``enumerate_strata``); the count checks read its
+length, so ``pg``, ``pdg`` and the stratum sum build none.  A Run also
 holds each key's codimension, checked once against the literal one.  Nothing
 a Run computes outlives it, and nothing is kept per process.  A Run shares
 inputs, never a route's result, so no cross-check loses its independence.
@@ -455,10 +457,11 @@ class _Strata(Record):
     """The strata of one scan, in scan order: a sized iterable whose items are
     built as they are read.
 
-    ``rows`` holds one ``(family, n, legs)`` per stratum: ``family`` is
-    ``(pairs, branches, cut)``, ``n`` the point multiplicities and ``legs`` the
-    ``cut = 2 * len(pairs)`` pair leg values, then the branch ones.  Iterating
-    builds each ``Stratum`` through ``Stratum.__init__``; ``len`` builds none.
+    ``rows`` holds one ``(family, values)`` per stratum: ``family`` is
+    ``(pairs, branches, s)`` and ``values`` the ``s`` point multiplicities,
+    then the ``2 * len(pairs)`` pair leg values, then the branch ones.
+    Iterating builds each ``Stratum`` through ``Stratum.__init__``; ``len``
+    builds none.
     """
 
     _FIELDS = ("rows",)
@@ -467,13 +470,10 @@ class _Strata(Record):
         return len(self.rows)
 
     def __iter__(self):
-        return map(_stratum, self.rows)
-
-
-def _stratum(row) -> Stratum:
-    (pairs, branches, cut), n, legs = row
-    p, b = iter(legs[:cut]), iter(legs[cut:])  # zip(p, p) pairs consecutive legs
-    return Stratum(pairs, branches, n, tuple(zip(p, p)), tuple(zip(b, b)))
+        for (pairs, branches, s), values in self.rows:
+            cut = s + 2 * len(pairs)
+            p, b = iter(values[s:cut]), iter(values[cut:])  # zip(p, p) pairs consecutive legs
+            yield Stratum(pairs, branches, values[:s], tuple(zip(p, p)), tuple(zip(b, b)))
 
 
 def _scan_strata(run: Run, strictness: str):
@@ -483,19 +483,19 @@ def _scan_strata(run: Run, strictness: str):
     iterable that records each stratum as a row and builds its ``Stratum``
     only when a reader iterates it (``len`` builds none), and ``skipped``
     counts the strata dropped in ``integral`` mode for having a non-integral
-    valuation or exponent vector.  A stratum is a point ``n`` of the ``nhat``
-    walk plus its family's legs, ``(n', n'')`` per chosen pair and ``(t',
-    t'')`` per chosen branch, each at least 1.  ``n`` is walked once; a family
-    walks its legs from each point with room for all of them at 1, and is
-    passed over when ``n = 0`` has none.  The order is family, then ``n``,
-    then legs.  The result is kept on ``run``, so its readers share one scan.
+    valuation or exponent vector.  A stratum is a family (pair subset x
+    branch subset), point multiplicities ``n`` and the family's legs, ``(n',
+    n'')`` per chosen pair and ``(t', t'')`` per chosen branch, each at least
+    1.  A family whose legs at 1 fit at ``n = 0`` is one ``_walk`` over ``n``
+    and its legs together, in the order family, then ``n``, then legs.  The
+    result is kept on ``run``, so its readers share one scan.
     """
     if strictness not in ("literal", "integral"):
         raise ValueError(f"unknown strictness {strictness!r}")
     if strictness in run._scans:
         return run._scans[strictness]
     g = run.g
-    d, nhat_step, caps, points, t_steps = run.walk_nhats
+    d, nhat_step, caps, _found, t_steps = run.walk_nhats
 
     width = len(nhat_step[0])
     integral = strictness == "integral"
@@ -508,27 +508,23 @@ def _scan_strata(run: Run, strictness: str):
             for j in branch_subset:
                 t_step = [t_steps[j - 1] if k == j - 1 else 0 for k in range(width)]
                 legs += [nhat_step[g.branch(j).attach - 1], t_step]
-            least = list(map(sum, zip([0] * width, *legs)))  # every leg at 1
+            least = list(map(sum, zip([0] * width, *legs)))  # n = 0, every leg at 1
             if not all(map(le, least, caps)):
-                continue  # not even n = 0 has room
-            family = (pair_subset, branch_subset, 2 * len(pair_subset))
-            ones = [1] * len(legs)
-            for n, z in points:
-                start = list(map(add, z, least))
-                if not all(map(le, start, caps)):
-                    continue  # no room for the legs at this point
-                for values, z_leg in _walk(legs, ones, start, caps):
-                    # integral mode checks the exponent vector and w
-                    if integral and any(x % d for x in z_leg):
-                        skipped += 1
-                        continue
-                    rows.append((family, n, tuple(values)))
+                continue  # the walk would yield nothing
+            family = (pair_subset, branch_subset, g.s)
+            for values, z in _walk(list(nhat_step) + legs, [0] * g.s + [1] * len(legs), least, caps):
+                # integral mode checks the exponent vector and w
+                if integral and any(x % d for x in z):
+                    skipped += 1
+                    continue
+                rows.append((family, tuple(values)))
     return run._scans.setdefault(strictness, (_Strata(tuple(rows)), skipped))
 
 
 def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
     """Every stratum whose exponent (as in ``Run.walk_nhats``) is coordinatewise at
-    most ``bound``, built as it is yielded from the scan's rows."""
+    most ``bound``, in scan order (family, then ``n``, then legs), built as
+    it is yielded from the scan's ``(family, values)`` rows."""
     yield from _scan_strata(Run(g, bound), strictness)[0]
 
 

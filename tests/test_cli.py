@@ -773,6 +773,49 @@ def test_long_input_values_are_cut_to_one_short_line(cusp_file, tmp_path):
         assert len(lines[0]) == len(message) + 80 and "Traceback" not in proc.stderr
 
 
+_HUGE = 10**4000  # json.loads reads ints of up to 4,300 digits
+_EARLIER = "center 2: proximity must reference earlier center, got"
+
+
+@pytest.mark.parametrize(
+    "command, data, head, tail",
+    [
+        ("matrices", {"centers": [{"prox": []}, {"prox": [_HUGE]}]}, f"{_EARLIER} 1000", ""),
+        (
+            "matrices",
+            {"centers": [{"prox": []}], "branches": [{"attach": _HUGE}]},
+            "branch 1: dangling attachment to component 1000",
+            "",
+        ),
+        (
+            "matrices",
+            {"centers": [{"prox": [], "h": 2}, {"prox": [1], "h": 3 * _HUGE + 1}]},
+            "center 2: degree 3000",
+            " is not divisible by degree 2 of center 1",
+        ),
+        ("codim", {"J": [_HUGE]}, "stratum names unknown branch 1000", ""),
+        ("codim", {"I": [[1, _HUGE]]}, "stratum names non-intersecting pair (1, 1000", ""),
+        ("matrices", {"centers": [{"prox": []}, {"prox": [5]}]}, f"{_EARLIER} 5", None),
+    ],
+    ids=["prox", "attach", "h", "J", "I", "fits"],
+)
+def test_large_input_ints_are_shown_cut(capsys, cusp_file, tmp_path, command, data, head, tail):
+    if command == "matrices":
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        argv = ["matrices", "--input", str(path)]
+    else:
+        argv = ["codim", "--input", cusp_file, "--stratum", json.dumps(data)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    line = err.rstrip("\n")
+    assert len(line) <= 200 and "Traceback" not in err
+    if tail is None:  # a value that fits is shown as it was
+        assert line == f"validation error: {head}"
+    else:
+        assert line.startswith(f"validation error: {head}") and line.endswith(f"...{tail}")
+
+
 def test_branch_series_of_branch_free_graph_is_a_data_error(capsys, tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"centers": [{"prox": []}, {"prox": [1]}]}))

@@ -795,6 +795,39 @@ def test_engine_builds_no_stratum(name, request, monkeypatch):
         assert len(built) == len(strata) > 0
 
 
+@pytest.mark.parametrize("name", ["cusp", "satellite5"])
+def test_scan_walks_each_family_once(name, request, monkeypatch):
+    # one walk over n and the legs per family whose legs fit at n = 0, not
+    # one per point of the nhat walk
+    g = request.getfixturevalue(name)
+    calls = []
+    walk = series_module._walk
+
+    def counted(steps, mins, start, caps):
+        calls.append(len(steps))
+        return walk(steps, mins, start, caps)
+
+    monkeypatch.setattr(series_module, "_walk", counted)
+    for h in (g, g.without_branches):
+        for b in (0, 6, 14, 40):
+            run = Run(h, (b,) * (h.r or h.s))
+            _d, nhat_step, caps, _found, t_steps = run.walk_nhats
+            calls.clear()
+            strata, _skipped = series_module._scan_strata(run, "literal")
+            fitting = []
+            for pairs in series_module._subsets([site.key for site in h.pairs]):
+                for branches in series_module._subsets(list(range(1, h.r + 1))):
+                    least = [0] * len(caps)
+                    for i in [i for pair in pairs for i in pair] + [h.branch(j).attach for j in branches]:
+                        least = list(map(add, least, nhat_step[i - 1]))
+                    for j in branches:
+                        least[j - 1] += t_steps[j - 1]
+                    if all(map(le, least, caps)):
+                        fitting.append((pairs, branches, 2 * len(pairs) + 2 * len(branches)))
+            assert calls == [h.s + legs for _pairs, _branches, legs in fitting], (name, h.r, b)
+            assert list(dict.fromkeys((st.pairs, st.branches) for st in strata)) == [f[:2] for f in fitting]
+
+
 def test_expand_hands_out_a_fresh_series(cusp):
     cf = divisorial_closed_form(cusp)
     first = expand(cf, (6, 6, 6))
@@ -825,8 +858,8 @@ def _assert_immutable(value):
 
 
 def test_immutability_check_rejects_mutable_values():
-    row = (((), (), 0), (0, 0), ())
-    for value in ([1], (1, [2]), series_module._Strata([row]), series_module._Strata((row[:2] + ([],),))):
+    row = (((), (), 2), (0, 0))
+    for value in ([1], (1, [2]), series_module._Strata([row]), series_module._Strata((row[:1] + ([0, 0],),))):
         with pytest.raises(AssertionError):
             _assert_immutable(value)
     _assert_immutable(series_module._Strata((row,)))
