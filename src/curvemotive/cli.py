@@ -5,6 +5,16 @@ codimension report), ``compute`` (one of the three series, optionally
 specialized), ``check`` (run every cross-form identity on a graph) and
 ``oracle`` (direct access to the brute-force validators).
 
+``check`` prints one line for each entry of ``_CHECKS`` that applies, in
+order: the matrix layer, the divisorial series, the extended-semigroup series
+(closed form vs stratum sum), the branch series (on a graph with a branch),
+the symmetric-power classes, the codimensions, and on a totally rational graph
+the extended-semigroup reduction, then the branch-series reduction and, with
+one branch, the classical specialization, which read ``pg`` and are skipped
+when its line failed.  One loop prints every ``ok:``/``FAIL:`` line and is the
+only place that catches ``SeriesCrossCheckError``.  The two series lines keep
+the names of a removed second route, so that check's output is unchanged.
+
 Exit codes: 0 success, 1 data or validation error, 2 usage error,
 3 cross-check failure, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
@@ -40,8 +50,6 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 EXIT_BROKEN_PIPE = 141
-
-EXTENDED = "extended-semigroup series"
 
 
 class _UsageError(Exception):
@@ -340,14 +348,8 @@ def _parse_stratum(raw: str, g) -> Stratum:
 
 def _aligned(rows) -> str:
     rendered = [[str(x) for x in row] for row in rows]
-    widths = [
-        max(len(rendered[i][j]) for i in range(len(rendered)))
-        for j in range(len(rendered[0]))
-    ]
-    return "\n".join(
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in rendered
-    )
+    widths = [max(len(cell) for cell in column) for column in zip(*rendered)]
+    return "\n".join("  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rendered)
 
 
 def _warn(message: str) -> None:
@@ -391,14 +393,6 @@ def _cmd_codim(args) -> int:
     return EXIT_OK
 
 
-def _specialized_payload(series, spec):
-    values = series.specialize(spec)
-    return [
-        {"t": [_frac_json(e) for e in exp], "value": _frac_json(v)}
-        for exp, v in values.items()
-    ]
-
-
 def _cmd_compute(args) -> int:
     g = _load_graph(args.input)
     strictness = "integral" if args.strict_integral else "literal"
@@ -424,15 +418,9 @@ def _cmd_compute(args) -> int:
     elif args.series == "pdg":
         run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the divisorial series"))
         series = poincare_divisorial(run, strictness=strictness)
-    else:  # phatd: expansion, cross-checked against the stratum sum
+    else:  # phatd: the stratum sum, cross-checked against the expanded closed form
         run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the extended-semigroup series"))
-        closed = expand(divisorial_closed_form(g), run.bound)
-        series = divisorial_semigroup_stratum_sum(run, strictness=strictness)
-        if strictness == "integral":
-            # a stratum's exponent is its w, so it is dropped exactly when
-            # its term of the closed form has a non-integral exponent
-            closed.terms = {exp: value for exp, value in closed.terms.items() if exp.is_integral}
-        require_same_series(EXTENDED, "closed form", closed, "stratum sum", series)
+        series = _extended_series(divisorial_closed_form(g), run, strictness)
 
     if series.skipped_nonintegral:
         _warn(f"{series.skipped_nonintegral} strata with non-integral exponents dropped")
@@ -441,14 +429,13 @@ def _cmd_compute(args) -> int:
 
     if args.specialize:
         labels = dict.fromkeys(label for label, _h in g.labelled_sites)  # in site order, once each
-        spec = _parse_specialization(args.specialize, labels)
-        payload = _specialized_payload(series, spec)
+        values = series.specialize(_parse_specialization(args.specialize, labels))
         if args.format == "json":
-            print(json.dumps({"bound": [_frac_json(b) for b in series.bound], "terms": payload}, indent=2))
+            terms = [{"t": [_frac_json(e) for e in exp], "value": _frac_json(v)} for exp, v in values.items()]
+            print(json.dumps({"bound": [_frac_json(b) for b in series.bound], "terms": terms}, indent=2))
         else:
-            for item in payload:
-                exps = ",".join(str(x) for x in item["t"])
-                print(f"t^({exps}): {item['value']}")
+            for exp, v in values.items():
+                print(f"t^({','.join(str(e) for e in exp)}): {v}")
         return EXIT_OK
 
     if args.format == "json":
@@ -458,112 +445,124 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _extended_series(closed_form, run: Run, strictness: str = "literal"):
+    """The extended-semigroup stratum sum of ``run``, checked against the expansion
+    of ``closed_form``: ``SeriesCrossCheckError`` names their first difference."""
+    closed = expand(closed_form, run.bound)
+    series = divisorial_semigroup_stratum_sum(run, strictness=strictness)
+    if strictness == "integral":
+        # a stratum's exponent is its w, so it is dropped exactly when
+        # its term of the closed form has a non-integral exponent
+        closed.terms = {exp: value for exp, value in closed.terms.items() if exp.is_integral}
+    require_same_series("extended-semigroup series", "closed form", closed, "stratum sum", series)
+    return series
+
+
+def _matrix_layer(c) -> bool:
+    p, n, m = c.g.proximity_matrix, c.g.intersection_matrix, c.g.m_matrix
+    # an integral unitriangular P^-1 with P P^-1 = I certifies det P = 1
+    p_inv = _linalg.unitriangular_inverse(p)
+    return (
+        _linalg.mat_mul(p, p_inv) == _linalg.identity(c.g.s)
+        and all(type(x) is int and x >= 0 for row in p_inv for x in row)
+        and n == _linalg.transpose(n)
+        and m == _linalg.transpose(m)  # M * (-N) = I is verified where M is built
+        and all(x > 0 for row in m for x in row)
+    )
+
+
+def _divisor_counts(c) -> bool:
+    specs = {q: Specialization(lefschetz=Fraction(q), default=Fraction(1)) for q in (2, 3)}
+    classes = {(removed, n): sym_power_class(None, removed, n) for removed in (1, 2, 3) for n in range(5)}
+    return all(
+        cls.specialize(spec) == oracles.count_divisors_open_line(q, removed, n)
+        for (removed, n), cls in classes.items()
+        for q, spec in specs.items()
+    )
+
+
+def _branch_series(c) -> bool:
+    c.pg = poincare_generalised(c.run)
+    return True
+
+
+def _reduced_closed_form(c) -> bool:
+    reduced = totally_rational_closed_form(c.g)  # equal records have equal expansions
+    if c.closed_form != reduced:
+        raise SeriesCrossCheckError(f"closed form {c.closed_form.to_text()}, reduced form {reduced.to_text()}")
+    return True
+
+
+def _reduced_branch_series(c) -> bool:
+    reduced = poincare_generalised_totally_rational(c.run)
+    require_same_series("branch series", "stratum sum", c.pg, "reduced form", reduced)
+    return True
+
+
+def _value_semigroup(c) -> bool:
+    # the curvette values, a column of M, generate the value semigroup
+    column = [row[c.g.branch(1).attach - 1] for row in c.g.m_matrix]
+    at_one = c.pg.specialize(Specialization(lefschetz=Fraction(1), default=Fraction(1)))
+    return at_one == {(v,): 1 for v in oracles.one_branch_series(column, c.run.bound[0])}
+
+
+# check's lines, as (name, applies, test).  Both read the context that
+# _cmd_check builds; a test returns whether its line holds or raises
+# SeriesCrossCheckError with the detail, so a route's line holds once it returns.
+_CHECKS = (
+    ("matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)", lambda c: True, _matrix_layer),
+    (
+        "divisorial series: stratum sum vs factored display",
+        lambda c: True,
+        lambda c: poincare_divisorial(c.div_run) is not None,
+    ),
+    (
+        "extended-semigroup series: closed form vs stratum sum",
+        lambda c: True,
+        lambda c: _extended_series(c.closed_form, c.div_run) is not None,
+    ),
+    ("branch series: stratum sum vs factored display", lambda c: c.run is not None, _branch_series),
+    ("symmetric-power classes count divisors over GF(2), GF(3)", lambda c: True, _divisor_counts),
+    (
+        "codimensions: composed vs expanded form, genus identity",
+        lambda c: True,
+        # a branch-free stratum's codimension depends on it only through nhat;
+        # the Run checks each composed one against the expanded form
+        lambda c: all(genus_identity(nh, c.g) for nh in c.div_run.codims),
+    ),
+    ("totally rational: extended-semigroup reduction", lambda c: c.g.is_totally_rational, _reduced_closed_form),
+    (
+        "totally rational: branch-series reduction",
+        lambda c: c.g.is_totally_rational and c.pg is not None,
+        _reduced_branch_series,
+    ),
+    (
+        "classical specialization: L -> 1 matches the value semigroup",
+        lambda c: c.g.is_totally_rational and c.g.r == 1 and c.pg is not None,
+        _value_semigroup,
+    ),
+)
+
+
 def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     text = "8" if args.bound is None else args.bound
     if "," in text.strip(", "):
         raise _UsageError("check takes a single scalar --bound")
     (scalar,) = _parse_bound(text, 1, "check")
-
-    failures = []
-
-    def report(name, ok, detail=""):
-        status = "ok" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status}: {name}{suffix}")
-        if not ok:
-            failures.append(name)
-
-    # 1. matrix layer
-    p = g.proximity_matrix
-    n = g.intersection_matrix
-    m = g.m_matrix
-    # an integral unitriangular P^-1 with P P^-1 = I certifies det P = 1
-    p_inv = _linalg.unitriangular_inverse(p)
-    ok = _linalg.mat_mul(p, p_inv) == _linalg.identity(g.s)
-    ok = ok and all(type(x) is int for row in p_inv for x in row)
-    ok = ok and n == _linalg.transpose(n)
-    ok = ok and m == _linalg.transpose(m)  # M * (-N) = I is verified where M is built
-    ok = ok and all(x > 0 for row in m for x in row)
-    ok = ok and all(x >= 0 for row in p_inv for x in row)
-    report("matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)", ok)
-
-    def checked(name, compute):
-        try:
-            result = compute()
-        except SeriesCrossCheckError as exc:
-            report(name, False, str(exc))
-            return None
-        report(name, True)
-        return result
-
-    div_run = Run(g.without_branches, (scalar,) * g.s)
-    # both series lines keep the names of a removed second route, so check's output is unchanged
-    checked(
-        "divisorial series: stratum sum vs factored display",
-        lambda: poincare_divisorial(div_run),
-    )
-
-    closed_form = divisorial_closed_form(g)
-    closed = expand(closed_form, div_run.bound)
-    checked(
-        "extended-semigroup series: closed form vs stratum sum",
-        lambda: require_same_series(
-            EXTENDED, "closed form", closed, "stratum sum", divisorial_semigroup_stratum_sum(div_run)
-        ),
-    )
-
-    pg = None
-    if g.r >= 1:
-        run = Run(g, (scalar,) * g.r)
-        pg = checked(
-            "branch series: stratum sum vs factored display",
-            lambda: poincare_generalised(run),
-        )
-
-    specs = {q: Specialization(lefschetz=Fraction(q), default=Fraction(1)) for q in (2, 3)}
-    classes = {(removed, n): sym_power_class(None, removed, n) for removed in (1, 2, 3) for n in range(5)}
-    ok = all(
-        cls.specialize(spec) == oracles.count_divisors_open_line(q, removed, n)
-        for (removed, n), cls in classes.items()
-        for q, spec in specs.items()
-    )
-    report("symmetric-power classes count divisors over GF(2), GF(3)", ok)
-
-    # a branch-free stratum's codimension depends on it only through nhat; the
-    # Run checks each composed one against the expanded form
-    name = "codimensions: composed vs expanded form, genus identity"
-    try:
-        codims = div_run.codims
-    except SeriesCrossCheckError as exc:
-        report(name, False, str(exc))
-    else:
-        report(name, all(genus_identity(nh, g) for nh in codims))
-
-    if g.is_totally_rational:
-        reduced = totally_rational_closed_form(g)  # equal records have equal expansions
-        same = closed_form == reduced
-        report(
-            "totally rational: extended-semigroup reduction",
-            same,
-            "" if same else f"closed form {closed_form.to_text()}, reduced form {reduced.to_text()}",
-        )
-        if pg is not None:
-            tr_pg = poincare_generalised_totally_rational(run)
-            checked(
-                "totally rational: branch-series reduction",
-                lambda: require_same_series("branch series", "stratum sum", pg, "reduced form", tr_pg),
-            )
-        if g.r == 1 and pg is not None:
-            # the curvette values, a column of M, generate the value semigroup
-            column = [row[g.branch(1).attach - 1] for row in m]
-            at_one = pg.specialize(Specialization(lefschetz=Fraction(1), default=Fraction(1)))
-            report(
-                "classical specialization: L -> 1 matches the value semigroup",
-                at_one == {(v,): 1 for v in oracles.one_branch_series(column, scalar)},
-            )
-
-    return EXIT_CROSSCHECK if failures else EXIT_OK
+    c = SimpleNamespace(g=g, closed_form=divisorial_closed_form(g), pg=None)  # pg: once its line passed
+    c.div_run = Run(g.without_branches, (scalar,) * g.s)
+    c.run = Run(g, (scalar,) * g.r) if g.r else None
+    failed = False
+    for name, applies, test in _CHECKS:  # the one place a check's failure is caught
+        if applies(c):
+            try:
+                ok, detail = test(c), ""
+            except SeriesCrossCheckError as exc:
+                ok, detail = False, f" ({exc})"
+            print(f"{'ok' if ok else 'FAIL'}: {name}{detail}")
+            failed = failed or not ok
+    return EXIT_CROSSCHECK if failed else EXIT_OK
 
 
 def _int_list(text: str, option: str) -> list[int]:

@@ -456,6 +456,59 @@ def test_codimension_line_fails_alone(capsys, cusp_file, monkeypatch, name):
     ]
 
 
+def test_matrix_layer_line_fails_alone(capsys, cusp_file, monkeypatch):
+    from types import SimpleNamespace
+
+    from curvemotive import _linalg
+
+    def corrupted(p):
+        inverse = [list(row) for row in _linalg.unitriangular_inverse(p)]
+        inverse[0][-1] += 1
+        return inverse
+
+    # only the matrix line reads this module through cli: each graph builds its M itself
+    monkeypatch.setattr(cli, "_linalg", SimpleNamespace(**{**vars(_linalg), "unitriangular_inverse": corrupted}))
+    code, out, _err = run(capsys, "check", "--input", cusp_file, "--bound", "4")
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("ok: ")] == [
+        "FAIL: matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)"
+    ]
+
+
+def test_check_lines_apply_by_the_shape_of_the_graph(capsys, tmp_path):
+    # the digests run check on one-branch graphs only: cusp without its branch
+    # prints 6 lines, and cusp2, with two branches, 8
+    common = [
+        "matrix layer (P unimodular, N symmetric, M = inverse of -N, M > 0)",
+        "divisorial series: stratum sum vs factored display",
+        "extended-semigroup series: closed form vs stratum sum",
+    ]
+    middle = [
+        "symmetric-power classes count divisors over GF(2), GF(3)",
+        "codimensions: composed vs expanded form, genus identity",
+        "totally rational: extended-semigroup reduction",
+    ]
+    bare = cusp_description()
+    del bare["branches"]
+    cusp2 = {**bare, "branches": [{"attach": 3}, {"attach": 1}]}
+    expected = {
+        "bare": (bare, common + middle),
+        "cusp2": (
+            cusp2,
+            common
+            + ["branch series: stratum sum vs factored display"]
+            + middle
+            + ["totally rational: branch-series reduction"],
+        ),
+    }
+    for name, (description, lines) in expected.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(description))
+        code, out, _err = run(capsys, "check", "--bound", "4", "--input", str(path))
+        assert code == 0, name
+        assert [line.removeprefix("ok: ") for line in out.splitlines()] == lines, name
+
+
 def bumped_at_one(original):
     """``original`` with 1 added to the constant term of the series it returns."""
 
