@@ -4,7 +4,8 @@
 standard output and standard error and its exit code.  The commands are
 ``compute --series pg|pdg|phatd|phatd-closed`` in text and JSON and
 ``check``, at bounds 6 and 9, on every graph in ``demos/graphs``, plus
-``--specialize L=1,all=1`` on the totally rational ones.  A change that
+``--specialize L=1,all=1`` on the totally rational ones and
+``--strict-integral`` on the others.  A change that
 means to alter this output records the digests again from the repository
 root::
 
@@ -54,8 +55,7 @@ def commands():
                 for fmt in ("text", "json"):
                     argv = ["compute", "--series", series, "--bound", bound, "--input", graph, "--format", fmt]
                     yield argv
-                    if integral:
-                        yield argv + ["--specialize", "L=1,all=1"]
+                    yield argv + (["--specialize", "L=1,all=1"] if integral else ["--strict-integral"])
             yield ["check", "--bound", bound, "--input", graph]
 
 
