@@ -395,8 +395,6 @@ def _cmd_codim(args) -> int:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args.input)
-    strictness = "integral" if args.strict_integral else "literal"
-
     if args.series == "phatd-closed":
         given = (args.bound is not None, args.specialize is not None, args.strict_integral)
         for option, on in zip(("--bound", "--specialize", "--strict-integral"), given):
@@ -413,14 +411,15 @@ def _cmd_compute(args) -> int:
 
     if args.series == "pg":
         require_branches(g)
-        run = Run(g, _parse_bound(args.bound, g.r, "the branch series"))
-        series = poincare_generalised(run, strictness=strictness)
+        bound = _parse_bound(args.bound, g.r, "the branch series")
+        series = poincare_generalised(Run(g, bound, integral=args.strict_integral))
     elif args.series == "pdg":
-        run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the divisorial series"))
-        series = poincare_divisorial(run, strictness=strictness)
+        bound = _parse_bound(args.bound, g.s, "the divisorial series")
+        series = poincare_divisorial(Run(g.without_branches, bound, integral=args.strict_integral))
     else:  # phatd: the stratum sum, cross-checked against the expanded closed form
-        run = Run(g.without_branches, _parse_bound(args.bound, g.s, "the extended-semigroup series"))
-        series = _extended_series(divisorial_closed_form(g), run, strictness)
+        bound = _parse_bound(args.bound, g.s, "the extended-semigroup series")
+        run = Run(g.without_branches, bound, integral=args.strict_integral)
+        series = _extended_series(divisorial_closed_form(g), run)
 
     if series.skipped_nonintegral:
         _warn(f"{series.skipped_nonintegral} strata with non-integral exponents dropped")
@@ -445,12 +444,12 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _extended_series(closed_form, run: Run, strictness: str = "literal"):
+def _extended_series(closed_form, run: Run):
     """The extended-semigroup stratum sum of ``run``, checked against the expansion
     of ``closed_form``: ``SeriesCrossCheckError`` names their first difference."""
     closed = expand(closed_form, run.bound)
-    series = divisorial_semigroup_stratum_sum(run, strictness=strictness)
-    if strictness == "integral":
+    series = divisorial_semigroup_stratum_sum(run)
+    if run.integral:
         # a stratum's exponent is its w, so it is dropped exactly when
         # its term of the closed form has a non-integral exponent
         closed.terms = {exp: value for exp, value in closed.terms.items() if exp.is_integral}

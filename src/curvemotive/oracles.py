@@ -1,16 +1,22 @@
 """Independent brute-force validators.
 
 Everything here is deliberately naive: exhaustive closure for numerical
-semigroups, monomial counting for divisorial-ideal codimensions, and
+semigroups, monomial counting for divisorial-ideal codimensions,
 point-multiset enumeration over small finite fields for symmetric-power
-counts.  None of it imports the series machinery; independence is the point.
+counts, and a telescoping of a one-branch series into its codimension
+function.  None of it imports the series machinery; independence is the
+point.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import count, product
 
 from ._record import Record
+
+
+SEMIGROUP_BOUND = 10**6
 
 
 def semigroup_gf(generators, bound: int):
@@ -18,12 +24,16 @@ def semigroup_gf(generators, bound: int):
 
     Exhaustive closure of the generators under addition up to ``bound``;
     entry ``k`` of the result is 1 exactly when ``k`` is representable.
+    Meant for desk scale: a ``bound`` above ``SEMIGROUP_BOUND`` is refused
+    before anything is allocated.
     """
     gens = sorted(set(int(x) for x in generators))
     if not gens or any(x <= 0 for x in gens):
         raise ValueError("generators must be positive integers")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound > SEMIGROUP_BOUND:
+        raise ValueError(f"bounds above {SEMIGROUP_BOUND} are out of this oracle's range, got {bound}")
     reachable = [False] * (bound + 1)
     reachable[0] = True
     for gen in gens:
@@ -76,6 +86,36 @@ def branch_series_at_one(exponents, chis, bound) -> dict[tuple[int, ...], int]:
                         break
                     out[shifted] = out.get(shifted, 0) + coeff
     return {e: c for e, c in out.items() if c}
+
+
+def codims_from_series(coefficients, q, degree: int):
+    """The codimension function of one branch, telescoped out of its branch series.
+
+    ``coefficients[v]`` is the coefficient of ``t^v`` for ``v = 0..B``: a
+    number, the series at ``L = q``, or an element of a ring in which ``q``
+    is ``L`` and has negative powers.  With ``c(0) = 0``, each coefficient
+    gives the next value through
+
+        ``L^(-c(v + 1)) = L^(-c(v)) - (L - 1)/L * pg_v``,
+
+    and since ``J(v)/J(v + 1)`` embeds in the residue field of a branch of
+    degree ``degree``, every step ``c(v + 1) - c(v)`` is an integer in
+    ``[0, degree]``.  Returns the list ``c(0), ..., c(B + 1)``, or the first
+    ``v`` at which no such step gives ``L^(-c(v + 1))``.
+    """
+    if type(q) is int:
+        q = Fraction(q)  # so that q ** -k is exact
+    codims = [0]
+    power = q**0  # L^(-c(v))
+    for v, coefficient in enumerate(coefficients):
+        power = power - (q - 1) * q**-1 * coefficient
+        for step in range(degree + 1):
+            if power == q ** -(codims[-1] + step):
+                codims.append(codims[-1] + step)
+                break
+        else:
+            return v
+    return codims
 
 
 class MonomialValuationSystem(Record):

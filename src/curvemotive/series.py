@@ -35,19 +35,20 @@ Both running sums work on int exponent tuples on the lattice ``d * M``
 (``_lattice``), which every exponent lies on, and convert to
 ``ExponentVector`` once per output term.
 
-A ``Run`` is one graph and one bound; it walks the ``nhat`` lattice, forms
-the per-key products and scans the strata (per strictness) at most once for
-all the routes it is handed.  ``check`` hands one Run of the branch-free
-graph to its divisorial lines and one of the graph to the branch series and
-its per-stratum reference (the totally rational branch series).  The scan
-is one walk per stratum family (pair subset x branch subset), over the point
-multiplicities and the family's legs together.  It records each stratum as a
-row ``(family, values)`` and builds its ``Stratum`` only for a reader that
-iterates (the reference, ``enumerate_strata``); the count checks read its
-length, so ``pg``, ``pdg`` and the stratum sum build none.  A Run also
-holds each key's codimension, checked once against the literal one.  Nothing
-a Run computes outlives it, and nothing is kept per process.  A Run shares
-inputs, never a route's result, so no cross-check loses its independence.
+A ``Run`` is one graph, one bound and one strictness (``integral`` or not).
+It walks the ``nhat`` lattice when it is built, and forms the per-key
+products and scans the strata at most once for all the routes it is handed.
+``check`` hands one Run of the branch-free graph to its divisorial lines and
+one of the graph to the branch series and its per-stratum reference (the
+totally rational branch series).  The scan is one walk per stratum family
+(pair subset x branch subset), over the point multiplicities and the
+family's legs together.  It records each stratum as a row ``(family,
+values)`` and builds its ``Stratum`` only for a reader that iterates (the
+reference, ``enumerate_strata``); the count checks read its length, so
+``pg``, ``pdg`` and the stratum sum build none.  A Run also holds each key's
+codimension, checked once against the literal one.  Nothing a Run computes
+outlives it, and nothing is kept per process.  A Run shares inputs, never a
+route's result, so no cross-check loses its independence.
 
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
@@ -384,34 +385,36 @@ def _walk(steps, mins, start, caps):
 
 
 class Run:
-    """One graph and one bound, and what the routes handed them share: the
-    ``nhat`` walk, the per-key codimensions and products, each made on first
-    use, and ``_scans``, where ``_scan_strata`` keeps its scan per strictness.
-    The bound is copied into a tuple."""
+    """One graph, one bound and one strictness, and what the routes handed
+    them share.
 
-    def __init__(self, g: ResolutionGraph, bound):
+    Building a Run walks its ``nhat`` lattice, so a bound of the wrong length
+    or with a negative entry raises here.  ``d``, ``steps`` and ``caps`` are
+    as in ``_lattice``.  ``keys`` holds every ``(nhat, z)`` whose exponent
+    (``v``, or ``w`` if the graph has no branches) fits under the bound,
+    lexicographically, with ``z = d * (exponent, w)``; these are exactly the
+    ``nhat`` of the strata ``enumerate_strata`` yields, since the stratum with
+    ``n = nhat`` and nothing else has them.  ``t_steps[j - 1]`` is what a
+    unit of ``t''_j`` adds to ``z``: ``d * h`` at ``v_j``, ``h`` the degree of
+    the component branch ``j`` attaches to.  An ``integral`` Run drops every
+    stratum whose ``z`` is not a multiple of ``d``, a non-integral valuation
+    or exponent vector.  The per-key codimensions and products and the one
+    scan (``_scan_strata``) are made on first use.  The bound is copied into
+    a tuple.
+    """
+
+    def __init__(self, g: ResolutionGraph, bound, *, integral: bool = False):
         self.g = g
         self.bound = tuple(bound)
-        self._scans = {}  # strictness -> what _scan_strata returns
-
-    @cached_property
-    def walk_nhats(self):
-        """Every ``nhat`` whose exponent (``v``, or ``w`` if the graph has no
-        branches) fits under the bound, lexicographically.
-
-        Holds ``(d, steps, caps, found, t_steps)`` with ``d``, ``steps`` and
-        ``caps`` as in ``_lattice``, ``found`` the tuple of ``(nhat, z)``, ``z =
-        d * (exponent, w)``, and ``t_steps[j - 1] = d * h``, what a unit of
-        ``t''_j`` adds to ``d * v_j`` (``h`` the degree of the component branch
-        ``j`` attaches to).  These are exactly the ``nhat`` of the strata
-        ``enumerate_strata`` yields, since the stratum with ``n = nhat`` and
-        nothing else has them.
-        """
-        g = self.g
+        self.integral = integral
         attach = [b.attach for b in g.branches]
-        d, steps, caps = _lattice(g.m_lattice, self.bound, attach)
-        found = tuple((tuple(n), tuple(z)) for n, z in _walk(steps, [0] * g.s, [0] * len(steps[0]), caps))
-        return d, steps, caps, found, tuple(d * g.degree_of(a) for a in attach)
+        self.d, self.steps, self.caps = _lattice(g.m_lattice, self.bound, attach)
+        width = len(self.steps[0])
+        self.keys = tuple((tuple(n), tuple(z)) for n, z in _walk(self.steps, [0] * g.s, [0] * width, self.caps))
+        self.t_steps = tuple(
+            tuple(self.d * g.degree_of(a) if k == j else 0 for k in range(width)) for j, a in enumerate(attach)
+        )
+        self._scan = None  # what _scan_strata returns, once it has run
 
     @cached_property
     def codims(self) -> dict:
@@ -424,7 +427,7 @@ class Run:
         what = "branch series" if g.r else "divisorial series"
         lead = g.r  # z is d * (v, w) on a graph with branches, d * w without
         codims = {}
-        for n, z in self.walk_nhats[3]:
+        for n, z in self.keys:
             codims[n] = composed = nhat_codim(n, g, z[lead:])
             literal = nhat_codim_literal(n, g)
             if composed != literal:  # the message is formatted only for a mismatch
@@ -434,23 +437,23 @@ class Run:
     @cached_property
     def _sums_per_key(self):
         """The class sums and the stratum counts of ``_coefficients``, per
-        branch subset and per ``nhat`` of the walk.  Neither depends on the
-        strictness: ``_assemble`` drops keys afterwards."""
+        branch subset and per ``nhat`` of the walk.  Neither depends on
+        ``integral``: ``_assemble`` drops keys afterwards."""
         g = self.g
-        keys = [n for n, _z in self.walk_nhats[3]]
-        position = {n: k for k, n in enumerate(keys)}
+        nhats = [n for n, _z in self.keys]
+        position = {n: k for k, n in enumerate(nhats)}
         below = [
-            [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in keys]
+            [position[n[:a] + (n[a] - 1,) + n[a + 1 :]] if n[a] else -1 for n in nhats]
             for a in range(g.s)
         ]
         # per component, its class for every n_i up to the largest in use
         sites = [
             [sym_power_class(g.component_label(i + 1), g.nu_circ[i], n) for n in range(top + 1)]
-            for i, top in enumerate(map(max, zip(*keys)))
+            for i, top in enumerate(map(max, zip(*nhats)))
         ]
-        classes = _coefficients(g, keys, below, sites, units_class, RingElement.zero())
+        classes = _coefficients(g, nhats, below, sites, units_class, RingElement.zero())
         ones = [[1] * len(row) for row in sites]
-        return classes, _coefficients(g, keys, below, ones, lambda _label: 1, 0)
+        return classes, _coefficients(g, nhats, below, ones, lambda _label: 1, 0)
 
 
 class _Strata(Record):
@@ -476,56 +479,49 @@ class _Strata(Record):
             yield Stratum(pairs, branches, values[:s], tuple(zip(p, p)), tuple(zip(b, b)))
 
 
-def _scan_strata(run: Run, strictness: str):
+def _scan_strata(run: Run):
     """All strata whose exponent vector fits under the bound, in a fixed order.
 
     Returns ``(strata, skipped)`` where ``strata`` is a ``_Strata``, a sized
     iterable that records each stratum as a row and builds its ``Stratum``
     only when a reader iterates it (``len`` builds none), and ``skipped``
-    counts the strata dropped in ``integral`` mode for having a non-integral
+    counts the strata an ``integral`` Run drops for having a non-integral
     valuation or exponent vector.  A stratum is a family (pair subset x
     branch subset), point multiplicities ``n`` and the family's legs, ``(n',
     n'')`` per chosen pair and ``(t', t'')`` per chosen branch, each at least
     1.  A family whose legs at 1 fit at ``n = 0`` is one ``_walk`` over ``n``
     and its legs together, in the order family, then ``n``, then legs.  The
-    result is kept on ``run``, so its readers share one scan.
+    result is kept on ``run``, so its readers share its one scan.
     """
-    if strictness not in ("literal", "integral"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    if strictness in run._scans:
-        return run._scans[strictness]
-    g = run.g
-    d, nhat_step, caps, _found, t_steps = run.walk_nhats
-
-    width = len(nhat_step[0])
-    integral = strictness == "integral"
+    if run._scan is not None:
+        return run._scan
+    g, steps, caps = run.g, run.steps, run.caps
     rows = []
     skipped = 0
-
     for pair_subset in _subsets([site.key for site in g.pairs]):
         for branch_subset in _subsets(list(range(1, g.r + 1))):
-            legs = [nhat_step[i - 1] for pair in pair_subset for i in pair]
+            legs = [steps[i - 1] for pair in pair_subset for i in pair]
             for j in branch_subset:
-                t_step = [t_steps[j - 1] if k == j - 1 else 0 for k in range(width)]
-                legs += [nhat_step[g.branch(j).attach - 1], t_step]
-            least = list(map(sum, zip([0] * width, *legs)))  # n = 0, every leg at 1
+                legs += [steps[g.branch(j).attach - 1], run.t_steps[j - 1]]
+            least = list(map(sum, zip([0] * len(steps[0]), *legs)))  # n = 0, every leg at 1
             if not all(map(le, least, caps)):
                 continue  # the walk would yield nothing
             family = (pair_subset, branch_subset, g.s)
-            for values, z in _walk(list(nhat_step) + legs, [0] * g.s + [1] * len(legs), least, caps):
-                # integral mode checks the exponent vector and w
-                if integral and any(x % d for x in z):
+            for values, z in _walk(list(steps) + legs, [0] * g.s + [1] * len(legs), least, caps):
+                # an integral Run checks the exponent vector and w
+                if run.integral and any(x % run.d for x in z):
                     skipped += 1
                     continue
                 rows.append((family, tuple(values)))
-    return run._scans.setdefault(strictness, (_Strata(tuple(rows)), skipped))
+    run._scan = (_Strata(tuple(rows)), skipped)
+    return run._scan
 
 
-def enumerate_strata(g: ResolutionGraph, bound, strictness: str = "literal"):
-    """Every stratum whose exponent (as in ``Run.walk_nhats``) is coordinatewise at
-    most ``bound``, in scan order (family, then ``n``, then legs), built as
-    it is yielded from the scan's ``(family, values)`` rows."""
-    yield from _scan_strata(Run(g, bound), strictness)[0]
+def enumerate_strata(g: ResolutionGraph, bound):
+    """Every stratum whose exponent (as in ``Run``) is coordinatewise at most
+    ``bound``, in scan order (family, then ``n``, then legs), built as it is
+    yielded from the scan's ``(family, values)`` rows."""
+    yield from _scan_strata(Run(g, bound))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +578,7 @@ def _coefficients(g, keys, below, site, unit, zero):
     return per_subset
 
 
-def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
+def _assemble(run: Run, *, semigroup: bool = False):
     """The branch series of ``run``, or the divisorial one if its graph has no
     branch, per key; with ``semigroup``, the extended-semigroup stratum sum on a
     branch-free graph, which leaves out ``L^(-F)`` and so computes no
@@ -597,15 +593,14 @@ def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
     comes from ``run.codims``, checked against the literal one.  A second
     product with every class set to 1 counts the strata per key; times the
     number of ``t''`` that fit, the totals must match the stratum
-    enumeration.  In ``integral`` mode a key is decided by its whole ``d *
+    enumeration.  An ``integral`` Run decides a key by its whole ``d *
     (exponent, w)``, which ``t''`` moves by multiples of ``d``; a dropped key
     adds its total to ``skipped_nonintegral``.
     """
-    g = run.g
+    g, d, caps = run.g, run.d, run.caps
     what = "extended-semigroup series" if semigroup else "branch series" if g.r else "divisorial series"
-    strata, scan_skipped = _scan_strata(run, strictness)
-    d, _steps, caps, found, t_steps = run.walk_nhats
-    codims = [0] * len(found) if semigroup else [run.codims[n] for n, _z in found]
+    strata, scan_skipped = _scan_strata(run)
+    codims = [0] * len(run.keys) if semigroup else [run.codims[n] for n, _z in run.keys]
     class_by_subset, count_by_subset = run._sums_per_key
 
     width = len(caps)
@@ -614,26 +609,22 @@ def _assemble(run: Run, strictness: str, *, semigroup: bool = False):
     subsets = _subsets(list(range(1, g.r + 1)))
     for branches, counts, values in zip(subsets, count_by_subset, class_by_subset):
         degree = sum(g.branch(j).degree for j in branches)
+        steps = [run.t_steps[j - 1][:width] for j in branches]
         placed = {}
-        for k, count in enumerate(counts):
+        for (_n, z), count, value, codim in zip(run.keys, counts, values, codims):
             if not count:
                 continue
-            z = found[k][1]
-            fits = prod((caps[j - 1] - z[j - 1]) // t_steps[j - 1] for j in branches)
+            fits = prod((caps[j - 1] - z[j - 1]) // step[j - 1] for j, step in zip(branches, steps))
             if not fits:
                 continue
             total += count * fits
-            if strictness == "integral" and any(x % d for x in z):
+            if run.integral and any(x % d for x in z):
                 skipped += count * fits
                 continue
-            exp = list(z[:width])
-            for j in branches:
-                exp[j - 1] += t_steps[j - 1]
-            exp = tuple(exp)
-            value = values[k].lefschetz_shift(-(codims[k] + degree))
+            exp = tuple(map(sum, zip(z[:width], *steps)))  # every t'' at 1
+            value = value.lefschetz_shift(-(codim + degree))
             placed[exp] = placed[exp] + value if exp in placed else value
-        for j in branches:
-            step = tuple(t_steps[j - 1] if a == j - 1 else 0 for a in range(width))
+        for j, step in zip(branches, steps):
             placed = _divide(placed, step, (RingElement.lefschetz(-g.branch(j).degree),), caps)
         for exp, value in placed.items():
             terms[exp] = terms[exp] + value if exp in terms else value
@@ -682,7 +673,7 @@ def _branch_free(run: Run) -> Run:
     return run
 
 
-def poincare_generalised(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+def poincare_generalised(run: Run) -> TruncatedSeries:
     """The branch series of ``run.g``, truncated coordinatewise at ``run.bound``.
 
     The stratum sum ``sum L^(-F) [Y] t^v`` is built once; its composed
@@ -690,17 +681,17 @@ def poincare_generalised(run: Run, *, strictness: str = "literal") -> TruncatedS
     against the enumeration, and a mismatch raises ``SeriesCrossCheckError``.
     """
     require_branches(run.g)
-    return _assemble(run, strictness)
+    return _assemble(run)
 
 
-def poincare_divisorial(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+def poincare_divisorial(run: Run) -> TruncatedSeries:
     """The divisorial series of ``g``, truncated coordinatewise at the bound,
     from a Run of ``g.without_branches``: the branch series' construction on
     the branch-free graph."""
-    return _assemble(_branch_free(run), strictness)
+    return _assemble(_branch_free(run))
 
 
-def divisorial_semigroup_stratum_sum(run: Run, *, strictness: str = "literal") -> TruncatedSeries:
+def divisorial_semigroup_stratum_sum(run: Run) -> TruncatedSeries:
     """The stratum sum ``sum [Y^D] t^w`` of the extended-semigroup series, from
     a Run of ``g.without_branches``: the divisorial series' per-key sum without
     its factor ``L^(-F^D)``.
@@ -709,7 +700,7 @@ def divisorial_semigroup_stratum_sum(run: Run, *, strictness: str = "literal") -
     exactly, so the closed form checks the engine that builds the branch and
     divisorial series.
     """
-    return _assemble(_branch_free(run), strictness, semigroup=True)
+    return _assemble(_branch_free(run), semigroup=True)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +849,7 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
     if not g.is_totally_rational:
         raise ValueError("this reduction requires all extension degrees to be 1")
     require_branches(g)
-    strata = _scan_strata(run, "literal")[0]  # literal mode skips none
+    strata = _scan_strata(run)[0]  # d = 1 here, so even an integral Run skips none
     unit_power = cache((RingElement.one() - RingElement.lefschetz(-1)).__pow__)  # (1 - L^{-1})^count
     w_at = cache(lambda nh: w_of(nh, g))
     nhat_part = run.codims  # nhat -> its part of F, checked against the literal form

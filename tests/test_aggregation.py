@@ -26,21 +26,21 @@ from curvemotive import series as series_module
 from conftest import random_graph
 
 DEMO_GRAPHS = sorted((Path(__file__).parent.parent / "demos" / "graphs").glob("*.json"))
-STRICTNESS = ("literal", "integral")
+INTEGRAL = (False, True)
 
 
-def reference_series(g, bound, strictness):
+def reference_series(g, bound, integral):
     """``sum [Y] L^(-F) t^v`` term by term over the enumerated strata, or
     ``sum [Y] L^(-F_D) t^w`` when ``g`` has no branches.
 
-    In ``integral`` mode a stratum with a non-integral ``w`` or exponent is
+    With ``integral``, a stratum with a non-integral ``w`` or exponent is
     counted in ``skipped_nonintegral`` instead of summed.
     """
     out = TruncatedSeries.zero(g.r or g.s, bound)
     for st in enumerate_strata(g, bound):
         w = w_of(nhat(st, g), g)
         exp, codim = (v_of(st, g), codim_F(st, g)) if g.r else (w, codim_FD(st, g))
-        if strictness == "integral" and not (w.is_integral and exp.is_integral):
+        if integral and not (w.is_integral and exp.is_integral):
             out.skipped_nonintegral += 1
             continue
         out.add_term(exp, stratum_class(st, g).lefschetz_shift(-codim))
@@ -49,15 +49,15 @@ def reference_series(g, bound, strictness):
 
 def assert_matches_reference(g, pg_bound, pdg_bound):
     skipped = 0
-    for strictness in STRICTNESS:
+    for integral in INTEGRAL:
         cases = [(poincare_divisorial, g.without_branches, (pdg_bound,) * g.s)]
         if g.r >= 1:
             cases.append((poincare_generalised, g, (pg_bound,) * g.r))
         for compute, h, bound in cases:
-            got = compute(Run(h, bound), strictness=strictness)
-            want = reference_series(h, bound, strictness)
-            assert got == want, (compute, strictness)
-            assert got.skipped_nonintegral == want.skipped_nonintegral, (compute, strictness)
+            got = compute(Run(h, bound, integral=integral))
+            want = reference_series(h, bound, integral)
+            assert got == want, (compute, integral)
+            assert got.skipped_nonintegral == want.skipped_nonintegral, (compute, integral)
             skipped += got.skipped_nonintegral
     return skipped
 

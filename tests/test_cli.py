@@ -551,7 +551,7 @@ def test_branch_series_reduction_fail_line_names_first_difference(capsys, cusp_f
 def test_phatd_strict_integral_counts_dropped_strata(capsys):
     path = DEMOS / "graphs" / "chain2_h12.json"
     g = build(json.loads(path.read_text(encoding="utf-8")))
-    want = divisorial_semigroup_stratum_sum(Run(g.without_branches, (6, 6)), strictness="integral")
+    want = divisorial_semigroup_stratum_sum(Run(g.without_branches, (6, 6), integral=True))
     assert want.skipped_nonintegral == 20
     argv = ["compute", "--series", "phatd", "--bound", "6", "--input", str(path), "--strict-integral"]
     code, out, err = run(capsys, *argv)
@@ -567,9 +567,9 @@ def test_phatd_strict_integral_counts_dropped_strata(capsys):
 def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkeypatch):
     original = cli.divisorial_semigroup_stratum_sum
 
-    def bumped_when_integral(run, *, strictness="literal"):
-        series = original(run, strictness=strictness)
-        if strictness == "integral":
+    def bumped_when_integral(run):
+        series = original(run)
+        if run.integral:
             series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
         return series
 
@@ -968,9 +968,10 @@ def test_oracle_subcommands(capsys):
         ("semigroup-gf", "--generators", "2,3,", "--bound", "7"),
         ("monomial-codim", "--weights", "1,1;1,2", "--w", "2,,3"),
         ("monomial-codim", "--weights", "1,1;;1,2", "--w", "2,3"),
-        # beyond desk scale: 2^50 polynomials, 10^10 monomials
+        # beyond desk scale: 2^50 polynomials, 10^10 monomials, a table of 10^24 entries
         ("count-divisors", "--q", "2", "--removed", "1", "--n", "50"),
         ("monomial-codim", "--weights", "1,1", "--w", "100000"),
+        ("semigroup-gf", "--generators", "2,3", "--bound", "1000000000000000000000000"),
     ],
 )
 def test_malformed_oracle_arguments_are_usage_errors(capsys, args):

@@ -220,7 +220,7 @@ def test_nhat_codimensions_are_computed_once_per_run(monkeypatch):
     run = Run(cusp2, (8, 8))
     series.poincare_generalised(run)
     series.poincare_generalised_totally_rational(run)
-    keys = [n for n, _z in run.walk_nhats[3]]
+    keys = [n for n, _z in run.keys]
     # pg and its per-stratum reference share the Run's codimensions
     assert calls == {"nhat_codim": keys, "nhat_codim_literal": keys}
     assert len(set(keys)) == len(keys) > 10

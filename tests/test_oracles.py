@@ -17,7 +17,13 @@ from curvemotive import (
     w_of,
 )
 from curvemotive import ExponentVector, Run, build, poincare_generalised
-from curvemotive.oracles import _field_ops, branch_series_at_one, one_branch_series
+from curvemotive.oracles import (
+    SEMIGROUP_BOUND,
+    _field_ops,
+    branch_series_at_one,
+    codims_from_series,
+    one_branch_series,
+)
 
 from conftest import random_graph
 
@@ -33,6 +39,10 @@ def test_semigroup_gf_examples():
         semigroup_gf([0], 5)
     with pytest.raises(ValueError):
         semigroup_gf([2, 3], -1)
+    # beyond desk scale, refused before the table is allocated
+    for bound in (SEMIGROUP_BOUND + 1, 10**24):
+        with pytest.raises(ValueError, match="out of this oracle's range"):
+            semigroup_gf([2, 3], bound)
 
 
 def test_monomial_codim_examples():
@@ -197,3 +207,66 @@ def test_branch_series_oracles_on_random_graphs(seed):
         if g.r:
             assert_branch_series_oracles(g, 10 if g.r == 1 else 6)
             checked += 1
+
+
+def test_codims_from_series_examples():
+    L, one = RingElement.lefschetz(), RingElement.one()
+    # the cusp: pg = 1 + L^-1 t^2 + L^-2 t^3 + ..., c steps by 1 at 0, 2, 3, 4
+    cusp = [one, RingElement.zero(), L**-1, L**-2, L**-3]
+    assert codims_from_series(cusp, L, 1) == [0, 1, 1, 2, 3, 4]
+    at_two = [Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    assert codims_from_series(at_two, 2, 1) == [0, 1, 1, 2, 3, 4]
+    assert codims_from_series([], 2, 1) == [0]
+    # a step of 2 needs a branch of degree 2; a coefficient of 0 at v = 0 is no step
+    assert codims_from_series([Fraction(3, 2)], 2, 2) == [0, 2]
+    assert codims_from_series([Fraction(3, 2)], 2, 1) == 0
+    assert codims_from_series([Fraction(0)], 2, 1) == [0, 0]
+    assert codims_from_series([one, one], L, 1) == 1
+
+
+def telescoped_codims(g, bound, q):
+    """``codims_from_series`` of ``pg`` on the one-branch graph ``g``: in the
+    ring if ``q`` is ``L``, else at ``L = q`` with every symbol at 0."""
+    pg = poincare_generalised(Run(g, (bound,)))
+    coefficients = [pg.coefficient((v,)) for v in range(bound + 1)]
+    if not isinstance(q, RingElement):
+        spec = Specialization(lefschetz=Fraction(q), default=Fraction(0))
+        coefficients = [c.specialize(spec) for c in coefficients]
+    codims = codims_from_series(coefficients, q, g.branch(1).degree)
+    assert isinstance(codims, list), f"no step of c fits at v = {codims}"
+    # valuations are integers, so the coefficients read are all of pg
+    assert set(pg.terms) <= {ExponentVector((v,)) for v in range(bound + 1)}
+    return codims
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_codims_telescope_out_of_pg_on_random_degree_one_graphs(seed):
+    rng = random.Random(1500 + seed)
+    bound = 12
+    checked = 0
+    while checked < 6:
+        g = random_graph(rng, max_centers=5, max_branches=1, allow_degrees=False)
+        if g.r != 1:
+            continue
+        codims = telescoped_codims(g, bound, RingElement.lefschetz())
+        # c(v) counts the values below v, so its steps of 1 fall on the value semigroup
+        column = [row[g.branch(1).attach - 1] for row in g.m_matrix]
+        values = semigroup_gf(column, bound)
+        assert codims == [sum(values[:v]) for v in range(bound + 2)]
+        assert telescoped_codims(g, bound, 2) == telescoped_codims(g, bound, 3) == codims
+        checked += 1
+
+
+NON_SPLIT_NODE = {"centers": [{"prox": []}], "branches": [{"attach": 1, "h": 2}]}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: on a graph with a site of degree > 1, pg is not the curve's series",
+)
+@pytest.mark.parametrize("name", ["non-split node", "chain2_h12"])
+def test_codims_telescope_out_of_pg_at_l_equal_q_on_a_degree_two_branch(name, request):
+    # x^2 + xy + y^2 over GF(2): every L^(-c(v)) at L = 2, e -> 0 must be a power of 2
+    g = build(NON_SPLIT_NODE) if name == "non-split node" else request.getfixturevalue(name)
+    telescoped_codims(g, 6, 2)

@@ -247,7 +247,7 @@ def test_integral_mode_checks_w_not_just_exponents():
     literal = poincare_generalised(Run(g, (5,)))
     assert all(exp.is_integral for exp in literal.terms)
     assert not literal.is_integral_lattice  # fractional L-powers sneak in
-    strict = poincare_generalised(Run(g, (5,)), strictness="integral")
+    strict = poincare_generalised(Run(g, (5,), integral=True))
     assert strict.skipped_nonintegral > 0
     assert strict.is_integral_lattice
 
@@ -255,10 +255,10 @@ def test_integral_mode_checks_w_not_just_exponents():
 def test_integral_mode_drops_and_counts(chain2_h12):
     g = chain2_h12.without_branches
     literal = list(enumerate_strata(g, (4, 6)))
-    integral = list(enumerate_strata(g, (4, 6), strictness="integral"))
+    integral = list(series_module._scan_strata(Run(g, (4, 6), integral=True))[0])
     assert len(integral) < len(literal)
     assert all(w_of(nhat(st, g), g).is_integral for st in integral)
-    series = poincare_divisorial(Run(chain2_h12.without_branches, (4, 6)), strictness="integral")
+    series = poincare_divisorial(Run(chain2_h12.without_branches, (4, 6), integral=True))
     assert series.skipped_nonintegral == len(literal) - len(integral)
     # integral mode keeps the literal strata with integral w and exponent,
     # in the literal order, and counts the rest
@@ -271,14 +271,14 @@ def test_integral_mode_drops_and_counts(chain2_h12):
             h = series_graph(g)
             bound = (MIXED_BOUND,) * (h.r or h.s)
             literal = list(enumerate_strata(h, bound))
-            integral = list(enumerate_strata(h, bound, strictness="integral"))
+            integral = list(series_module._scan_strata(Run(h, bound, integral=True))[0])
             kept = [
                 st
                 for st in literal
                 if w_of(nhat(st, h), h).is_integral and (not h.r or v_of(st, h).is_integral)
             ]
             assert integral == kept, (g, route)
-            skipped = route(Run(h, bound), strictness="integral").skipped_nonintegral
+            skipped = route(Run(h, bound, integral=True)).skipped_nonintegral
             assert skipped == len(literal) - len(kept), (g, route)
             dropped += skipped
         assert dropped > 0, route
@@ -295,7 +295,7 @@ def test_nhat_walk_yields_exactly_the_nhats_of_the_strata():
         for b in (0, 2, 4, 6):
             for h in [g.without_branches] + ([g] if g in demos else []):
                 bound = (b,) * (h.r or h.s)
-                walked = [n for n, _z in Run(h, bound).walk_nhats[3]]
+                walked = [n for n, _z in Run(h, bound).keys]
                 assert walked == sorted(set(walked)), (h, b)
                 strata = enumerate_strata(h, bound)
                 assert set(walked) == {nhat(st, h) for st in strata}, (h, b)
@@ -369,7 +369,7 @@ def test_divisorial_routes_reject_a_run_with_branches(single, cusp):
     for g in (single, cusp):
         for route in (poincare_divisorial, divisorial_semigroup_stratum_sum):
             with pytest.raises(ValueError, match="branch-free"):
-                route(Run(g, (3,) * g.s))
+                route(Run(g, (3,) * g.r))
 
 
 def test_divisorial_series_ignore_branches():
@@ -542,7 +542,7 @@ def test_expansions_reject_a_bound_of_the_wrong_length(cusp):
         with pytest.raises(ValueError):
             expand_totally_rational(cusp, bound)
     with pytest.raises(ValueError, match="bounds must be nonnegative"):
-        Run(cusp, (-1,)).walk_nhats
+        Run(cusp, (-1,))
 
 
 @pytest.mark.parametrize("step", [(0, 2), (1, 2)], ids=["zero-entry", "positive"])
@@ -701,7 +701,7 @@ def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
     gc.disable()
     try:
         run = Run(cusp.without_branches, (12, 12, 12))
-        strata, _skipped = series_module._scan_strata(run, "literal")
+        strata, _skipped = series_module._scan_strata(run)
         assert strata
         del strata, run
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
@@ -715,24 +715,24 @@ def test_scan_leaves_no_stratum_in_a_reference_cycle(cusp):
     assert left == []
 
 
-def _eager_scan(g, bound, strictness):
+def _eager_scan(g, bound, integral):
     """The scan as it was when it built one ``Stratum`` per stratum in its loop."""
-    d, nhat_step, caps, points, t_steps = Run(g, bound).walk_nhats
+    run = Run(g, bound)
+    d, nhat_step, caps = run.d, run.steps, run.caps
     width = len(nhat_step[0])
     strata, skipped = [], 0
     for pair_subset in series_module._subsets([site.key for site in g.pairs]):
         for branch_subset in series_module._subsets(list(range(1, g.r + 1))):
             legs = [nhat_step[i - 1] for pair in pair_subset for i in pair]
             for j in branch_subset:
-                t_step = [t_steps[j - 1] if k == j - 1 else 0 for k in range(width)]
-                legs += [nhat_step[g.branch(j).attach - 1], t_step]
+                legs += [nhat_step[g.branch(j).attach - 1], run.t_steps[j - 1]]
             least = list(map(sum, zip([0] * width, *legs)))
             if not all(map(le, least, caps)):
                 continue
             cut = 2 * len(pair_subset)
-            for n, z in points:
+            for n, z in run.keys:
                 for values, z_leg in series_module._walk(legs, [1] * len(legs), list(map(add, z, least)), caps):
-                    if strictness == "integral" and any(x % d for x in z_leg):
+                    if integral and any(x % d for x in z_leg):
                         skipped += 1
                         continue
                     p, b = iter(values[:cut]), iter(values[cut:])
@@ -761,12 +761,14 @@ def test_scan_gives_the_strata_of_the_eager_loop():
         for h in dict.fromkeys((g, g.without_branches)):
             for b in (0, 2, 4):
                 bound = (b,) * (h.r or h.s)
-                for strictness in ("literal", "integral"):
-                    strata, skipped = series_module._scan_strata(Run(h, bound), strictness)
-                    expected, expected_skipped = _eager_scan(h, bound, strictness)
-                    assert tuple(strata) == expected, (h, b, strictness)
-                    assert list(strata) == list(enumerate_strata(h, bound, strictness))
-                    assert skipped == expected_skipped, (h, b, strictness)
+                for integral in (False, True):
+                    strata, skipped = series_module._scan_strata(Run(h, bound, integral=integral))
+                    expected, expected_skipped = _eager_scan(h, bound, integral)
+                    assert tuple(strata) == expected, (h, b, integral)
+                    # a new Run's scan, as enumerate_strata reads it
+                    fresh = series_module._scan_strata(Run(h, bound, integral=True))[0]
+                    assert list(strata) == list(fresh if integral else enumerate_strata(h, bound))
+                    assert skipped == expected_skipped, (h, b, integral)
                     _assert_reads_as(strata, expected)
                     scanned += len(expected)
                     dropped += skipped
@@ -790,7 +792,7 @@ def test_engine_builds_no_stratum(name, request, monkeypatch):
     assert divisorial_semigroup_stratum_sum(branch_free).terms
     assert built == []
     if g.is_totally_rational:  # the per-stratum reference builds each stratum once
-        strata, _skipped = series_module._scan_strata(run, "literal")
+        strata, _skipped = series_module._scan_strata(run)
         poincare_generalised_totally_rational(run)
         assert len(built) == len(strata) > 0
 
@@ -811,9 +813,9 @@ def test_scan_walks_each_family_once(name, request, monkeypatch):
     for h in (g, g.without_branches):
         for b in (0, 6, 14, 40):
             run = Run(h, (b,) * (h.r or h.s))
-            _d, nhat_step, caps, _found, t_steps = run.walk_nhats
+            nhat_step, caps = run.steps, run.caps
             calls.clear()
-            strata, _skipped = series_module._scan_strata(run, "literal")
+            strata, _skipped = series_module._scan_strata(run)
             fitting = []
             for pairs in series_module._subsets([site.key for site in h.pairs]):
                 for branches in series_module._subsets(list(range(1, h.r + 1))):
@@ -821,7 +823,7 @@ def test_scan_walks_each_family_once(name, request, monkeypatch):
                     for i in [i for pair in pairs for i in pair] + [h.branch(j).attach for j in branches]:
                         least = list(map(add, least, nhat_step[i - 1]))
                     for j in branches:
-                        least[j - 1] += t_steps[j - 1]
+                        least = list(map(add, least, run.t_steps[j - 1]))
                     if all(map(le, least, caps)):
                         fitting.append((pairs, branches, 2 * len(pairs) + 2 * len(branches)))
             assert calls == [h.s + legs for _pairs, _branches, legs in fitting], (name, h.r, b)
@@ -865,12 +867,16 @@ def test_immutability_check_rejects_mutable_values():
     _assert_immutable(series_module._Strata((row,)))
 
 
+def _lattice_of(run):
+    return {"d": run.d, "steps": run.steps, "caps": run.caps, "t_steps": run.t_steps, "keys": run.keys}
+
+
 def test_every_bound_form_gives_the_same_results(cusp):
     g = cusp
     h = g.without_branches
     routes = {
-        "walk_nhats branch": lambda b: Run(g, b[:1]).walk_nhats,
-        "walk_nhats divisorial": lambda b: Run(h, b).walk_nhats,
+        "lattice branch": lambda b: _lattice_of(Run(g, b[:1])),
+        "lattice divisorial": lambda b: _lattice_of(Run(h, b)),
         "enumerate_strata branch": lambda b: list(enumerate_strata(g, b[:1])),
         "enumerate_strata divisorial": lambda b: list(enumerate_strata(h, b)),
         "pg": lambda b: poincare_generalised(Run(g, b[:1])).to_json(),
@@ -892,10 +898,30 @@ def test_every_bound_form_gives_the_same_results(cusp):
     pdg.terms.clear()
     assert poincare_divisorial(run).to_json() == results[0]["pdg"]
     assert divisorial_semigroup_stratum_sum(run).to_json() == results[0]["stratum sum"]
-    scanned = series_module._scan_strata(run, "literal")
-    assert series_module._scan_strata(run, "literal") is scanned  # scanned once per strictness
-    _assert_immutable(run.walk_nhats)
+    scanned = series_module._scan_strata(run)
+    assert series_module._scan_strata(run) is scanned  # a Run holds one scan
+    _assert_immutable(tuple(_lattice_of(run).values()))
     _assert_immutable(scanned)
+
+
+def test_strictness_is_fixed_when_a_run_is_built(cusp):
+    # no route takes a strictness of its own, and a Run takes it by name only
+    run, branch_free = Run(cusp, (4,)), Run(cusp.without_branches, (4, 4, 4))
+    routes = (
+        (poincare_generalised, run),
+        (poincare_generalised_totally_rational, run),
+        (poincare_divisorial, branch_free),
+        (divisorial_semigroup_stratum_sum, branch_free),
+    )
+    for route, given in routes:
+        for strictness in ("literal", "integral"):
+            with pytest.raises(TypeError):
+                route(given, strictness=strictness)
+    with pytest.raises(TypeError):
+        list(enumerate_strata(cusp, (4,), strictness="integral"))
+    with pytest.raises(TypeError):
+        Run(cusp, (4,), True)
+    assert not run.integral and Run(cusp, (4,), integral=True).integral
 
 
 def test_no_module_keeps_a_cache():
