@@ -53,7 +53,6 @@ from .series import (
     divisorial_semigroup_stratum_sum,
     enumerate_strata,
     expand,
-    expand_totally_rational,
     poincare_divisorial,
     poincare_generalised,
     poincare_generalised_totally_rational,
@@ -91,7 +90,6 @@ __all__ = [
     "divisorial_semigroup_stratum_sum",
     "enumerate_strata",
     "expand",
-    "expand_totally_rational",
     "field_class",
     "hoskin_deligne",
     "matrices_report",

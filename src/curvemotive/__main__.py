@@ -12,9 +12,8 @@ def run():
 
     Everything alive when a run starts stays alive until the process exits,
     and a run leaves no cyclic garbage that grows with its input, so the
-    cyclic garbage collector has nothing to gain.  ``gc.freeze()`` moves the
-    imported modules out of its reach and ``gc.disable()`` turns it off for
-    the run.  After flushing the standard streams the process ends with
+    cyclic garbage collector has nothing to gain: ``gc.disable()`` turns it
+    off for the run.  After flushing the standard streams the process ends with
     ``os._exit``: the interpreter's teardown would only free, one by one,
     objects (a ``series.Run``'s scans and per-key sums above all) whose
     memory the operating system takes back anyway.  This is the one place
@@ -23,7 +22,6 @@ def run():
     ``cli.main`` neither flushes nor touches the collector, so calling it in
     process changes nothing there.
     """
-    gc.freeze()
     gc.disable()
     code = main()
     try:

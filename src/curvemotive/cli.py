@@ -33,6 +33,7 @@ from .resolution import GraphValidationError, _json_int, _shown, build, matrices
 from .series import (
     Run,
     SeriesCrossCheckError,
+    TruncatedSeries,
     divisorial_closed_form,
     divisorial_semigroup_stratum_sum,
     expand,
@@ -452,7 +453,7 @@ def _extended_series(closed_form, run: Run):
     if run.integral:
         # a stratum's exponent is its w, so it is dropped exactly when
         # its term of the closed form has a non-integral exponent
-        closed.terms = {exp: value for exp, value in closed.terms.items() if exp.is_integral}
+        closed = TruncatedSeries(closed.bound, {exp: c for exp, c in closed.terms.items() if exp.is_integral})
     require_same_series("extended-semigroup series", "closed form", closed, "stratum sum", series)
     return series
 

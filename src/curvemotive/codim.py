@@ -69,9 +69,6 @@ class ExponentVector(tuple):
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self)
 
-    def __add__(self, other):
-        return ExponentVector(a + b for a, b in zip(self, other, strict=True))
-
     def leq(self, bound) -> bool:
         return all(a <= b for a, b in zip(self, bound, strict=True))
 

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: exhaustive closure for numerical
 semigroups, monomial counting for divisorial-ideal codimensions,
 point-multiset enumeration over small finite fields for symmetric-power
-counts, and a telescoping of a one-branch series into its codimension
-function.  None of it imports the series machinery; independence is the
-point.
+counts, a telescoping of a one-branch series into its codimension
+function, and the conductor by Noether's formula.  None of it imports the
+series machinery; independence is the point.
 """
 
 from __future__ import annotations
@@ -116,6 +116,25 @@ def codims_from_series(coefficients, q, degree: int):
         else:
             return v
     return codims
+
+
+def conductor(g) -> tuple:
+    """The conductor exponents ``c_j`` of the curve of ``g``, one per branch,
+    by Noether's formula, from ``M`` and the proximities only.
+
+    The strict transform of branch ``j`` has multiplicity ``m_(p,j) = M[p][a_j]
+    - sum_{q in prox(p)} M[q][a_j]`` at center ``p``, with ``a_j`` the
+    component branch ``j`` attaches to; the curve has ``m_p = sum_j m_(p,j)``
+    there, and ``c_j = sum_p m_(p,j) (m_p - 1)``.  Then ``sum_j c_j = 2
+    delta``.  The formula counts no residue degree, so it holds on degree-one
+    graphs only.
+    """
+    m = g.m_matrix
+    mults = [
+        [m[p][b.attach - 1] - sum(m[q - 1][b.attach - 1] for q in center.proximate_to) for b in g.branches]
+        for p, center in enumerate(g.centers)
+    ]
+    return tuple(sum(row[j] * (sum(row) - 1) for row in mults) for j in range(g.r))
 
 
 class MonomialValuationSystem(Record):

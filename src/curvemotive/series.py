@@ -53,7 +53,9 @@ route's result, so no cross-check loses its independence.
 Truncation is per variable: a series holds exactly the terms whose exponent
 vector is coordinatewise at most the bound.  Because every exponent is a sum
 of nonnegative contributions, truncating all intermediate products and sums
-at the bound loses nothing below it.
+at the bound loses nothing below it.  A ``TruncatedSeries`` is a value, built
+once from the dict of its terms: each route sums its terms first and drops
+zeros in the pass that makes the dict (``_from_lattice``, ``_summed``).
 """
 
 from __future__ import annotations
@@ -102,56 +104,31 @@ def monomial_text(exp) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Finite slab of a multivariate series under a per-variable bound.
 
-    Mutable, and so unhashable: routes build a series term by term.
+    Built once from its terms: ``terms`` maps each exponent vector at most
+    ``bound`` to its nonzero value, and whoever builds the dict drops zeros
+    and exponents past the bound.  The arity is the length of ``bound``.
+    ``terms`` is a dict, so a series cannot be hashed.
     """
+
+    _FIELDS = ("bound", "terms", "skipped_nonintegral")
 
     def __init__(
         self,
-        arity: int,
         bound: tuple[int | Fraction, ...],
         terms: dict[ExponentVector, RingElement] | None = None,
         skipped_nonintegral: int = 0,
     ):
-        self.arity = arity
-        self.bound = bound
-        self.terms = {} if terms is None else terms
-        self.skipped_nonintegral = skipped_nonintegral
+        super().__init__(tuple(map(_exact, bound)), {} if terms is None else terms, skipped_nonintegral)
 
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(arity={self.arity!r}, bound={self.bound!r}, "
-            f"terms={self.terms!r}, skipped_nonintegral={self.skipped_nonintegral!r})"
-        )
-
-    @classmethod
-    def zero(cls, arity, bound) -> "TruncatedSeries":
-        return cls(arity=arity, bound=tuple(map(_exact, bound)))
-
-    @classmethod
-    def one(cls, arity, bound) -> "TruncatedSeries":
-        series = cls.zero(arity, bound)
-        series.add_term(ExponentVector((0,) * arity), RingElement.one())
-        return series
-
-    def add_term(self, exp: ExponentVector, value: RingElement) -> None:
-        if exp.leq(self.bound):
-            current = self.terms.get(exp)
-            total = value if current is None else current + value
-            if total.is_zero:
-                self.terms.pop(exp, None)
-            else:
-                self.terms[exp] = total
+    @property
+    def arity(self) -> int:
+        return len(self.bound)
 
     def coefficient(self, exp) -> RingElement:
         return self.terms.get(ExponentVector(exp), RingElement.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
@@ -192,14 +169,15 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        series = cls.zero(int(data["arity"]), [Fraction(b) for b in data["bound"]])
-        series.skipped_nonintegral = int(data.get("skipped_nonintegral", 0))
-        for item in data["terms"]:
-            series.add_term(
-                ExponentVector(Fraction(e) for e in item["t"]),
-                RingElement.from_json(item["value"]),
-            )
-        return series
+        """The series ``to_json`` rendered; ``"arity"`` must be the length of ``"bound"``."""
+        bound = [Fraction(b) for b in data["bound"]]
+        if int(data["arity"]) != len(bound):
+            raise ValueError(f"series arity {data['arity']} does not match its {len(bound)} bounds")
+        terms = (
+            (ExponentVector(Fraction(e) for e in item["t"]), RingElement.from_json(item["value"]))
+            for item in data["terms"]
+        )
+        return cls(bound, _summed(bound, terms), int(data.get("skipped_nonintegral", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +323,12 @@ def _divide(poly, step, cs, caps):
     return out
 
 
-def _from_lattice(arity, bound, d, poly) -> TruncatedSeries:
-    """The series whose terms are those of ``poly``, exponents divided by ``d``."""
-    series = TruncatedSeries.zero(arity, bound)
-    for e, value in poly.items():
-        if value:
-            series.terms[ExponentVector(e if d == 1 else (Fraction(x, d) for x in e))] = value
-    return series
+def _from_lattice(bound, d, poly, skipped=0) -> TruncatedSeries:
+    """The series whose terms are the nonzero ones of ``poly``, exponents divided by ``d``."""
+    terms = {
+        ExponentVector(e if d == 1 else (Fraction(x, d) for x in e)): value for e, value in poly.items() if value
+    }
+    return TruncatedSeries(bound, terms, skipped)
 
 
 def _walk(steps, mins, start, caps):
@@ -529,11 +506,18 @@ def enumerate_strata(g: ResolutionGraph, bound):
 # ---------------------------------------------------------------------------
 
 
-def _mapreduce(arity, bound, strata, term_fn) -> TruncatedSeries:
-    series = TruncatedSeries.zero(arity, bound)
-    for st in strata:
-        series.add_term(*term_fn(st))
-    return series
+def _summed(bound, terms) -> dict:
+    """The ``(exponent, value)`` pairs of ``terms`` summed per exponent, keeping
+    the exponents at most ``bound`` whose sum is not zero."""
+    sums = {}
+    for exp, value in terms:
+        sums[exp] = sums[exp] + value if exp in sums else value
+    return {exp: value for exp, value in sums.items() if value and exp.leq(bound)}
+
+
+def _mapreduce(bound, strata, term_fn) -> TruncatedSeries:
+    """The series whose terms are ``term_fn(st)`` over ``strata``, as ``_summed`` adds them."""
+    return TruncatedSeries(bound, _summed(bound, map(term_fn, strata)))
 
 
 def _tail(values, below, zero):
@@ -635,9 +619,7 @@ def _assemble(run: Run, *, semigroup: bool = False):
             f"({skipped} non-integral), the enumeration {len(strata) + scan_skipped} "
             f"({scan_skipped} non-integral)"
         )
-    series = _from_lattice(width, run.bound, d, terms)
-    series.skipped_nonintegral = skipped
-    return series
+    return _from_lattice(run.bound, d, terms, skipped)
 
 
 def _agree(what: str, where: str, names, x, y):
@@ -720,16 +702,19 @@ class ClosedFormExpr(Record):
     ``e`` the pair's field symbol.
     """
 
-    _FIELDS = ("arity", "m_rows", "component_classes", "pair_data")
+    _FIELDS = ("m_rows", "component_classes", "pair_data")
 
     def __init__(
         self,
-        arity: int,
         m_rows: tuple[ExponentVector, ...],
         component_classes: tuple[RingElement, ...],  # e_i, per component
         pair_data: tuple[tuple[int, int, int, RingElement], ...],  # (i1, i2, h, eL-1)
     ):
-        super().__init__(arity, m_rows, component_classes, pair_data)
+        super().__init__(m_rows, component_classes, pair_data)
+
+    @property
+    def arity(self) -> int:
+        return len(self.m_rows)
 
     @property
     def has_integral_exponents(self) -> bool:
@@ -740,7 +725,7 @@ class ClosedFormExpr(Record):
         for i1, i2, h, units in self.pair_data:
             a = monomial_text(self.m_rows[i1 - 1])
             b = monomial_text(self.m_rows[i2 - 1])
-            ab = monomial_text(self.m_rows[i1 - 1] + self.m_rows[i2 - 1])
+            ab = monomial_text(ExponentVector(map(add, self.m_rows[i1 - 1], self.m_rows[i2 - 1])))
             d = f"(1 - {a})*(1 - {b})"
             if h == 1:
                 num_parts.append(f"({d} + ({units.to_text()})*{ab})")
@@ -776,9 +761,7 @@ def divisorial_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
         (site.i1, site.i2, site.degree, units_class(g.pair_label(site)))
         for site in g.pairs
     )
-    return ClosedFormExpr(
-        arity=g.s, m_rows=rows, component_classes=classes, pair_data=pair_data
-    )
+    return ClosedFormExpr(m_rows=rows, component_classes=classes, pair_data=pair_data)
 
 
 def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
@@ -805,7 +788,7 @@ def expand(cf: ClosedFormExpr, bound) -> TruncatedSeries:
     lef = RingElement.lefschetz()
     for row, e in zip(rows, cf.component_classes):
         poly = _divide(poly, row, (one, e * lef), caps)
-    return _from_lattice(cf.arity, bound, d, poly)
+    return _from_lattice(bound, d, poly)
 
 
 def totally_rational_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
@@ -822,16 +805,10 @@ def totally_rational_closed_form(g: ResolutionGraph) -> ClosedFormExpr:
     one = RingElement.one()
     units = RingElement.lefschetz() - one
     return ClosedFormExpr(
-        arity=g.s,
         m_rows=tuple(ExponentVector(row) for row in g.m_matrix),
         component_classes=(one,) * g.s,
         pair_data=tuple((site.i1, site.i2, 1, units) for site in g.pairs),
     )
-
-
-def expand_totally_rational(g: ResolutionGraph, bound) -> TruncatedSeries:
-    """Expansion of ``totally_rational_closed_form(g)``."""
-    return expand(totally_rational_closed_form(g), bound)
 
 
 def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
@@ -880,4 +857,4 @@ def poincare_generalised_totally_rational(run: Run) -> TruncatedSeries:
         value = stratum_value(count, st.point_mults)
         return exp, value.lefschetz_shift(count + sum(st.point_mults) - codim)
 
-    return _mapreduce(g.r, run.bound, strata, term)
+    return _mapreduce(run.bound, strata, term)

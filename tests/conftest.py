@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from curvemotive import Branch, Center, ResolutionGraph, Stratum, build
+from curvemotive import Branch, Center, ExponentVector, ResolutionGraph, RingElement, Stratum, TruncatedSeries, build
 
 
 def cusp_description():
@@ -87,6 +87,16 @@ def corpus(single, chain2_h12, cusp, satellite5):
         "cusp": cusp,
         "satellite5": satellite5,
     }
+
+
+def summed_series(bound, terms, skipped_nonintegral=0) -> TruncatedSeries:
+    """The series of the ``(exponent, value)`` pairs ``terms``, summed per
+    exponent; exponents whose sum is zero are left out."""
+    sums = {}
+    for exp, value in terms:
+        exp = ExponentVector(exp)
+        sums[exp] = sums.get(exp, RingElement.zero()) + value
+    return TruncatedSeries(bound, {exp: value for exp, value in sums.items() if value}, skipped_nonintegral)
 
 
 def random_graph(rng: random.Random, max_centers=6, max_branches=2, allow_degrees=True):

@@ -24,7 +24,6 @@ from curvemotive import (
     divisorial_closed_form,
     divisorial_semigroup_stratum_sum,
     expand,
-    expand_totally_rational,
     hoskin_deligne,
     monomial_codim,
     poincare_generalised,
@@ -34,6 +33,7 @@ from curvemotive import (
     w_of,
 )
 from curvemotive import _linalg
+from curvemotive.series import totally_rational_closed_form
 
 from conftest import cusp_description, random_stratum
 from test_linalg import gauss_jordan_inverse
@@ -169,7 +169,7 @@ def test_criterion_6_totally_rational_reductions(single, cusp, satellite5):
     for g in (single, cusp, satellite5):
         bound_div = (10,) * g.s
         ok = ok and expand(divisorial_closed_form(g), bound_div) == \
-            expand_totally_rational(g, bound_div)
+            expand(totally_rational_closed_form(g), bound_div)
         run = Run(g, (10,) * g.r)
         ok = ok and poincare_generalised(run) == poincare_generalised_totally_rational(run)
     _report(

@@ -9,7 +9,6 @@ import pytest
 from curvemotive import (
     Run,
     SeriesCrossCheckError,
-    TruncatedSeries,
     build,
     codim_F,
     codim_FD,
@@ -23,7 +22,7 @@ from curvemotive import (
 )
 from curvemotive import series as series_module
 
-from conftest import random_graph
+from conftest import random_graph, summed_series
 
 DEMO_GRAPHS = sorted((Path(__file__).parent.parent / "demos" / "graphs").glob("*.json"))
 INTEGRAL = (False, True)
@@ -36,15 +35,15 @@ def reference_series(g, bound, integral):
     With ``integral``, a stratum with a non-integral ``w`` or exponent is
     counted in ``skipped_nonintegral`` instead of summed.
     """
-    out = TruncatedSeries.zero(g.r or g.s, bound)
+    terms, skipped = [], 0
     for st in enumerate_strata(g, bound):
         w = w_of(nhat(st, g), g)
         exp, codim = (v_of(st, g), codim_F(st, g)) if g.r else (w, codim_FD(st, g))
         if integral and not (w.is_integral and exp.is_integral):
-            out.skipped_nonintegral += 1
+            skipped += 1
             continue
-        out.add_term(exp, stratum_class(st, g).lefschetz_shift(-codim))
-    return out
+        terms.append((exp, stratum_class(st, g).lefschetz_shift(-codim)))
+    return summed_series(bound, terms, skipped)
 
 
 def assert_matches_reference(g, pg_bound, pdg_bound):

@@ -24,7 +24,7 @@ from curvemotive.series import (
     poincare_generalised,
 )
 
-from conftest import cusp_description
+from conftest import cusp_description, summed_series
 
 DEMOS = Path(__file__).parent.parent / "demos"
 
@@ -251,7 +251,7 @@ def test_closed_stdout_exits_141_quietly(cusp_file):
         assert (proc.returncode, proc.stderr) == (141, b""), argv
 
 
-def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeypatch):
+def test_process_entry_turns_the_collector_off_around_main(cusp_file, tmp_path, monkeypatch):
     from curvemotive import __main__ as entry
 
     events = []
@@ -264,7 +264,6 @@ def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeyp
         def flush(self):
             events.append(f"flush {self.name}")
 
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
     monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
     monkeypatch.setattr(sys, "stdout", Stream("stdout"))
@@ -285,12 +284,12 @@ def test_process_entry_freezes_the_heap_around_main(cusp_file, tmp_path, monkeyp
         monkeypatch.setattr(sys, "argv", ["curvemotive", *argv])
         events.clear()
         assert entry.run() is None, argv  # os._exit is stubbed, so run returns
-        assert events[:3] == ["freeze", "disable", "main"], argv
+        assert events[:2] == ["disable", "main"], argv
         tail = events[events.index("returned") :]
         assert tail == ["returned", "flush stdout", "flush stderr", ("exit", expected)], argv
         events.clear()
         assert main(argv) == expected, argv
-        assert set(events) <= {"flush stdout"}, argv  # no freeze, no disable, no exit
+        assert set(events) <= {"flush stdout"}, argv  # no disable, no exit
 
 
 def test_process_entry_prints_what_main_prints(tmp_path, capsys):
@@ -430,7 +429,7 @@ def test_wrong_pair_units_fail_the_extended_semigroup_reduction(capsys, cusp_fil
     def pair_units_off_by_one(g):
         cf = original(g)
         pairs = tuple((i1, i2, h, units - RingElement.one()) for i1, i2, h, units in cf.pair_data)
-        return ClosedFormExpr(cf.arity, cf.m_rows, cf.component_classes, pairs)
+        return ClosedFormExpr(cf.m_rows, cf.component_classes, pairs)
 
     monkeypatch.setattr(cli, "divisorial_closed_form", pair_units_off_by_one)
     # cusp's first pair term is t1^3*t2^4*t3^8, so bound 6 would not reach it
@@ -509,13 +508,17 @@ def test_check_lines_apply_by_the_shape_of_the_graph(capsys, tmp_path):
         assert [line.removeprefix("ok: ") for line in out.splitlines()] == lines, name
 
 
+def with_term(series, exp, value):
+    """``series`` plus ``value`` at ``exp``."""
+    return summed_series(series.bound, [*series.terms.items(), (exp, value)], series.skipped_nonintegral)
+
+
 def bumped_at_one(original):
     """``original`` with 1 added to the constant term of the series it returns."""
 
     def bumped(*args):
         series = original(*args)
-        series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
-        return series
+        return with_term(series, (0,) * series.arity, RingElement.one())
 
     return bumped
 
@@ -570,7 +573,7 @@ def test_phatd_strict_integral_is_checked_against_the_closed_form(capsys, monkey
     def bumped_when_integral(run):
         series = original(run)
         if run.integral:
-            series.add_term(ExponentVector((0,) * series.arity), RingElement.one())
+            series = with_term(series, (0,) * series.arity, RingElement.one())
         return series
 
     monkeypatch.setattr(cli, "divisorial_semigroup_stratum_sum", bumped_when_integral)
@@ -995,8 +998,7 @@ def test_semigroup_check_compares_support_with_the_semigroup(capsys, cusp_file, 
 
     def extra_t1(run):
         pg = poincare_generalised(run)
-        pg.add_term(ExponentVector((1,)), RingElement.one())
-        return pg
+        return with_term(pg, (1,), RingElement.one())
 
     for broken in (missing_t4, extra_t1):
         monkeypatch.setattr(cli, "poincare_generalised", broken)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -170,7 +171,8 @@ def test_exponent_vector_keeps_only_non_integral_entries_as_fractions():
     v = ExponentVector((Fraction(4, 2), Fraction(3, 2)))
     assert v == (2, Fraction(3, 2))
     assert [type(x) for x in v] == [int, Fraction]
-    assert [type(x) for x in v + ExponentVector((0, Fraction(1, 2)))] == [int, int]
+    assert [type(x) for x in ExponentVector(map(add, v, (0, Fraction(1, 2))))] == [int, int]
+    assert v + (1,) == (2, Fraction(3, 2), 1)  # + concatenates, as on any tuple
 
 
 def test_rational_codimensions_carried_exactly(chain2_h12):

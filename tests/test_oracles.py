@@ -1,7 +1,11 @@
 """The brute-force validators themselves, plus their ties to the main code."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import product
+from operator import add, le, sub
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from curvemotive.oracles import (
     _field_ops,
     branch_series_at_one,
     codims_from_series,
+    conductor,
     one_branch_series,
 )
 
@@ -270,3 +275,62 @@ def test_codims_telescope_out_of_pg_at_l_equal_q_on_a_degree_two_branch(name, re
     # x^2 + xy + y^2 over GF(2): every L^(-c(v)) at L = 2, e -> 0 must be a power of 2
     g = build(NON_SPLIT_NODE) if name == "non-split node" else request.getfixturevalue(name)
     telescoped_codims(g, 6, 2)
+
+
+def gorenstein_symmetry(g):
+    """``(c, delta, F)`` for ``F(T) = pg(L T) prod_j (1 - T_j)``, read from ``pg``
+    at the bound ``c + 2``, with ``c`` the conductor; asserts that ``F`` has no
+    term outside the box ``[0, c]`` and that ``F_v = L^(delta - |c - v|)
+    F_(c - v)`` with ``|c| = 2 delta``: the value semigroup of a plane curve is
+    symmetric."""
+    c = conductor(g)
+    bound = tuple(x + 2 for x in c)
+    zero = RingElement.zero()
+    terms = {}
+    for exp, value in poincare_generalised(Run(g, bound)).terms.items():
+        value = value.lefschetz_shift(sum(exp))
+        for corner in product((0, 1), repeat=g.r):
+            e = tuple(map(add, exp, corner))
+            terms[e] = terms.get(e, zero) + (-value if sum(corner) % 2 else value)
+    F = {e: value for e, value in terms.items() if value and all(map(le, e, bound))}
+    delta, odd = divmod(sum(c), 2)
+    assert not odd, c
+    assert all(all(map(le, v, c)) for v in F), (c, sorted(F))
+    for v in product(*(range(x + 1) for x in c)):
+        mirror = tuple(map(sub, c, v))
+        assert F.get(v, zero) == F.get(mirror, zero).lefschetz_shift(delta - sum(mirror)), (c, v)
+    return c, delta, F
+
+
+@pytest.mark.parametrize(
+    "path, c, delta, terms",
+    [
+        ("demos/graphs/cusp.json", (2,), 1, 3),
+        ("perfbench/graphs/cusp2.json", (4, 2), 3, 9),
+        ("demos/graphs/satellite5.json", (28,), 14, 19),
+    ],
+)
+def test_gorenstein_symmetry_examples(path, c, delta, terms):
+    g = build(json.loads((Path(__file__).parent.parent / path).read_text(encoding="utf-8")))
+    got_c, got_delta, F = gorenstein_symmetry(g)
+    assert (got_c, got_delta, len(F)) == (c, delta, terms)
+
+
+def test_gorenstein_symmetry_on_random_degree_one_graphs():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 25:
+        g = random_graph(rng, max_centers=5, max_branches=3, allow_degrees=False)
+        if g.r and sum(conductor(g)) <= 30:  # pg at c + 2 stays small
+            gorenstein_symmetry(g)
+            checked += 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: on a graph with a site of degree > 1, pg is not the curve's series",
+)
+def test_gorenstein_symmetry_on_the_non_split_node():
+    # Noether's formula gives c = 0, yet F has a term at T^2
+    gorenstein_symmetry(build(NON_SPLIT_NODE))

@@ -14,6 +14,7 @@ import pytest
 
 from curvemotive import codim
 from curvemotive import series as series_module
+from curvemotive.series import totally_rational_closed_form
 from curvemotive import (
     ExponentVector,
     RingElement,
@@ -26,7 +27,6 @@ from curvemotive import (
     divisorial_semigroup_stratum_sum,
     enumerate_strata,
     expand,
-    expand_totally_rational,
     nhat,
     poincare_divisorial,
     poincare_generalised,
@@ -38,6 +38,8 @@ from curvemotive import (
     v_of,
     w_of,
 )
+
+from conftest import summed_series
 
 ROOT = Path(__file__).parent.parent
 GRAPH_FILES = sorted((ROOT / "demos" / "graphs").glob("*.json")) + sorted(
@@ -448,16 +450,9 @@ def test_closed_form_chain2_h12_frozen(chain2_h12):
 def test_totally_rational_closed_form_reduction(cusp, satellite5, chain3):
     for g in (cusp, satellite5, chain3):
         bound = (8,) * g.s
-        assert expand(divisorial_closed_form(g), bound) == expand_totally_rational(
-            g, bound
-        )
+        assert expand(divisorial_closed_form(g), bound) == expand(totally_rational_closed_form(g), bound)
     with pytest.raises(ValueError):
-        expand_totally_rational(
-            __import__("curvemotive").build(
-                {"centers": [{"prox": []}, {"prox": [1], "h": 2}]}
-            ),
-            (2, 2),
-        )
+        totally_rational_closed_form(build({"centers": [{"prox": []}, {"prox": [1], "h": 2}]}))
 
 
 def test_cusp_closed_form_first_coefficients(cusp):
@@ -474,7 +469,7 @@ def truncated_product(f, g, bound):
     out = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            exp = ExponentVector(e1) + ExponentVector(e2)
+            exp = ExponentVector(map(add, e1, e2))
             if exp.leq(bound):
                 out[exp] = out.get(exp, RingElement.zero()) + c1 * c2
     return {exp: value for exp, value in out.items() if value}
@@ -496,10 +491,11 @@ def reference_expansion(cf, bound):
     series = {zero: one} if zero.leq(bound) else {}
     for i1, i2, h, units in cf.pair_data:
         a, b = cf.m_rows[i1 - 1], cf.m_rows[i2 - 1]
-        d = {zero: one, a: -one, b: -one, a + b: one}
+        ab = ExponentVector(map(add, a, b))
+        d = {zero: one, a: -one, b: -one, ab: one}
         for _ in range(h - 1):
             series = truncated_product(series, d, bound)
-        series = truncated_product(series, {zero: one, a: -one, b: -one, a + b: one + units}, bound)
+        series = truncated_product(series, {zero: one, a: -one, b: -one, ab: one + units}, bound)
     for row, e in zip(cf.m_rows, cf.component_classes):
         series = truncated_product(series, truncated_geometric(row, one, bound), bound)
         series = truncated_product(series, truncated_geometric(row, e * L(), bound), bound)
@@ -510,7 +506,7 @@ def assert_expansions_match_reference(g, bound):
     want = reference_expansion(divisorial_closed_form(g), bound)
     assert expand(divisorial_closed_form(g), bound).terms == want, bound
     if g.is_totally_rational:
-        assert expand_totally_rational(g, bound).terms == want, bound
+        assert expand(totally_rational_closed_form(g), bound).terms == want, bound
 
 
 @pytest.mark.parametrize("path", GRAPH_FILES, ids=lambda p: f"{p.parent.parent.name}-{p.stem}")
@@ -540,7 +536,7 @@ def test_expansions_reject_a_bound_of_the_wrong_length(cusp):
         with pytest.raises(ValueError):
             expand(divisorial_closed_form(cusp), bound)
         with pytest.raises(ValueError):
-            expand_totally_rational(cusp, bound)
+            expand(totally_rational_closed_form(cusp), bound)
     with pytest.raises(ValueError, match="bounds must be nonnegative"):
         Run(cusp, (-1,))
 
@@ -596,11 +592,32 @@ def test_running_sums_multiplied_back_give_the_input():
 
 
 def test_series_json_round_trip(cusp, chain2_h12):
-    for g, bound in ((cusp, (4, 6, 12)), (chain2_h12, (3, 4))):
-        series = expand(divisorial_closed_form(g), bound)
-        again = TruncatedSeries.from_json(series.to_json())
+    cases = [expand(divisorial_closed_form(g), bound) for g, bound in ((cusp, (4, 6, 12)), (chain2_h12, (3, 4)))]
+    for path in sorted((ROOT / "demos" / "graphs").glob("*.json")):
+        g = build(json.loads(path.read_text(encoding="utf-8")))
+        divisorial = Run(g.without_branches, (4,) * g.s)
+        cases += [poincare_divisorial(divisorial), divisorial_semigroup_stratum_sum(divisorial)]
+        if g.r:
+            cases.append(poincare_generalised(Run(g, (4,) * g.r)))
+    # an integral Run drops strata, so skipped_nonintegral must round-trip too
+    integral = Run(chain2_h12.without_branches, (6, 6), integral=True)
+    cases += [poincare_divisorial(integral), poincare_generalised(Run(chain2_h12, (6,), integral=True))]
+    assert all(series.skipped_nonintegral for series in cases[-2:])
+    for series in cases:
+        again = TruncatedSeries.from_json(json.loads(json.dumps(series.to_json())))
         assert again == series
         assert again.to_json() == series.to_json()
+
+
+def test_series_arity_is_the_length_of_its_bound(cusp):
+    assert TruncatedSeries((3,)).to_json()["arity"] == 1
+    cf = divisorial_closed_form(cusp)
+    assert cf.arity == cf.to_json()["arity"] == 3
+    data = expand(cf, (4, 4, 4)).to_json()
+    assert data["arity"] == TruncatedSeries.from_json(data).arity == 3
+    for arity in (2, 4):
+        with pytest.raises(ValueError, match="arity"):
+            TruncatedSeries.from_json({**data, "arity": arity})
 
 
 def test_series_rendering_orders_terms_graded_lex(single):
@@ -679,9 +696,7 @@ def test_totally_rational_reduction_composes_each_nhat_codimension_once(cusp_two
 def test_stratum_sum_matches_the_per_stratum_classes(cusp, monkeypatch):
     g = cusp.without_branches
     bound = (16, 16, 16)  # reaches the strata with a pair
-    expected = TruncatedSeries.zero(g.s, bound)
-    for st in enumerate_strata(g, bound):
-        expected.add_term(w_of(nhat(st, g), g), stratum_class(st, g))
+    expected = summed_series(bound, [(w_of(nhat(st, g), g), stratum_class(st, g)) for st in enumerate_strata(g, bound)])
     calls = []
 
     def counted(st, graph):
@@ -834,7 +849,7 @@ def test_expand_hands_out_a_fresh_series(cusp):
     cf = divisorial_closed_form(cusp)
     first = expand(cf, (6, 6, 6))
     expected = first.to_json()
-    first.add_term(ev(0, 0, 0), one)
+    first.terms[ev(0, 0, 0)] += one
     first.terms.pop(ev(1, 1, 2))
     again = expand(cf, [6, 6, 6])
     assert again is not first
