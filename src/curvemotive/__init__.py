@@ -6,102 +6,73 @@ package derives the proximity/intersection matrices, stratum codimensions,
 and three generating series with coefficients in a formal localized
 Grothendieck-ring model, cross-validated against independent brute-force
 oracles.
-"""
 
-from .codim import (
-    ExponentVector,
-    SemigroupMembershipWarning,
-    Stratum,
-    alpha_of,
-    codim_F,
-    codim_F_literal,
-    codim_FD,
-    deg_AA,
-    deg_AK,
-    hoskin_deligne,
-    nhat,
-    v_of,
-    w_of,
-)
-from .grothendieck import (
-    RingElement,
-    Specialization,
-    field_class,
-    units_class,
-)
-from .oracles import (
-    MonomialValuationSystem,
-    count_divisors_open_line,
-    monomial_codim,
-    semigroup_gf,
-)
-from .resolution import (
-    Branch,
-    Center,
-    GraphValidationError,
-    PairSite,
-    ResolutionGraph,
-    build,
-    matrices_report,
-)
-from .series import (
-    ClosedFormExpr,
-    Run,
-    SeriesCrossCheckError,
-    TruncatedSeries,
-    divisorial_closed_form,
-    divisorial_semigroup_stratum_sum,
-    enumerate_strata,
-    expand,
-    poincare_divisorial,
-    poincare_generalised,
-    poincare_generalised_totally_rational,
-    stratum_class,
-    sym_power_class,
-)
+Each layer imports only the layers before it: ``_record``/``_linalg`` ->
+``resolution`` -> ``grothendieck`` -> ``codim`` -> ``series`` -> ``cli``,
+with ``oracles`` reading ``_record`` only.  The public names below are bound
+on first use, from their home modules (PEP 562), so ``import curvemotive``
+loads this file alone and ``build(d).m_matrix`` loads only ``_linalg``,
+``_record`` and ``resolution``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Center",
-    "ClosedFormExpr",
-    "ExponentVector",
-    "GraphValidationError",
-    "MonomialValuationSystem",
-    "PairSite",
-    "ResolutionGraph",
-    "RingElement",
-    "Run",
-    "SemigroupMembershipWarning",
-    "SeriesCrossCheckError",
-    "Specialization",
-    "Stratum",
-    "TruncatedSeries",
-    "alpha_of",
-    "build",
-    "codim_F",
-    "codim_F_literal",
-    "codim_FD",
-    "count_divisors_open_line",
-    "deg_AA",
-    "deg_AK",
-    "divisorial_closed_form",
-    "divisorial_semigroup_stratum_sum",
-    "enumerate_strata",
-    "expand",
-    "field_class",
-    "hoskin_deligne",
-    "matrices_report",
-    "monomial_codim",
-    "nhat",
-    "poincare_divisorial",
-    "poincare_generalised",
-    "poincare_generalised_totally_rational",
-    "semigroup_gf",
-    "stratum_class",
-    "sym_power_class",
-    "units_class",
-    "v_of",
-    "w_of",
-]
+# public name -> the module that defines it
+_HOME = {
+    "Branch": "resolution",
+    "Center": "resolution",
+    "ClosedFormExpr": "series",
+    "ExponentVector": "codim",
+    "GraphValidationError": "resolution",
+    "MonomialValuationSystem": "oracles",
+    "PairSite": "resolution",
+    "ResolutionGraph": "resolution",
+    "RingElement": "grothendieck",
+    "Run": "series",
+    "SemigroupMembershipWarning": "codim",
+    "SeriesCrossCheckError": "series",
+    "Specialization": "grothendieck",
+    "Stratum": "codim",
+    "TruncatedSeries": "series",
+    "alpha_of": "codim",
+    "build": "resolution",
+    "codim_F": "codim",
+    "codim_F_literal": "codim",
+    "codim_FD": "codim",
+    "count_divisors_open_line": "oracles",
+    "deg_AA": "codim",
+    "deg_AK": "codim",
+    "divisorial_closed_form": "series",
+    "divisorial_semigroup_stratum_sum": "series",
+    "enumerate_strata": "series",
+    "expand": "series",
+    "field_class": "grothendieck",
+    "hoskin_deligne": "codim",
+    "matrices_report": "resolution",
+    "monomial_codim": "oracles",
+    "nhat": "codim",
+    "poincare_divisorial": "series",
+    "poincare_generalised": "series",
+    "poincare_generalised_totally_rational": "series",
+    "semigroup_gf": "oracles",
+    "stratum_class": "series",
+    "sym_power_class": "series",
+    "units_class": "grothendieck",
+    "v_of": "codim",
+    "w_of": "codim",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,11 +3,14 @@
 Matrices are tuples of tuples holding ints or ``fractions.Fraction``; nothing
 here ever touches floating point.  The only inverse needed is that of an upper
 unitriangular integer matrix (the proximity matrix), found by back
-substitution in integers.
+substitution in integers.  The exact rationals every layer shares are here
+too: ``_exact`` and ``_quotient`` give an ``int`` when the value is integral,
+and ``_frac_json`` renders one for JSON.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -66,3 +69,30 @@ def unitriangular_inverse(a):
         for i in range(j - 1, -1, -1):
             inv[i][j] = -sum(a[i][k] * inv[k][j] for k in range(i + 1, j + 1))
     return mat(inv)
+
+
+def _exact(x) -> int | Fraction:
+    """An exact rational as an ``int`` when integral, else as a ``Fraction``.
+
+    The two compare, hash, sort and render alike, but ``int`` arithmetic is
+    much cheaper, and on a totally rational graph every exponent is integral.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """``num / den`` for ints, ``den`` not zero, as ``_exact`` gives it: the
+    ``int`` ``num // den`` when ``den`` divides ``num``, else a ``Fraction``,
+    which is built only then."""
+    if num % den:
+        return Fraction(num, den)
+    return num // den
+
+
+def _frac_json(x: Fraction | int):
+    """An exact rational as JSON: an integer when integral, else ``"p/q"``."""
+    return x.numerator if x.denominator == 1 else str(x)

@@ -27,8 +27,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import _linalg, oracles
+from ._linalg import _frac_json
 from .codim import Stratum, genus_identity, stratum_report
-from .grothendieck import Specialization, _frac_json
+from .grothendieck import Specialization
 from .resolution import GraphValidationError, _json_int, _shown, build, matrices_report
 from .series import (
     Run,

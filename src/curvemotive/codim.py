@@ -25,11 +25,11 @@ The derived quantities:
   nothing here keeps them (``series.Run.codims`` does, for one run).
 
 Values are exact: integral ones are ``int``s and non-integral ones
-``Fraction``s (see ``grothendieck._exact``), which the callers flag; nothing
+``Fraction``s (see ``_linalg._exact``), which the callers flag; nothing
 here rounds.  The codimensions, ``deg_AA`` and ``deg_AK`` are computed as
 ints on the integer lattice ``d * M`` (``ResolutionGraph.m_lattice``, ``d``
 the least common denominator of ``M``) and divided once at the end
-(``grothendieck._quotient``, which builds a ``Fraction`` only for a value that
+(``_linalg._quotient``, which builds a ``Fraction`` only for a value that
 is not integral), so no ``Fraction`` arithmetic runs inside their sums.  The
 genus identity ``hoskin_deligne(w) = -(deg_AA + deg_AK) / 2``
 (``genus_identity``) compares both sides scaled by ``2 d^2``, as ints, from
@@ -42,9 +42,8 @@ import warnings as _warnings
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import integer_form, vec_mat
+from ._linalg import _exact, _frac_json, _quotient, integer_form, vec_mat
 from ._record import Record
-from .grothendieck import _exact, _frac_json, _quotient
 from .resolution import Pair, ResolutionGraph
 
 

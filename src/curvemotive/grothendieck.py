@@ -34,6 +34,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._linalg import _exact, _quotient
 from ._record import Record
 
 # The constructor's monomial key: (L-exponent, ((label, exponent), ...)), the
@@ -382,33 +383,6 @@ def _lowest_terms(k: int, den: int) -> tuple[int, int]:
     """The numerator and denominator of ``k / den`` in lowest terms."""
     common = gcd(k, den)
     return k // common, den // common
-
-
-def _exact(x) -> int | Fraction:
-    """An exact rational as an ``int`` when integral, else as a ``Fraction``.
-
-    The two compare, hash, sort and render alike, but ``int`` arithmetic is
-    much cheaper, and on a totally rational graph every exponent is integral.
-    """
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(num: int, den: int) -> int | Fraction:
-    """``num / den`` for ints, ``den`` not zero, as ``_exact`` gives it: the
-    ``int`` ``num // den`` when ``den`` divides ``num``, else a ``Fraction``,
-    which is built only then."""
-    if num % den:
-        return Fraction(num, den)
-    return num // den
-
-
-def _frac_json(x: Fraction | int):
-    """An exact rational as JSON: an integer when integral, else ``"p/q"``."""
-    return x.numerator if x.denominator == 1 else str(x)
 
 
 class Specialization(Record):

@@ -33,8 +33,8 @@ import reprlib
 from functools import cached_property
 
 from . import _linalg
+from ._linalg import _exact, _frac_json, _quotient
 from ._record import Record
-from .grothendieck import _exact, _frac_json, _quotient
 
 Pair = tuple[int, int]
 

@@ -65,7 +65,7 @@ from math import comb, floor, prod
 from functools import cache, cached_property, reduce
 from operator import add, le, mul
 
-from ._linalg import integer_form
+from ._linalg import _exact, _frac_json, integer_form
 from ._record import Record
 from .codim import (
     ExponentVector,
@@ -77,7 +77,7 @@ from .codim import (
     nhat_codim_literal,
     w_of,
 )
-from .grothendieck import RingElement, _exact, _frac_json, field_class, units_class
+from .grothendieck import RingElement, field_class, units_class
 from .resolution import ResolutionGraph
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvemotive import RingElement, Specialization, field_class, units_class
-from curvemotive.grothendieck import _quotient
+from curvemotive._linalg import _quotient
 
 L = RingElement.lefschetz
 one = RingElement.one()

@@ -1,10 +1,6 @@
-"""The value types: equality, hashing, immutability and ``repr``; and the
-start-up cost they keep out of ``import curvemotive``."""
+"""The value types: equality, hashing, immutability and ``repr``."""
 
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,8 +18,6 @@ from curvemotive import (
     TruncatedSeries,
     divisorial_closed_form,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _cusp():
@@ -147,18 +141,3 @@ def test_field_values_decide_equality():
     assert Specialization(Fraction(1)).symbols == {}
     assert Specialization(Fraction(1)).default is None
 
-
-def test_importing_the_cli_loads_neither_dataclasses_inspect_nor_typing():
-    # -S: a site-packages hook may import typing itself.
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import curvemotive.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(SRC)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
