@@ -6,11 +6,15 @@ unitriangular integer matrix (the proximity matrix), found by back
 substitution in integers.  The exact rationals every layer shares are here
 too: ``_exact`` and ``_quotient`` give an ``int`` when the value is integral,
 and ``_frac_json`` renders one for JSON.
+
+This is where a rational is made.  ``fractions``, with the ``decimal`` and
+``numbers`` modules it imports (most of the package's start-up time), is
+imported only where a ``Fraction`` is built: in the non-integral branches of
+``_exact`` and ``_quotient`` and in the specialization code.  On a totally
+rational graph, ``M``, the codimensions and every exponent are ints, so
+building the graph and its series loads none of them.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -71,28 +75,31 @@ def unitriangular_inverse(a):
     return mat(inv)
 
 
-def _exact(x) -> int | Fraction:
+def _exact(x):
     """An exact rational as an ``int`` when integral, else as a ``Fraction``.
 
+    ``x`` is anything ``Fraction`` accepts, a string such as ``"3/2"`` too.
     The two compare, hash, sort and render alike, but ``int`` arithmetic is
     much cheaper, and on a totally rational graph every exponent is integral.
     """
     if type(x) is int:
         return x
+    from fractions import Fraction
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _quotient(num: int, den: int) -> int | Fraction:
+def _quotient(num: int, den: int):
     """``num / den`` for ints, ``den`` not zero, as ``_exact`` gives it: the
     ``int`` ``num // den`` when ``den`` divides ``num``, else a ``Fraction``,
     which is built only then."""
     if num % den:
+        from fractions import Fraction
         return Fraction(num, den)
     return num // den
 
 
-def _frac_json(x: Fraction | int):
+def _frac_json(x):
     """An exact rational as JSON: an integer when integral, else ``"p/q"``."""
     return x.numerator if x.denominator == 1 else str(x)

@@ -5,8 +5,6 @@ and ``ast`` and then compiles every generated method: that alone is most of
 the command line's start-up time.
 """
 
-from __future__ import annotations
-
 
 class Record:
     """A value object: its fields, named in ``_FIELDS``, are all there is to it.

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import _linalg, oracles
@@ -256,6 +255,7 @@ def _parse_bound(text: str | None, arity: int, what: str):
 
 def _parse_specialization(text: str, labels) -> Specialization:
     """``--specialize`` as a ``Specialization``; a symbol must be one of ``labels``."""
+    from fractions import Fraction
     lefschetz = None
     default = None
     symbols = {}
@@ -473,6 +473,7 @@ def _matrix_layer(c) -> bool:
 
 
 def _divisor_counts(c) -> bool:
+    from fractions import Fraction
     specs = {q: Specialization(lefschetz=Fraction(q), default=Fraction(1)) for q in (2, 3)}
     classes = {(removed, n): sym_power_class(None, removed, n) for removed in (1, 2, 3) for n in range(5)}
     return all(
@@ -501,6 +502,7 @@ def _reduced_branch_series(c) -> bool:
 
 
 def _value_semigroup(c) -> bool:
+    from fractions import Fraction
     # the curvette values, a column of M, generate the value semigroup
     column = [row[c.g.branch(1).attach - 1] for row in c.g.m_matrix]
     at_one = c.pg.specialize(Specialization(lefschetz=Fraction(1), default=Fraction(1)))

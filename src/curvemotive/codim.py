@@ -29,8 +29,9 @@ Values are exact: integral ones are ``int``s and non-integral ones
 here rounds.  The codimensions, ``deg_AA`` and ``deg_AK`` are computed as
 ints on the integer lattice ``d * M`` (``ResolutionGraph.m_lattice``, ``d``
 the least common denominator of ``M``) and divided once at the end
-(``_linalg._quotient``, which builds a ``Fraction`` only for a value that
-is not integral), so no ``Fraction`` arithmetic runs inside their sums.  The
+(``_linalg._quotient``, which builds a ``Fraction``, and imports
+``fractions``, only for a value that is not integral), so no ``Fraction``
+arithmetic runs inside their sums.  The
 genus identity ``hoskin_deligne(w) = -(deg_AA + deg_AK) / 2``
 (``genus_identity``) compares both sides scaled by ``2 d^2``, as ints, from
 one ``z = nhat . (d * M)``.
@@ -39,7 +40,6 @@ one ``z = nhat . (d * M)``.
 from __future__ import annotations
 
 import warnings as _warnings
-from fractions import Fraction
 from operator import mul
 
 from ._linalg import _exact, _frac_json, _quotient, integer_form, vec_mat
@@ -148,12 +148,12 @@ def _v_from_w(w, st: Stratum, g: ResolutionGraph) -> ExponentVector:
     return ExponentVector(values)
 
 
-def alpha_of(w, g: ResolutionGraph) -> tuple[int | Fraction, ...]:
+def alpha_of(w, g: ResolutionGraph) -> tuple:
     """Coordinates of the divisor sum(w_i E_i) on the total-transform basis."""
     return tuple(map(_exact, vec_mat(tuple(w), g.proximity_matrix)))
 
 
-def hoskin_deligne(w, g: ResolutionGraph) -> int | Fraction:
+def hoskin_deligne(w, g: ResolutionGraph):
     """Codimension of the divisorial ideal of ``w``: 1/2 sum h_i a_i (a_i+1).
 
     Valid as a dimension count only when ``w`` lies in the divisorial value
@@ -187,7 +187,7 @@ def _texts(scaled, d: int) -> tuple[str, ...]:
     return tuple(str(_quotient(x, d)) for x in scaled)
 
 
-def deg_AK(nhat_vec, g: ResolutionGraph) -> int | Fraction:
+def deg_AK(nhat_vec, g: ResolutionGraph):
     """Intersection degree of the divisor with the canonical cycle:
     ``sum nhat - w . epsilon``."""
     d, dm = g.m_lattice
@@ -199,7 +199,7 @@ def _deg_AK(nh, z, d: int, g: ResolutionGraph) -> int:
     return d * sum(nh) - sum(map(mul, z, g.epsilon))
 
 
-def deg_AA(nhat_vec, g: ResolutionGraph) -> int | Fraction:
+def deg_AA(nhat_vec, g: ResolutionGraph):
     """Self-intersection degree of the divisor: -(nhat . M . nhat)."""
     d, dm = g.m_lattice
     return _quotient(_deg_AA(nhat_vec, vec_mat(nhat_vec, dm)), d)
@@ -221,7 +221,7 @@ def genus_identity(nh, g: ResolutionGraph) -> bool:
     return _hoskin_deligne(z, d, g) == -d * (_deg_AA(nh, z) + _deg_AK(nh, z, d, g))
 
 
-def nhat_codim(nh, g: ResolutionGraph, z=None) -> int | Fraction:
+def nhat_codim(nh, g: ResolutionGraph, z=None):
     """The part of ``F`` and ``F^D`` fixed by ``nhat``, by composition:
     ``hoskin_deligne(w) + sum nhat_i h_i`` with ``w = nhat . M``.
 
@@ -236,7 +236,7 @@ def nhat_codim(nh, g: ResolutionGraph, z=None) -> int | Fraction:
     return _quotient(_hoskin_deligne(z, d, g) + scale * linear, scale)
 
 
-def nhat_codim_literal(nh, g: ResolutionGraph) -> int | Fraction:
+def nhat_codim_literal(nh, g: ResolutionGraph):
     """The expanded quadratic-form expression for ``nhat_codim``, its
     independent check.
 
@@ -259,7 +259,7 @@ def _branch_codim(st: Stratum, g: ResolutionGraph) -> int:
     return sum(tpp * g.branch(j).degree for j, (_tp, tpp) in zip(st.branches, st.branch_mults))
 
 
-def codim_F(st: Stratum, g: ResolutionGraph) -> int | Fraction:
+def codim_F(st: Stratum, g: ResolutionGraph):
     """Codimension of a stratum fiber, by composition.
 
     ``F = hoskin_deligne(w) + sum nhat_i h_i + sum_{j in J} t''_j h_j``.
@@ -267,12 +267,12 @@ def codim_F(st: Stratum, g: ResolutionGraph) -> int | Fraction:
     return nhat_codim(nhat(st, g), g) + _branch_codim(st, g)
 
 
-def codim_F_literal(st: Stratum, g: ResolutionGraph) -> int | Fraction:
+def codim_F_literal(st: Stratum, g: ResolutionGraph):
     """The expanded quadratic-form expression for ``F``, kept as a cross-check."""
     return nhat_codim_literal(nhat(st, g), g) + _branch_codim(st, g)
 
 
-def codim_FD(st: Stratum, g: ResolutionGraph) -> int | Fraction:
+def codim_FD(st: Stratum, g: ResolutionGraph):
     """Divisorial stratum codimension; requires a branch-free stratum."""
     if not st.is_divisorial:
         raise ValueError("divisorial codimension is defined for J-free strata")

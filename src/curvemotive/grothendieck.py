@@ -22,16 +22,16 @@ canonical.  Equality is between elements only: ``RingElement.integer(3)``
 is not equal to ``3``, whose hash differs, while ``+``, ``-`` and ``*``
 take an ``int`` as the element it names.  The constructor, ``lefschetz``,
 ``lefschetz_shift`` and ``sorted_terms`` take and give exact rationals
-(``int`` when integral, else ``Fraction``).  Symbol exponents are
-nonnegative integers by construction (formulas that would produce
-``e^(n-l)`` with ``l > n`` are never formed).  Coefficients are
-arbitrary-precision integers.
+(``int`` when integral, else ``Fraction``), so an element whose exponents
+are all integral builds no ``Fraction``; ``specialize`` always gives one.
+Symbol exponents are nonnegative integers by construction (formulas that
+would produce ``e^(n-l)`` with ``l > n`` are never formed).  Coefficients
+are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._linalg import _exact, _quotient
@@ -41,7 +41,6 @@ from ._record import Record
 # L-exponent any exact rational.  An element's own keys are (k, symbols) with
 # k the int numerator of the L-exponent over the element's _den, the symbol
 # part sorted by label and all symbol exponents positive.
-MonomialKey = tuple[int | Fraction, tuple[tuple[str, int], ...]]
 
 
 def _canonical_syms(syms) -> tuple[tuple[str, int], ...]:
@@ -58,8 +57,8 @@ class RingElement:
 
     __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[MonomialKey, int] | None = None):
-        canon: dict[MonomialKey, int] = {}
+    def __init__(self, terms: Mapping | None = None):
+        canon = {}
         if terms:
             for (lexp, syms), coeff in terms.items():
                 if coeff == 0:
@@ -207,7 +206,7 @@ class RingElement:
         ((k, syms), coeff), = self._terms.items()
         if coeff != 1 or syms:
             return None
-        return k if self._den == 1 else Fraction(k, self._den)
+        return _quotient(k, self._den)
 
     # -- structure ---------------------------------------------------------
 
@@ -250,11 +249,13 @@ class RingElement:
 
     # -- specialization ----------------------------------------------------
 
-    def specialize(self, spec: "Specialization") -> Fraction:
+    def specialize(self, spec: "Specialization"):
+        """The ``Fraction`` this element takes at ``spec``."""
+        from fractions import Fraction
         den = self._den
         top, bottom = 0, 1  # the sum so far is top / bottom, reduced once at the end
         for (k, syms), coeff in self._terms.items():
-            value = _rational_power(spec.lefschetz, k if den == 1 else Fraction(k, den))
+            value = _rational_power(spec.lefschetz, _quotient(k, den))
             for label, exp in syms:
                 value *= spec.value_of(label) ** exp
             top, bottom = top * value.denominator + coeff * value.numerator * bottom, bottom * value.denominator
@@ -309,10 +310,10 @@ class RingElement:
 
     @classmethod
     def from_json(cls, data) -> "RingElement":
-        terms: dict[MonomialKey, int] = {}
+        terms = {}
         for item in data:
             key = (
-                Fraction(item["Lexp"]),
+                _exact(item["Lexp"]),
                 tuple(sorted((str(k), int(v)) for k, v in item.get("symbols", {}).items())),
             )
             terms[key] = terms.get(key, 0) + int(item["coeff"])
@@ -362,7 +363,8 @@ def _merge_syms(s1, s2):
     return tuple(sorted(merged.items()))
 
 
-def _rational_power(base: Fraction, exp: int | Fraction) -> Fraction:
+def _rational_power(base, exp):
+    from fractions import Fraction
     if exp == 0:
         return Fraction(1)
     if base == 1:
@@ -386,7 +388,7 @@ def _lowest_terms(k: int, den: int) -> tuple[int, int]:
 
 
 class Specialization(Record):
-    """Exact-rational target values for L and for the field symbols.
+    """Exact-rational target values for L (a ``Fraction``) and for the field symbols.
 
     ``symbols`` maps labels to values and is empty when not given.
     ``default`` (when given) supplies a value for any symbol not listed
@@ -398,13 +400,14 @@ class Specialization(Record):
 
     def __init__(
         self,
-        lefschetz: Fraction,
-        symbols: Mapping[str, Fraction] | None = None,
-        default: Fraction | None = None,
+        lefschetz,
+        symbols: Mapping | None = None,
+        default=None,
     ):
         super().__init__(lefschetz, {} if symbols is None else symbols, default)
 
-    def value_of(self, label: str) -> Fraction:
+    def value_of(self, label: str):
+        from fractions import Fraction
         if label in self.symbols:
             return Fraction(self.symbols[label])
         if self.default is not None:

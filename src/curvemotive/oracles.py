@@ -10,7 +10,6 @@ series machinery; independence is the point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, product
 
 from ._record import Record
@@ -104,6 +103,7 @@ def codims_from_series(coefficients, q, degree: int):
     ``v`` at which no such step gives ``L^(-c(v + 1))``.
     """
     if type(q) is int:
+        from fractions import Fraction
         q = Fraction(q)  # so that q ** -k is exact
     codims = [0]
     power = q**0  # L^(-c(v))

@@ -27,8 +27,6 @@ only, divisibility of residue degrees along infinitely near points, branch
 attachments) and raises ``GraphValidationError`` carrying every violation.
 """
 
-from __future__ import annotations
-
 import reprlib
 from functools import cached_property
 

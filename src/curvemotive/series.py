@@ -33,7 +33,8 @@ sum ``out[e] = in[e] + c out[e - m]``.
 
 Both running sums work on int exponent tuples on the lattice ``d * M``
 (``_lattice``), which every exponent lies on, and convert to
-``ExponentVector`` once per output term.
+``ExponentVector`` once per output term, dividing by ``d`` through
+``_linalg._quotient``: an integral series builds no ``Fraction``.
 
 A ``Run`` is one graph, one bound and one strictness (``integral`` or not).
 It walks the ``nhat`` lattice when it is built, and forms the per-key
@@ -60,12 +61,11 @@ zeros in the pass that makes the dict (``_from_lattice``, ``_summed``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, floor, prod
 from functools import cache, cached_property, reduce
 from operator import add, le, mul
 
-from ._linalg import _exact, _frac_json, integer_form
+from ._linalg import _exact, _frac_json, _quotient, integer_form
 from ._record import Record
 from .codim import (
     ExponentVector,
@@ -97,7 +97,7 @@ def monomial_text(exp) -> str:
         name = f"t{idx}"
         if e == 1:
             parts.append(name)
-        elif isinstance(e, Fraction) and e.denominator != 1:
+        elif type(e) is not int:
             parts.append(f"{name}^({e})")
         else:
             parts.append(f"{name}^{e}")
@@ -117,7 +117,7 @@ class TruncatedSeries(Record):
 
     def __init__(
         self,
-        bound: tuple[int | Fraction, ...],
+        bound: tuple,
         terms: dict[ExponentVector, RingElement] | None = None,
         skipped_nonintegral: int = 0,
     ):
@@ -139,7 +139,7 @@ class TruncatedSeries(Record):
             value.has_integral_lefschetz_exponents for value in self.terms.values()
         )
 
-    def specialize(self, spec) -> dict[ExponentVector, Fraction]:
+    def specialize(self, spec) -> dict:
         out = {}
         for exp, value in self.sorted_items():
             v = value.specialize(spec)
@@ -170,11 +170,11 @@ class TruncatedSeries(Record):
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
         """The series ``to_json`` rendered; ``"arity"`` must be the length of ``"bound"``."""
-        bound = [Fraction(b) for b in data["bound"]]
+        bound = [_exact(b) for b in data["bound"]]
         if int(data["arity"]) != len(bound):
             raise ValueError(f"series arity {data['arity']} does not match its {len(bound)} bounds")
         terms = (
-            (ExponentVector(Fraction(e) for e in item["t"]), RingElement.from_json(item["value"]))
+            (ExponentVector(item["t"]), RingElement.from_json(item["value"]))
             for item in data["terms"]
         )
         return cls(bound, _summed(bound, terms), int(data.get("skipped_nonintegral", 0)))
@@ -252,7 +252,7 @@ def _lattice(scaled, bound, attach=()):
     wrong length or with a negative entry is rejected.
     """
     d, rows = scaled
-    caps = tuple(floor(Fraction(b) * d) for b in bound)
+    caps = tuple(floor(_exact(b) * d) for b in bound)
     arity = len(attach) or len(rows[0])
     if len(caps) != arity:
         raise ValueError(f"bound arity {len(caps)} does not match {arity} variables")
@@ -326,7 +326,7 @@ def _divide(poly, step, cs, caps):
 def _from_lattice(bound, d, poly, skipped=0) -> TruncatedSeries:
     """The series whose terms are the nonzero ones of ``poly``, exponents divided by ``d``."""
     terms = {
-        ExponentVector(e if d == 1 else (Fraction(x, d) for x in e)): value for e, value in poly.items() if value
+        ExponentVector(e if d == 1 else (_quotient(x, d) for x in e)): value for e, value in poly.items() if value
     }
     return TruncatedSeries(bound, terms, skipped)
 

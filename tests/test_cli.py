@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, exit codes, rendering, round trips."""
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -155,6 +156,35 @@ def test_compute_pg_with_specialization(capsys, cusp_file):
     exponents = [line.split(":")[0] for line in out.strip().splitlines()]
     assert exponents == ["t^(0)", "t^(2)", "t^(3)", "t^(4)", "t^(5)", "t^(6)", "t^(7)", "t^(8)", "t^(9)", "t^(10)"]
     assert all(line.endswith(" 1") for line in out.strip().splitlines())
+
+
+# (graph, series, format) -> exit code and the leading 16 hex digits of the
+# sha256 of stdout, a NUL and stderr, recorded from compute --bound 6
+# --specialize L=2,all=0; chain2_h12's pg and pdg have fractional L-exponents
+SPECIALIZED_AT_2 = {
+    ("cusp", "pg", "text"): (0, "c1503ddee6c977d8"),
+    ("cusp", "pg", "json"): (0, "8685a6ebed740234"),
+    ("cusp", "pdg", "text"): (0, "b0dd0aa6411eef3c"),
+    ("cusp", "pdg", "json"): (0, "1ffcc2fcac560d25"),
+    ("cusp", "phatd", "text"): (0, "3a99fe44d6217495"),
+    ("cusp", "phatd", "json"): (0, "e739176aa474ce2b"),
+    ("chain2_h12", "pg", "text"): (1, "58c52001532071cb"),
+    ("chain2_h12", "pg", "json"): (1, "58c52001532071cb"),
+    ("chain2_h12", "pdg", "text"): (1, "58c52001532071cb"),
+    ("chain2_h12", "pdg", "json"): (1, "58c52001532071cb"),
+    ("chain2_h12", "phatd", "text"): (0, "80fafd154ea12b93"),
+    ("chain2_h12", "phatd", "json"): (0, "8d6ab32bc9033a91"),
+}
+
+
+@pytest.mark.parametrize("graph, series, fmt", SPECIALIZED_AT_2)
+def test_specialize_at_L_2_output_is_unchanged(capsys, graph, series, fmt):
+    code, out, err = run(
+        capsys, "compute", "--series", series, "--bound", "6", "--specialize", "L=2,all=0",
+        "--format", fmt, "--input", str(DEMOS / "graphs" / f"{graph}.json"),
+    )
+    digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
+    assert (code, digest) == SPECIALIZED_AT_2[graph, series, fmt]
 
 
 def test_compute_bound_arity_mismatch_is_usage_error(capsys, cusp_file):

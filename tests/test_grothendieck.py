@@ -139,6 +139,13 @@ def test_specialize_examples():
     assert L(-2).specialize(spec_q) == Fraction(1, 4)
 
 
+def test_specialize_gives_a_fraction_on_integral_elements_too():
+    spec = Specialization(lefschetz=Fraction(2), default=Fraction(1))
+    for x in (RingElement.zero(), one, L(3) - 2 * one, L(-2) * RingElement.symbol("a")):
+        assert type(x.specialize(spec)) is Fraction
+    assert L(-2).specialize(spec) == Fraction(1, 4) and (L(2) - one).specialize(spec) == 3
+
+
 def test_specialize_requires_total_assignment():
     x = RingElement.symbol("mystery")
     with pytest.raises(KeyError):

@@ -67,3 +67,24 @@ def test_positive_definite_oracle():
     assert is_positive_definite(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
     assert not is_positive_definite(((1, 2), (2, 1)))
     assert not is_positive_definite(((0, 0), (0, 1)))
+
+
+def test_exact_gives_an_int_exactly_when_the_value_is_integral():
+    # strings too: from_json reads "p/q" exponents and bounds through _exact
+    cases = [
+        (3, 3), (True, 1), (Fraction(6, 2), 3), (6.0, 6), ("4", 4), ("8/2", 4), (" -7 ", -7),
+        (Fraction(3, 2), Fraction(3, 2)), ("3/2", Fraction(3, 2)), ("-6/4", Fraction(-3, 2)), (0.5, Fraction(1, 2)),
+    ]
+    for x, expected in cases:
+        got = _linalg._exact(x)
+        assert got == expected and type(got) is type(expected), x
+
+
+def test_quotient_gives_an_int_exactly_when_the_denominator_divides():
+    cases = [
+        ((6, 3), 2), ((-6, 3), -2), ((0, 5), 0), ((8, -4), -2),
+        ((3, 2), Fraction(3, 2)), ((-3, 6), Fraction(-1, 2)), ((6, -4), Fraction(-3, 2)),
+    ]
+    for (num, den), expected in cases:
+        got = _linalg._quotient(num, den)
+        assert got == expected and type(got) is type(expected), (num, den)

@@ -3,6 +3,7 @@ first use."""
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,16 @@ from pathlib import Path
 import pytest
 
 import curvemotive
+from curvemotive import _linalg, _record, resolution
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 CUSP = {"centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}], "branches": [{"attach": 3}]}
+CHAIN2_H12 = {"centers": [{"prox": []}, {"prox": [1], "h": 2}], "branches": [{"attach": 2, "h": 2}]}
 LOADED = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'curvemotive'))"
-HEAVY = "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+# fractions pulls in decimal and numbers; a graph or series that is integral needs none of them
+RATIONALS = "print(sorted({'decimal', 'fractions', 'numbers'} & set(sys.modules)))"
+HEAVY = "print(sorted({'dataclasses', 'decimal', 'fractions', 'inspect', 'numbers', 'typing'} & set(sys.modules)))"
 
 
 def fresh(code: str) -> list[str]:
@@ -48,11 +54,48 @@ LAYERS = {
 @pytest.mark.parametrize("probe", LAYERS)
 def test_a_fresh_import_loads_only_its_layers(probe):
     statement, submodules = LAYERS[probe]
-    # and none of the slow modules the value types keep out (dataclasses pulls in inspect)
+    # and none of the slow modules the value types and the lazy rationals keep
+    # out (dataclasses pulls in inspect, fractions decimal and numbers)
     assert fresh(f"{statement}\n{LOADED}\n{HEAVY}") == [
         repr(sorted(["curvemotive", *(f"curvemotive.{name}" for name in submodules)])),
         "[]",
     ]
+
+
+def test_an_integral_compute_run_loads_no_fractions():
+    # the output is printed first; the exit code and the modules come last
+    argv = ["compute", "--series", "pg", "--bound", "8", "--input", str(ROOT / "demos" / "graphs" / "cusp.json")]
+    lines = fresh(f"from curvemotive import cli\nprint(cli.main({argv!r}))\n{RATIONALS}")
+    assert lines[0] == "1: 1" and lines[-2:] == ["0", "[]"]
+
+
+def test_a_fractional_m_matrix_loads_fractions_and_holds_fractions():
+    lines = fresh(f"import curvemotive\nprint(repr(curvemotive.build({CHAIN2_H12!r}).m_matrix))\n{RATIONALS}")
+    assert lines == ["((1, 1), (1, Fraction(3, 2)))", "['decimal', 'fractions', 'numbers']"]
+
+
+def _annotated(module):
+    """The module, its classes and the functions and methods defined in it."""
+    yield module
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) == module.__name__:
+            yield obj
+            for member in vars(obj).values() if isinstance(obj, type) else ():
+                # a cached_property keeps its function as func, a property as fget
+                member = getattr(member, "func", getattr(member, "fget", getattr(member, "__func__", member)))
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_the_graph_layer_evaluates_its_annotations_as_written():
+    # no postponed annotations: the graph probe loads no __future__, and every
+    # annotation of the graph layer evaluates, none naming an unbound Fraction
+    (loaded,) = fresh(f"import curvemotive; curvemotive.build({CUSP!r}).m_matrix\nprint('__future__' in sys.modules)")
+    assert loaded == "False"
+    for module in (_linalg, _record, resolution):
+        assert "annotations" not in vars(module), module.__name__
+        for obj in _annotated(module):
+            inspect.get_annotations(obj, eval_str=True)
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import json
+import math
 import pkgutil
 import random
 from fractions import Fraction
@@ -884,6 +885,18 @@ def test_immutability_check_rejects_mutable_values():
 
 def _lattice_of(run):
     return {"d": run.d, "steps": run.steps, "caps": run.caps, "t_steps": run.t_steps, "keys": run.keys}
+
+
+def test_run_caps_are_the_floor_of_the_bound_on_the_lattice(cusp, chain2_h12):
+    # caps = floor(b * d), as ints, whether the bound is an int or a Fraction;
+    # cusp's M is integral (d = 1), chain2_h12's has denominator d = 2
+    # (a list: the bounds (14,) and (Fraction(14),) are equal as dict keys)
+    expected = [((14,), ((14,), (28,))), ((Fraction(14),), ((14,), (28,))), ((Fraction(29, 2),), ((14,), (29,)))]
+    for bound, caps in expected:
+        runs = Run(cusp, bound), Run(chain2_h12, bound)
+        assert tuple(run.caps for run in runs) == caps and [run.d for run in runs] == [1, 2]
+        assert all(type(cap) is int for run in runs for cap in run.caps)
+        assert all(run.caps == tuple(math.floor(Fraction(b) * run.d) for b in bound) for run in runs)
 
 
 def test_every_bound_form_gives_the_same_results(cusp):
