@@ -7,12 +7,12 @@ and three generating series with coefficients in a formal localized
 Grothendieck-ring model, cross-validated against independent brute-force
 oracles.
 
-Each layer imports only the layers before it: ``_record``/``_linalg`` ->
-``resolution`` -> ``grothendieck`` -> ``codim`` -> ``series`` -> ``cli``,
-with ``oracles`` reading ``_record`` only.  The public names below are bound
-on first use, from their home modules (PEP 562), so ``import curvemotive``
-loads this file alone and ``build(d).m_matrix`` loads only ``_linalg``,
-``_record`` and ``resolution``.
+Each layer imports only the layers before it: ``_linalg`` (the value types'
+``Record`` base and the exact linear algebra) -> ``resolution`` ->
+``grothendieck`` -> ``codim`` -> ``series`` -> ``cli``, with ``oracles``
+reading ``_linalg`` only.  The public names below are bound on first use,
+from their home modules (PEP 562), so ``import curvemotive`` loads this file
+alone and ``build(d).m_matrix`` loads only ``_linalg`` and ``resolution``.
 """
 
 __version__ = "0.1.0"

@@ -19,8 +19,6 @@ Exit codes: 0 success, 1 data or validation error, 2 usage error,
 3 cross-check failure, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from types import SimpleNamespace

@@ -37,13 +37,10 @@ genus identity ``hoskin_deligne(w) = -(deg_AA + deg_AK) / 2``
 one ``z = nhat . (d * M)``.
 """
 
-from __future__ import annotations
-
 import warnings as _warnings
 from operator import mul
 
-from ._linalg import _exact, _frac_json, _quotient, integer_form, vec_mat
-from ._record import Record
+from ._linalg import Record, _exact, _frac_json, _quotient, integer_form, vec_mat
 from .resolution import Pair, ResolutionGraph
 
 

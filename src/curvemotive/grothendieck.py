@@ -29,13 +29,10 @@ would produce ``e^(n-l)`` with ``l > n`` are never formed).  Coefficients
 are arbitrary-precision integers.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 from math import gcd, lcm
 
-from ._linalg import _exact, _quotient
-from ._record import Record
+from ._linalg import Record, _exact, _quotient
 
 # The constructor's monomial key: (L-exponent, ((label, exponent), ...)), the
 # L-exponent any exact rational.  An element's own keys are (k, symbols) with
@@ -378,7 +375,7 @@ def _rational_power(base, exp):
             f"cannot specialize a non-integral L-exponent {exp} at L={base}; "
             "only L in {0, 1} admits fractional exponents"
         )
-    return base ** exp.numerator
+    return Fraction(base) ** exp.numerator  # a Fraction at a negative exponent too
 
 
 def _lowest_terms(k: int, den: int) -> tuple[int, int]:
@@ -388,7 +385,7 @@ def _lowest_terms(k: int, den: int) -> tuple[int, int]:
 
 
 class Specialization(Record):
-    """Exact-rational target values for L (a ``Fraction``) and for the field symbols.
+    """Exact-rational target values (``int`` or ``Fraction``) for L and for the field symbols.
 
     ``symbols`` maps labels to values and is empty when not given.
     ``default`` (when given) supplies a value for any symbol not listed

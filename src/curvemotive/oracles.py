@@ -4,15 +4,14 @@ Everything here is deliberately naive: exhaustive closure for numerical
 semigroups, monomial counting for divisorial-ideal codimensions,
 point-multiset enumeration over small finite fields for symmetric-power
 counts, a telescoping of a one-branch series into its codimension
-function, and the conductor by Noether's formula.  None of it imports the
-series machinery; independence is the point.
+function, and the conductor by Noether's formula.  It reads only
+``_linalg``'s ``Record``; none of it imports the series machinery, because
+independence is the point.
 """
-
-from __future__ import annotations
 
 from itertools import count, product
 
-from ._record import Record
+from ._linalg import Record
 
 
 SEMIGROUP_BOUND = 10**6

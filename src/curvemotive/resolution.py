@@ -31,8 +31,7 @@ import reprlib
 from functools import cached_property
 
 from . import _linalg
-from ._linalg import _exact, _frac_json, _quotient
-from ._record import Record
+from ._linalg import Record, _exact, _frac_json, _quotient
 
 Pair = tuple[int, int]
 
@@ -270,6 +269,10 @@ class ResolutionGraph(Record):
                         f"derived intersection number N[{i + 1}][{j + 1}] = {n[i][j]} "
                         "is negative: the proximity data is not realizable"
                     )
+        # every default label is its own site's key, so with no labels none
+        # names an unknown site and no two sites share one
+        if not self.labels:
+            return issues
         valid_sites = (
             {site_component(i) for i in range(1, self.s + 1)}
             | {site_pair(p.i1, p.i2) for p in self.pairs}

@@ -59,14 +59,11 @@ once from the dict of its terms: each route sums its terms first and drops
 zeros in the pass that makes the dict (``_from_lattice``, ``_summed``).
 """
 
-from __future__ import annotations
-
 from math import comb, floor, prod
 from functools import cache, cached_property, reduce
 from operator import add, le, mul
 
-from ._linalg import _exact, _frac_json, _quotient, integer_form
-from ._record import Record
+from ._linalg import Record, _exact, _frac_json, _quotient, integer_form
 from .codim import (
     ExponentVector,
     Stratum,

@@ -146,6 +146,13 @@ def test_specialize_gives_a_fraction_on_integral_elements_too():
     assert L(-2).specialize(spec) == Fraction(1, 4) and (L(2) - one).specialize(spec) == 3
 
 
+def test_an_int_lefschetz_specializes_like_its_fraction():
+    for k in (-2, 0, 3):
+        at_int = L(k).specialize(Specialization(lefschetz=2))
+        at_fraction = L(k).specialize(Specialization(lefschetz=Fraction(2)))
+        assert type(at_int) is type(at_fraction) is Fraction and at_int == at_fraction == Fraction(2) ** k
+
+
 def test_specialize_requires_total_assignment():
     x = RingElement.symbol("mystery")
     with pytest.raises(KeyError):

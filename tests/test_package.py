@@ -4,6 +4,7 @@ first use."""
 import ast
 import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import curvemotive
-from curvemotive import _linalg, _record, resolution
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -41,12 +41,12 @@ def fresh(code: str) -> list[str]:
 # probe -> (statement, the curvemotive submodules loaded after it, and nothing else)
 LAYERS = {
     "package": ("import curvemotive; curvemotive.__version__", ()),
-    "graph": (f"import curvemotive; curvemotive.build({CUSP!r}).m_matrix", ("_linalg", "_record", "resolution")),
-    "ring": ("import curvemotive.grothendieck", ("_linalg", "_record", "grothendieck")),
-    "oracles": ("import curvemotive.oracles", ("_record", "oracles")),
+    "graph": (f"import curvemotive; curvemotive.build({CUSP!r}).m_matrix", ("_linalg", "resolution")),
+    "ring": ("import curvemotive.grothendieck", ("_linalg", "grothendieck")),
+    "oracles": ("import curvemotive.oracles", ("_linalg", "oracles")),
     "cli": (
         "import curvemotive.cli",
-        ("_linalg", "_record", "cli", "codim", "grothendieck", "oracles", "resolution", "series"),
+        ("_linalg", "cli", "codim", "grothendieck", "oracles", "resolution", "series"),
     ),
 }
 
@@ -63,10 +63,11 @@ def test_a_fresh_import_loads_only_its_layers(probe):
 
 
 def test_an_integral_compute_run_loads_no_fractions():
-    # the output is printed first; the exit code and the modules come last
+    # the output is printed first; the exit code and the modules come last.
+    # No module postpones its annotations, so no __future__ either.
     argv = ["compute", "--series", "pg", "--bound", "8", "--input", str(ROOT / "demos" / "graphs" / "cusp.json")]
-    lines = fresh(f"from curvemotive import cli\nprint(cli.main({argv!r}))\n{RATIONALS}")
-    assert lines[0] == "1: 1" and lines[-2:] == ["0", "[]"]
+    lines = fresh(f"from curvemotive import cli\nprint(cli.main({argv!r}))\n{RATIONALS}\nprint('__future__' in sys.modules)")
+    assert lines[0] == "1: 1" and lines[-3:] == ["0", "[]", "False"]
 
 
 def test_a_fractional_m_matrix_loads_fractions_and_holds_fractions():
@@ -87,12 +88,14 @@ def _annotated(module):
                     yield member
 
 
-def test_the_graph_layer_evaluates_its_annotations_as_written():
+def test_every_module_evaluates_its_annotations_as_written():
     # no postponed annotations: the graph probe loads no __future__, and every
-    # annotation of the graph layer evaluates, none naming an unbound Fraction
+    # annotation of every module evaluates, none naming an unbound Fraction
     (loaded,) = fresh(f"import curvemotive; curvemotive.build({CUSP!r}).m_matrix\nprint('__future__' in sys.modules)")
     assert loaded == "False"
-    for module in (_linalg, _record, resolution):
+    names = sorted(info.name for info in pkgutil.iter_modules(curvemotive.__path__))
+    assert "_linalg" in names and "cli" in names
+    for module in map(importlib.import_module, (f"curvemotive.{name}" for name in names)):
         assert "annotations" not in vars(module), module.__name__
         for obj in _annotated(module):
             inspect.get_annotations(obj, eval_str=True)

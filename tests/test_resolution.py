@@ -215,8 +215,17 @@ def test_graphs_on_the_same_centers_share_one_matrix_layer():
 
 
 def test_unknown_label_site_rejected():
-    with pytest.raises(GraphValidationError, match="unknown site"):
+    with pytest.raises(GraphValidationError) as info:
         build({"centers": [{"prox": []}], "labels": {"E7": "x"}})
+    assert info.value.issues == ("label for unknown site 'E7'",)
+
+
+def test_only_a_labelled_graph_checks_its_labels():
+    # a default label is its site's key, so an unlabelled graph has none to check
+    g = build({"centers": [{"prox": []}, {"prox": [1]}, {"prox": [1, 2]}], "branches": [{"attach": 3}]})
+    assert "pairs" not in vars(g) and "labelled_sites" not in vars(g)
+    g = build({"centers": [{"prox": []}, {"prox": [1], "h": 2}], "labels": {"E2": "k"}})
+    assert "pairs" in vars(g) and "labelled_sites" in vars(g)
 
 
 def test_intersection_matrix_against_local_product(corpus):
